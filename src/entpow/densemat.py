@@ -85,13 +85,33 @@ def unitarity_defect(a) -> float:
     a = as_complex_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"unitarity is defined for square matrices, got {a.shape[0]}x{a.shape[1]}")
-    g = a.conj().T @ a
-    g[np.diag_indices_from(g)] -= 1.0
-    return float(np.abs(g).max())
+    return float(_unitarity_defects(a[None])[0])
 
 
 def is_unitary(a, tol: float) -> bool:
     """True iff the max-abs entry of A^dag A - I is at most ``tol``."""
-    if tol < 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol}")
+    _check_tolerance(tol)
     return unitarity_defect(a) <= tol
+
+
+def _unitarity_defects(stack: np.ndarray) -> np.ndarray:
+    """Max-abs entry of A^dag A - I for each matrix of an (n, m, m) stack.
+
+    ``unitarity_defect`` and every unitarity gate compute the defect here,
+    so there is one definition of it.  Non-finite entries give a NaN or
+    infinite defect, which no tolerance admits.
+    """
+    g = stack.conj().transpose(0, 2, 1) @ stack
+    idx = np.arange(stack.shape[-1])
+    g[:, idx, idx] -= 1.0
+    return np.abs(g).max(axis=(1, 2))
+
+
+def _check_tolerance(tol: float) -> None:
+    """Reject a unitarity tolerance that is not a finite number >= 0.
+
+    ``defect > tol`` is false for a NaN tol, and an infinite one admits
+    every operator, so either would let any input past a gate.
+    """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"unitarity tolerance must be finite and nonnegative, got {tol}")

@@ -25,9 +25,15 @@ Haar-random product states -- combines the two rearrangements:
 with E(S12) = 1 - 1/d^2.  This equals
 (d/(d+1))^2 [E(U) + E(S12 U) - E(S12)].
 
-Every Tr[(M M^dag)^2] is evaluated as the squared Frobenius norm of the
-Hermitian product M M^dag: same value, fewer multiplications, and
-manifestly real.
+Every measure comes from two purities, Tr[(U^R U^R^dag)^2] and
+Tr[(U^T1 U^T1^dag)^2], computed by one batched core over an (n, d^2, d^2)
+stack of operators: the stack is rearranged with reshape/transpose, the
+Gram products M M^dag are formed in one batched product, and each
+Tr[(M M^dag)^2] is the sum of |g|^2 over the Hermitian Gram matrix, taken
+with a vectorised reduction.  The scalar functions are a batch of one, and
+sweeps pass whole stacks.  Exact, permutation-invariant ``fsum`` sums stay
+in ``densemat.frobenius_norm_sq``, where that invariance is the contract;
+here the purities only need to be accurate to rounding.
 
 A definition-level Monte-Carlo estimate of the entangling power is provided
 as an independent cross-check of the closed formula: it averages the linear
@@ -41,14 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import as_complex_matrix, frobenius_norm_sq, unitarity_defect
+from .densemat import _check_tolerance, _unitarity_defects, as_complex_matrix, frobenius_norm_sq
 from .operators import product_state_batch
-from .rearrange import (
-    BipartiteOperator,
-    partial_transpose_first,
-    realign,
-    swap_right,
-)
+from .rearrange import BipartiteOperator, _rearrange
 
 __all__ = [
     "UNITARITY_TOL",
@@ -104,6 +105,8 @@ class EntanglementReport:
     transpose; ``e_op_swapped_right`` is that of U S12 via direct
     realignment.  ``e_power`` is None when the unitarity check failed,
     since the entangling-power formula is meaningless there.
+    ``unitarity_defect`` is the max-abs entry of U^dag U - I that the
+    check compared against its tolerance.
     """
 
     d: int
@@ -113,6 +116,7 @@ class EntanglementReport:
     e_swap: float
     e_power: float | None
     unitarity_ok: bool
+    unitarity_defect: float
 
 
 @dataclass(frozen=True)
@@ -165,9 +169,11 @@ def operator_entanglement(u: BipartiteOperator, tol: float = UNITARITY_TOL) -> f
     ------
     UnitarityError
         If the unitarity defect of ``u`` exceeds ``tol``.
+    ValueError
+        If ``tol`` is not a finite number >= 0.
     """
-    _require_unitary(u, tol)
-    return _rearranged_entanglement(realign(u))
+    stack = _gated(u, tol)
+    return float(_entanglement(_purity(stack, u.d, "realign"), u.d)[0])
 
 
 def swapped_operator_entanglement(u: BipartiteOperator, tol: float = UNITARITY_TOL) -> float:
@@ -176,8 +182,8 @@ def swapped_operator_entanglement(u: BipartiteOperator, tol: float = UNITARITY_T
     Equals ``operator_entanglement(swap_left(u))``: two routes to the same
     number, via S12 (S12 U)^R = U^T1.
     """
-    _require_unitary(u, tol)
-    return _rearranged_entanglement(partial_transpose_first(u))
+    stack = _gated(u, tol)
+    return float(_entanglement(_purity(stack, u.d, "partial_transpose_first"), u.d)[0])
 
 
 def swap_entanglement(d: int) -> float:
@@ -199,9 +205,11 @@ def entangling_power(u: BipartiteOperator, tol: float = UNITARITY_TOL) -> float:
     ------
     UnitarityError
         If the unitarity defect of ``u`` exceeds ``tol``.
+    ValueError
+        If ``tol`` is not a finite number >= 0.
     """
-    _require_unitary(u, tol)
-    return _entangling_power_raw(u)
+    stack = _gated(u, tol)
+    return float(_power(*_purities(stack, u.d), u.d)[0])
 
 
 def entangling_power_mc(
@@ -221,7 +229,7 @@ def entangling_power_mc(
     """
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {n_samples}")
-    _require_unitary(u, tol)
+    _gated(u, tol)
     rng = np.random.default_rng(seed)
     entropies = _sample_entropies(u, n_samples, rng)
     # ddof=1: sample standard deviation
@@ -237,41 +245,81 @@ def entangling_power_mc(
 def entanglement_report(u: BipartiteOperator, tol: float = UNITARITY_TOL) -> EntanglementReport:
     """Evaluate every measure of ``u`` at once.
 
-    Never raises: a failed unitarity check is recorded in
-    ``unitarity_ok``, the rearrangement-based fields are still computed,
-    and ``e_power`` is set to None.
+    A failed unitarity check does not raise: it is recorded in
+    ``unitarity_ok`` with the defect found, the rearrangement-based fields
+    are still computed, and ``e_power`` is set to None.
+
+    Raises
+    ------
+    ValueError
+        If ``tol`` is not a finite number >= 0.
     """
-    ok = unitarity_defect(u.mat) <= tol
+    _check_tolerance(tol)
+    d = u.d
+    stack = u.mat[None]
+    defect = float(_unitarity_defects(stack)[0])
+    ok = defect <= tol
+    tr_r, tr_t = _purities(stack, d)
+    tr_rs = _purity(_rearrange(stack, d, "swap_right"), d, "realign")
     return EntanglementReport(
-        d=u.d,
-        e_op=_rearranged_entanglement(realign(u)),
-        e_op_swapped=_rearranged_entanglement(partial_transpose_first(u)),
-        e_op_swapped_right=_rearranged_entanglement(realign(swap_right(u))),
-        e_swap=swap_entanglement(u.d),
-        e_power=_entangling_power_raw(u) if ok else None,
+        d=d,
+        e_op=float(_entanglement(tr_r, d)[0]),
+        e_op_swapped=float(_entanglement(tr_t, d)[0]),
+        e_op_swapped_right=float(_entanglement(tr_rs, d)[0]),
+        e_swap=swap_entanglement(d),
+        e_power=float(_power(tr_r, tr_t, d)[0]) if ok else None,
         unitarity_ok=ok,
+        unitarity_defect=defect,
     )
 
 
-def _require_unitary(u: BipartiteOperator, tol: float) -> None:
-    defect = unitarity_defect(u.mat)
-    if defect > tol:
-        raise UnitarityError(defect, tol)
+def _gate(stack: np.ndarray, tol: float) -> np.ndarray:
+    """The unitarity gate for an (n, d^2, d^2) stack; returns the defects.
+
+    Raises ValueError for a tolerance that is not finite and >= 0, and
+    UnitarityError, with that operator's own defect, for the first operator
+    whose defect is not within ``tol``.  A NaN or infinite defect, from
+    non-finite entries, never passes.
+    """
+    _check_tolerance(tol)
+    defects = _unitarity_defects(stack)
+    bad = np.flatnonzero(~(defects <= tol))
+    if bad.size:
+        raise UnitarityError(defects[bad[0]], tol)
+    return defects
 
 
-def _rearranged_entanglement(rearranged: BipartiteOperator) -> float:
-    """1 - Tr[(M M^dag)^2] / d^4 for an already-rearranged operator M."""
-    m = rearranged.mat
-    g = m @ m.conj().T
-    return 1.0 - frobenius_norm_sq(g) / float(rearranged.d) ** 4
+def _gated(u: BipartiteOperator, tol: float) -> np.ndarray:
+    """``u`` as a stack of one, after it has passed the gate."""
+    stack = u.mat[None]
+    _gate(stack, tol)
+    return stack
 
 
-def _entangling_power_raw(u: BipartiteOperator) -> float:
-    d = u.d
-    m_r = realign(u).mat
-    m_t = partial_transpose_first(u).mat
-    tr_r = frobenius_norm_sq(m_r @ m_r.conj().T)
-    tr_t = frobenius_norm_sq(m_t @ m_t.conj().T)
+def _purity(stack: np.ndarray, d: int, move: str) -> np.ndarray:
+    """Tr[(M M^dag)^2] for M the ``move`` of each operator in the stack.
+
+    M M^dag is Hermitian, so the trace of its square is the sum of |g|^2
+    over its entries: a dot product of the float view with itself.
+    """
+    m = _rearrange(stack, d, move)
+    g = m @ m.conj().transpose(0, 2, 1)
+    x = g.view(np.float64).reshape(len(g), -1)
+    return np.einsum("ni,ni->n", x, x)
+
+
+def _purities(stack: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Tr[(U^R U^R^dag)^2], Tr[(U^T1 U^T1^dag)^2]) for each U of the stack."""
+    return _purity(stack, d, "realign"), _purity(stack, d, "partial_transpose_first")
+
+
+def _entanglement(tr: np.ndarray, d: int) -> np.ndarray:
+    """1 - Tr[(M M^dag)^2] / d^4: E(U) from tr_R, E(S12 U) from tr_T1."""
+    return 1.0 - tr / float(d) ** 4
+
+
+def _power(tr_r: np.ndarray, tr_t: np.ndarray, d: int) -> np.ndarray:
+    """Entangling power from the two purities."""
     scale = (d / (d + 1.0)) ** 2
     return scale * (2.0 - swap_entanglement(d)) - (tr_r + tr_t) / ((d + 1.0) ** 2 * d * d)
 

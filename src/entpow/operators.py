@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import as_complex_matrix, unitarity_defect
+from .densemat import _unitarity_defects, as_complex_matrix
 from .rearrange import BipartiteOperator
 
 __all__ = [
@@ -66,12 +66,7 @@ class ControlledUSpec:
                 raise ValueError(
                     f"block {n} must be {d}x{d}, got {b.shape[0]}x{b.shape[1]}"
                 )
-            defect = unitarity_defect(b)
-            if defect > BLOCK_UNITARITY_TOL:
-                raise ValueError(
-                    f"block {n} is not unitary: defect {defect:.3e} exceeds "
-                    f"{BLOCK_UNITARITY_TOL:.1e}"
-                )
+        _check_blocks(np.stack(blocks)[None])
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "blocks", blocks)
 
@@ -142,19 +137,14 @@ def exp_swap(d: int, t: float) -> BipartiteOperator:
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"parameter t must be finite, got {t}")
-    m = math.cos(t) * np.eye(d * d, dtype=np.complex128) - 1j * math.sin(t) * swap_op(d).mat
-    return BipartiteOperator(d, m)
+    return BipartiteOperator(d, _exp_swap_stack(d, np.array([t]))[0])
 
 
 def controlled_u(spec: ControlledUSpec) -> BipartiteOperator:
     """Controlled-U gate: applies block n to the second qudit when the
     first is in |n>.  Block-diagonal in the composite index, with block n
     occupying rows and columns n*d ... n*d + d - 1."""
-    d = spec.d
-    m = np.zeros((d * d, d * d), dtype=np.complex128)
-    for n, block in enumerate(spec.blocks):
-        m[n * d : (n + 1) * d, n * d : (n + 1) * d] = block
-    return BipartiteOperator(d, m)
+    return BipartiteOperator(spec.d, _controlled_u_stack(np.stack(spec.blocks)[None])[0])
 
 
 def haar_unitary(d_total: int, seed: int) -> np.ndarray:
@@ -166,13 +156,57 @@ def haar_unitary(d_total: int, seed: int) -> np.ndarray:
     """
     if d_total < 1:
         raise ValueError(f"dimension must be positive, got {d_total}")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((d_total, d_total)) + 1j * rng.standard_normal((d_total, d_total))
+    return as_complex_matrix(_haar_stack(d_total, [seed])[0])
+
+
+def _exp_swap_stack(d: int, ts: np.ndarray) -> np.ndarray:
+    """exp(-i*t*S12) for every t of a 1-D array, as an (n, d^2, d^2) stack."""
+    eye = np.eye(d * d, dtype=np.complex128)
+    c = np.cos(ts)[:, None, None]
+    s = np.sin(ts)[:, None, None]
+    return c * eye - 1j * s * swap_op(d).mat
+
+
+def _controlled_u_stack(blocks: np.ndarray) -> np.ndarray:
+    """Controlled-U gates from an (n, d, d, d) array: block [k, c] acts on the
+    second qudit when the first is in |c>.  Returns an (n, d^2, d^2) stack."""
+    n, d = blocks.shape[:2]
+    m = np.zeros((n, d, d, d, d), dtype=np.complex128)
+    for c in range(d):
+        m[:, c, :, c, :] = blocks[:, c]
+    return m.reshape(n, d * d, d * d)
+
+
+def _check_blocks(blocks: np.ndarray) -> None:
+    """Raise ValueError naming the first block of an (n, d, d, d) array that
+    fails the block unitarity tolerance."""
+    n, d = blocks.shape[:2]
+    defects = _unitarity_defects(blocks.reshape(n * d, d, d))
+    bad = np.flatnonzero(~(defects <= BLOCK_UNITARITY_TOL))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(
+            f"block {k % d} is not unitary: defect {defects[k]:.3e} exceeds "
+            f"{BLOCK_UNITARITY_TOL:.1e}"
+        )
+
+
+def _haar_stack(m: int, seeds) -> np.ndarray:
+    """Haar unitaries of size m x m, one per seed, as an (n, m, m) stack.
+
+    Each seed feeds its own PCG64 generator and the stacked QR factors each
+    matrix on its own, so entry k depends on ``seeds[k]`` alone and equals
+    ``haar_unitary(m, seeds[k])`` bitwise, whatever the other seeds are.
+    """
+    z = np.empty((len(seeds), 2, m, m))
+    for k, seed in enumerate(seeds):
+        # one call draws the real parts, then the imaginary parts
+        np.random.default_rng(seed).standard_normal(out=z[k])
+    z = z[:, 0] + 1j * z[:, 1]
     z /= math.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
-    return as_complex_matrix(q)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 def product_state_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:

@@ -55,11 +55,6 @@ class BipartiteOperator:
         object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "mat", m)
 
-    def _tensor(self) -> np.ndarray:
-        """View of ``mat`` as a 4-index array [row1, row2, col1, col2]."""
-        d = self.d
-        return self.mat.reshape(d, d, d, d)
-
 
 def composite_index(i: int, j: int, d: int) -> int:
     """Flat index of the composite basis ket |i>|j>: returns i*d + j."""
@@ -70,18 +65,33 @@ def composite_index(i: int, j: int, d: int) -> int:
     return i * d + j
 
 
+# The one table of entry moves.  Each move views a d^2 x d^2 matrix as the
+# 4-index array [row1, row2, col1, col2] and permutes its axes; the tuple is
+# the axis order of the result.  The scalar functions below and the batched
+# evaluation in ``entanglement`` both read it, so they cannot drift apart.
+_AXES = {
+    "realign": (0, 2, 1, 3),
+    "partial_transpose_first": (2, 1, 0, 3),
+    "partial_transpose_second": (0, 3, 2, 1),
+    "swap_left": (1, 0, 2, 3),
+    "swap_right": (0, 1, 3, 2),
+}
+# The same permutations behind a leading stack axis.
+_STACK_AXES = {move: (0, *(1 + a for a in axes)) for move, axes in _AXES.items()}
+
+
 def realign(u: BipartiteOperator) -> BipartiteOperator:
     """Realignment: output entry [(i,j),(k,l)] is the input entry [(i,k),(j,l)].
 
     The singular values of the realigned matrix are the operator Schmidt
     coefficients of ``u``.  Applying realign twice restores ``u`` bitwise.
     """
-    return BipartiteOperator(u.d, _flat(u._tensor().transpose(0, 2, 1, 3)))
+    return _moved(u, "realign")
 
 
 def partial_transpose_first(u: BipartiteOperator) -> BipartiteOperator:
     """Transpose over the first factor: output [(i,j),(k,l)] = input [(k,j),(i,l)]."""
-    return BipartiteOperator(u.d, _flat(u._tensor().transpose(2, 1, 0, 3)))
+    return _moved(u, "partial_transpose_first")
 
 
 def partial_transpose_second(u: BipartiteOperator) -> BipartiteOperator:
@@ -89,7 +99,7 @@ def partial_transpose_second(u: BipartiteOperator) -> BipartiteOperator:
 
     Composing with :func:`partial_transpose_first` gives the full transpose.
     """
-    return BipartiteOperator(u.d, _flat(u._tensor().transpose(0, 3, 2, 1)))
+    return _moved(u, "partial_transpose_second")
 
 
 def swap_left(u: BipartiteOperator) -> BipartiteOperator:
@@ -98,7 +108,7 @@ def swap_left(u: BipartiteOperator) -> BipartiteOperator:
     Output row (i,j) is input row (j,i), so the result equals S12 @ U with
     no floating-point arithmetic performed.
     """
-    return BipartiteOperator(u.d, _flat(u._tensor().transpose(1, 0, 2, 3)))
+    return _moved(u, "swap_left")
 
 
 def swap_right(u: BipartiteOperator) -> BipartiteOperator:
@@ -106,9 +116,14 @@ def swap_right(u: BipartiteOperator) -> BipartiteOperator:
 
     Output column (k,l) is input column (l,k); the result equals U @ S12.
     """
-    return BipartiteOperator(u.d, _flat(u._tensor().transpose(0, 1, 3, 2)))
+    return _moved(u, "swap_right")
 
 
-def _flat(t: np.ndarray) -> np.ndarray:
-    n = t.shape[0] * t.shape[1]
-    return np.ascontiguousarray(t).reshape(n, n)
+def _moved(u: BipartiteOperator, move: str) -> BipartiteOperator:
+    return BipartiteOperator(u.d, _rearrange(u.mat[None], u.d, move)[0])
+
+
+def _rearrange(stack: np.ndarray, d: int, move: str) -> np.ndarray:
+    """Apply ``move`` to every matrix of an (n, d^2, d^2) stack."""
+    n = d * d
+    return stack.reshape(-1, d, d, d, d).transpose(_STACK_AXES[move]).reshape(-1, n, n)

@@ -24,7 +24,6 @@ from .operators import (
     controlled_u,
     exp_swap,
     haar_unitary,
-    identity_op,
     swap_op,
 )
 from .rearrange import (

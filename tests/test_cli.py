@@ -1,12 +1,15 @@
 """Tests for the command-line interface and the sweep CSV contract."""
 
 import math
-import shutil
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entpow
 from entpow.cli import EXIT_CHECK_FAILURE, EXIT_OK, EXIT_VALIDATION, main
 from entpow.entanglement import entanglement_report
 from entpow.opfile import parse_operator_file, serialize_operator
@@ -102,6 +105,38 @@ class TestEval:
         code, _, err = run(capsys, "eval", swap_file, "--tol", "-1")
         assert code == EXIT_VALIDATION
         assert "nonnegative" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_rejected(self, capsys, tmp_path, tol):
+        # an all-ones matrix has defect 4; no tolerance may wave it through
+        path = tmp_path / "ones.json"
+        path.write_text(serialize_operator(BipartiteOperator(2, np.ones((4, 4)))))
+        code, out, err = run(capsys, "eval", str(path), f"--tol={tol}")
+        assert code == EXIT_VALIDATION
+        assert "finite" in err
+        assert "e_p" not in out
+
+    def test_cnot_full_output(self, capsys, cnot_file):
+        code, out, err = run(capsys, "eval", cnot_file)
+        assert code == EXIT_OK
+        assert err == ""
+        assert out == (
+            "operator: cnot (d = 2)\n"
+            "unitarity defect: 0.000e+00 (tol 1.0e-09)\n"
+            "E(U)     = 0.500000000000\n"
+            "E(S12 U) = 0.750000000000\n"
+            "E(U S12) = 0.750000000000\n"
+            "E(S12)   = 0.750000000000\n"
+            "e_p      = 0.222222222222\n"
+        )
+
+    def test_defect_line_and_message_agree(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(serialize_operator(BipartiteOperator(2, 1.5 * swap_op(2).mat)))
+        code, out, err = run(capsys, "eval", str(path))
+        assert code == EXIT_CHECK_FAILURE
+        assert "unitarity defect: 1.250e+00 (tol 1.0e-09)" in out
+        assert "defect 1.250000e+00 exceeds tol 1.0e-09" in err
 
     def test_mc_line(self, capsys, cnot_file):
         code, out, _ = run(
@@ -221,6 +256,13 @@ class TestSweep:
         )
         assert code == EXIT_VALIDATION and "exceeds" in err
 
+    @pytest.mark.parametrize("seed", [str(2**64), str(2**70), "-1"])
+    def test_seed_outside_64_bits_rejected(self, capsys, seed):
+        code, out, err = run(capsys, "sweep", "--family", "haar", "--d", "2", "--seed", seed)
+        assert code == EXIT_VALIDATION
+        assert "64-bit" in err
+        assert out == ""
+
     def test_missing_required_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--d", "2"])
@@ -261,13 +303,15 @@ class TestVerify:
 
 class TestEntryPoint:
     def test_console_script(self, tmp_path):
-        exe = shutil.which("entpow")
-        if exe is None:
-            pytest.skip("entpow script not on PATH")
+        # run the module in a fresh interpreter, importing the same package
+        src = str(Path(entpow.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         path = tmp_path / "cnot.json"
         path.write_text(serialize_operator(CNOT, name="cnot"))
         proc = subprocess.run(
-            [exe, "eval", str(path)], capture_output=True, text=True, timeout=60
+            [sys.executable, "-m", "entpow.cli", "eval", str(path)],
+            capture_output=True, text=True, timeout=60, env=env,
         )
         assert proc.returncode == 0
         assert "e_p      = 0.222222222222" in proc.stdout

@@ -150,6 +150,12 @@ class TestIsUnitary:
         with pytest.raises(ValueError, match="nonnegative"):
             is_unitary(np.eye(2, dtype=complex), -1.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_raises(self, tol):
+        # a NaN tolerance used to answer False and an infinite one True
+        with pytest.raises(ValueError, match="finite"):
+            is_unitary(np.ones((2, 2), dtype=complex), tol)
+
     def test_non_square_raises(self):
         with pytest.raises(ValueError, match="square"):
             unitarity_defect(np.zeros((2, 3), dtype=complex))

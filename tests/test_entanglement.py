@@ -20,6 +20,7 @@ import math
 import numpy as np
 import pytest
 
+from entpow.densemat import unitarity_defect
 from entpow.entanglement import (
     EntanglementReport,
     McEstimate,
@@ -137,6 +138,29 @@ class TestOperatorEntanglement:
         with pytest.raises(UnitarityError):
             operator_entanglement(op)
         operator_entanglement(op, tol=1e-3)  # must not raise
+
+
+class TestTolerance:
+    ONES = BipartiteOperator(2, np.ones((4, 4)))  # defect 4
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12])
+    @pytest.mark.parametrize(
+        "measure",
+        [operator_entanglement, swapped_operator_entanglement, entangling_power,
+         entanglement_report],
+    )
+    def test_rejected_before_any_value(self, measure, tol):
+        with pytest.raises(ValueError, match="finite and nonnegative") as err:
+            measure(self.ONES, tol=tol)
+        assert not isinstance(err.value, UnitarityError)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejected_by_monte_carlo(self, tol):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            entangling_power_mc(self.ONES, 500, seed=1, tol=tol)
+
+    def test_zero_tolerance_accepts_exact_unitaries(self):
+        assert operator_entanglement(swap_op(2), tol=0.0) == pytest.approx(0.75, abs=1e-15)
 
 
 class TestSwappedOperatorEntanglement:
@@ -318,6 +342,7 @@ class TestEntanglementReport:
     def test_matches_individual_functions(self):
         u = haar_op(2, 571)
         report = entanglement_report(u)
+        assert report.unitarity_defect == unitarity_defect(u.mat)
         assert report.e_op == operator_entanglement(u)
         assert report.e_op_swapped == swapped_operator_entanglement(u)
         assert report.e_power == entangling_power(u)
@@ -326,6 +351,7 @@ class TestEntanglementReport:
         bad = BipartiteOperator(2, 1.5 * swap_op(2).mat)
         report = entanglement_report(bad)
         assert not report.unitarity_ok
+        assert report.unitarity_defect == 1.25
         assert report.e_power is None
         assert isinstance(report.e_op, float)
         assert isinstance(report.e_op_swapped, float)
