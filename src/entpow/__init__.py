@@ -7,13 +7,9 @@ standard gate families and a seeded Monte-Carlo cross-check.
 """
 
 from .densemat import (
-    adjoint,
     as_complex_matrix,
     frobenius_norm,
     frobenius_norm_sq,
-    is_unitary,
-    matmul,
-    trace,
     unitarity_defect,
 )
 from .entanglement import (
@@ -59,12 +55,8 @@ __all__ = [
     "__version__",
     # matrix kernel
     "as_complex_matrix",
-    "matmul",
-    "adjoint",
-    "trace",
     "frobenius_norm",
     "frobenius_norm_sq",
-    "is_unitary",
     "unitarity_defect",
     # rearrangements
     "BipartiteOperator",

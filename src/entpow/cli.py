@@ -18,7 +18,7 @@ import sys
 
 from .entanglement import UNITARITY_TOL, entangling_power_mc, entanglement_report
 from .opfile import read_operator_file
-from .sweep import FAMILIES, SweepSpec, render_csv, sweep_rows
+from .sweep import _MAX_D, FAMILIES, SweepSpec, render_csv, sweep_rows
 from .verify import run_acceptance
 
 EXIT_OK = 0
@@ -143,8 +143,8 @@ def cmd_sweep(spec: SweepSpec, out: str) -> int:
 
 def cmd_verify(include_mc: bool, extra_d: int | None, mc_samples: int, seed: int) -> int:
     """Run the verification suite, one line per check."""
-    if extra_d is not None and extra_d < 2:
-        raise ValueError(f"--d must be >= 2, got {extra_d}")
+    if extra_d is not None and not 2 <= extra_d <= _MAX_D:
+        raise ValueError(f"--d must be from 2 to {_MAX_D}, got {extra_d}")
     results = run_acceptance(
         include_mc=include_mc, extra_d=extra_d, mc_samples=mc_samples, seed=seed
     )

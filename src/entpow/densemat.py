@@ -14,12 +14,8 @@ import numpy as np
 
 __all__ = [
     "as_complex_matrix",
-    "matmul",
-    "adjoint",
-    "trace",
     "frobenius_norm",
     "frobenius_norm_sq",
-    "is_unitary",
     "unitarity_defect",
 ]
 
@@ -34,32 +30,6 @@ def as_complex_matrix(a) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product a @ b; raises on inner-dimension mismatch."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"dimension mismatch in matrix product: "
-            f"{a.shape[0]}x{a.shape[1]} times {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose. Applying it twice restores the input bitwise."""
-    a = as_complex_matrix(a)
-    return np.ascontiguousarray(a.conj().T)
-
-
-def trace(a) -> complex:
-    """Sum of diagonal entries of a square matrix."""
-    a = as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"trace requires a square matrix, got {a.shape[0]}x{a.shape[1]}")
-    return complex(np.trace(a))
 
 
 def frobenius_norm_sq(a) -> float:
@@ -86,12 +56,6 @@ def unitarity_defect(a) -> float:
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"unitarity is defined for square matrices, got {a.shape[0]}x{a.shape[1]}")
     return float(_unitarity_defects(a[None])[0])
-
-
-def is_unitary(a, tol: float) -> bool:
-    """True iff the max-abs entry of A^dag A - I is at most ``tol``."""
-    _check_tolerance(tol)
-    return unitarity_defect(a) <= tol
 
 
 def _unitarity_defects(stack: np.ndarray) -> np.ndarray:

@@ -34,6 +34,11 @@ CSV_HEADER = "param,e_op,e_op_swapped,e_power"
 # Bytes of operator entries per chunk: 256 rows at d=2, 16 at d=4, 1 from d=8.
 _CHUNK_BYTES = 64 * 1024
 
+# Largest accepted inputs, so that no flag makes time or memory unbounded:
+# d = 16 gives 256 x 256 operators (1 MiB each).
+_MAX_D = 16
+_MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -56,10 +61,12 @@ class SweepSpec:
             raise ValueError(
                 f"unknown family {self.family!r}; valid families: {', '.join(FAMILIES)}"
             )
-        if not isinstance(self.d, int) or self.d < 2:
-            raise ValueError(f"local dimension must be an integer >= 2, got {self.d!r}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if not isinstance(self.d, int) or not 2 <= self.d <= _MAX_D:
+            raise ValueError(
+                f"local dimension must be an integer from 2 to {_MAX_D}, got {self.d!r}"
+            )
+        if not 1 <= self.steps <= _MAX_STEPS:
+            raise ValueError(f"steps must be from 1 to {_MAX_STEPS}, got {self.steps}")
         if not (math.isfinite(self.param_start) and math.isfinite(self.param_end)):
             raise ValueError("parameter range must be finite")
         if self.param_start > self.param_end:

@@ -1,17 +1,21 @@
-"""Built-in verification suite.
+"""Built-in verification suite: the ten acceptance criteria, in one table.
 
-Re-derives every closed-form value and structural identity the library is
-contractually required to reproduce, and reports one pass/fail line per
-check.  The Monte-Carlo cross-checks (slower) are opt-in.
+``CRITERIA`` holds every criterion once, as ``(key, title, bound, worst)``.
+``worst(run)`` recomputes the criterion at the dimensions and seed of one run
+and returns a single number -- a max deviation, a mismatch count, or the MC
+deviation in units of its allowance -- and the criterion holds iff that
+number is at most ``bound``.  ``run_acceptance`` (behind ``entpow verify``)
+and the tier-1 test ``tests/test_acceptance.py`` both iterate this table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .densemat import frobenius_norm_sq, unitarity_defect
 from .entanglement import (
     entangling_power,
     entangling_power_mc,
@@ -19,13 +23,7 @@ from .entanglement import (
     swap_entanglement,
     swapped_operator_entanglement,
 )
-from .operators import (
-    ControlledUSpec,
-    controlled_u,
-    exp_swap,
-    haar_unitary,
-    swap_op,
-)
+from .operators import ControlledUSpec, controlled_u, exp_swap, haar_unitary, swap_op
 from .rearrange import (
     BipartiteOperator,
     partial_transpose_first,
@@ -34,13 +32,9 @@ from .rearrange import (
     swap_left,
     swap_right,
 )
-from .densemat import frobenius_norm
 from .sweep import SweepSpec, render_csv, sweep_rows
 
-__all__ = ["CheckResult", "run_acceptance"]
-
-TOL = 1e-12
-LOCAL_INVARIANCE_TOL = 1e-10
+__all__ = ["CRITERIA", "CheckResult", "run_acceptance"]
 
 
 @dataclass(frozen=True)
@@ -51,259 +45,216 @@ class CheckResult:
     computed: str
 
 
+@dataclass
+class _Run:
+    """Dimensions and seeds of one acceptance run; titles are formatted from them."""
+
+    swap_dims: list
+    family_dims: list
+    gate_dims: list
+    mc_samples: int
+    seed: int
+    grids: dict = field(default_factory=dict, repr=False)
+
+    def grid(self, d: int) -> np.ndarray:
+        """Columns (t, E, E(S12 U), e_p) of exp_swap on a 50-point grid over [0, pi]."""
+        if d not in self.grids:
+            spec = SweepSpec("exp_swap", d, 0.0, math.pi, 50)
+            self.grids[d] = np.array(sweep_rows(spec)).T
+        return self.grids[d]
+
+
+def _new_run(extra_d: int | None, mc_samples: int, seed: int) -> _Run:
+    dims = ([2, 3, 4, 5], [2, 3, 4], [2, 3])
+    if extra_d is not None:
+        for ds in dims:
+            if extra_d not in ds:
+                ds.append(extra_d)
+    return _Run(*dims, mc_samples, seed)
+
+
 def run_acceptance(
     include_mc: bool = False,
     extra_d: int | None = None,
     mc_samples: int = 50000,
     seed: int = 1,
 ) -> list[CheckResult]:
-    """Run every acceptance check; Monte-Carlo ones only when ``include_mc``.
+    """Check every criterion of ``CRITERIA``, the Monte-Carlo one only when ``include_mc``.
 
-    ``extra_d`` repeats the closed-form checks at one additional local
+    ``extra_d`` repeats the dimension-dependent checks at one more local
     dimension.
     """
-    swap_dims = [2, 3, 4, 5]
-    family_dims = [2, 3, 4]
-    gate_dims = [2, 3]
-    if extra_d is not None:
-        for dims in (swap_dims, family_dims, gate_dims):
-            if extra_d not in dims:
-                dims.append(extra_d)
-
-    checks = [
-        _check_swap_values(swap_dims),
-        _check_swap_family(family_dims),
-        _check_sqrt_swap(family_dims),
-        _check_controlled_u(gate_dims),
-        _check_cnot(),
-        _check_fan_identity(family_dims),
-        _check_structural(family_dims),
-    ]
-    if include_mc:
-        checks.append(_check_mc_oracle(mc_samples, seed))
-    checks.append(_check_local_invariance(gate_dims))
-    checks.append(_check_determinism(seed))
-    return checks
+    run = _new_run(extra_d, mc_samples, seed)
+    results = []
+    for key, title, bound, worst in CRITERIA:
+        if key == "monte_carlo_oracle" and not include_mc:
+            continue
+        value = worst(run)
+        results.append(CheckResult(title.format(**vars(run)), value <= bound,
+                                   *_detail(key, bound, value)))
+    return results
 
 
-def _dev_result(name: str, worst: float, tol: float = TOL) -> CheckResult:
-    return CheckResult(
-        name=name,
-        passed=worst <= tol,
-        expected=f"max deviation <= {tol:.0e}",
-        computed=f"max deviation {worst:.3e}",
-    )
+def _detail(key: str, bound: float, value: float) -> tuple[str, str]:
+    if key == "monte_carlo_oracle":
+        return ("|mc - closed form| <= max(5*stderr, 0.01)",
+                f"worst deviation at {value:.2f} of allowance")
+    if bound == 0:
+        return "0 mismatches", f"{value:.0f} mismatches"
+    return f"max deviation <= {bound:.0e}", f"max deviation {value:.3e}"
 
 
-def _check_swap_values(dims) -> CheckResult:
-    worst = 0.0
-    for d in dims:
-        s = swap_op(d)
-        worst = max(
-            worst,
-            abs(operator_entanglement(s) - swap_entanglement(d)),
-            abs(entangling_power(s)),
-        )
-    return _dev_result(f"swap operator: E = 1 - 1/d^2 and e_p = 0 (d in {dims})", worst)
+def _max_abs(*devs) -> float:
+    # np.max propagates NaN, so a NaN deviation can never pass
+    return float(np.max(np.abs(np.hstack(devs))))
 
 
-def _swap_family_forms(d: int, t: float) -> tuple[float, float, float]:
-    e_max = 1.0 - 1.0 / d**2
-    ep = (d * d - 1) / (2.0 * (d + 1) ** 2) * math.sin(2 * t) ** 2
-    return e_max * (1 - math.cos(t) ** 4), e_max * (1 - math.sin(t) ** 4), ep
+def _haar_op(d: int, seed: int) -> BipartiteOperator:
+    return BipartiteOperator(d, haar_unitary(d * d, seed))
 
 
-def _check_swap_family(dims) -> CheckResult:
-    worst = 0.0
-    for d in dims:
-        for t in np.linspace(0.0, math.pi, 50):
-            v = exp_swap(d, float(t))
-            want_e, want_es, want_ep = _swap_family_forms(d, float(t))
-            worst = max(
-                worst,
-                abs(operator_entanglement(v) - want_e),
-                abs(swapped_operator_entanglement(v) - want_es),
-                abs(entangling_power(v) - want_ep),
-            )
-    return _dev_result(
-        f"swap-generated family: closed forms on 50-point grid (d in {dims})", worst
-    )
+def _children(entropy: int, n: int) -> list[int]:
+    return np.random.SeedSequence(entropy).generate_state(n, dtype=np.uint64).tolist()
 
 
-def _check_sqrt_swap(dims) -> CheckResult:
-    worst = 0.0
-    located = True
-    grid = np.linspace(0.0, math.pi, 50)
-    k_quarter = int(np.argmin(np.abs(grid - math.pi / 4)))
-    k_half = int(np.argmin(np.abs(grid - math.pi / 2)))
-    for d in dims:
+def _swap_values(run: _Run) -> float:
+    devs = []
+    for d in run.swap_dims:
+        s, cap = swap_op(d), 1 - 1 / d**2
+        devs += [operator_entanglement(s) - cap, swap_entanglement(d) - cap, entangling_power(s)]
+    return _max_abs(devs)
+
+
+def _swap_family(run: _Run) -> float:
+    devs = []
+    for d in run.family_dims:
+        t, e, e_swapped, ep = run.grid(d)
+        cap, peak = 1 - 1 / d**2, (d * d - 1) / (2.0 * (d + 1) ** 2)
+        devs += [e - cap * (1 - np.cos(t) ** 4), e_swapped - cap * (1 - np.sin(t) ** 4),
+                 ep - peak * np.sin(2 * t) ** 2]
+    return _max_abs(*devs)
+
+
+def _sqrt_swap(run: _Run) -> float:
+    # the values at pi/4 and pi/2, and how far the grid point nearest each
+    # falls short of the grid maximum of e_p and of E respectively
+    devs = []
+    for d in run.family_dims:
+        t, e, _, ep = run.grid(d)
+        cap, peak = 1 - 1 / d**2, (d * d - 1) / (2.0 * (d + 1) ** 2)
         v = exp_swap(d, math.pi / 4)
-        worst = max(
-            worst,
-            abs(operator_entanglement(v) - 0.75 * (1 - 1 / d**2)),
-            abs(entangling_power(v) - (d * d - 1) / (2.0 * (d + 1) ** 2)),
-        )
-        e_vals = np.empty(grid.size)
-        ep_vals = np.empty(grid.size)
-        for k, t in enumerate(grid):
-            u = exp_swap(d, float(t))
-            e_vals[k] = operator_entanglement(u)
-            ep_vals[k] = entangling_power(u)
-        located &= ep_vals[k_quarter] >= ep_vals.max() - TOL
-        located &= e_vals[k_half] >= e_vals.max() - TOL
-    passed = worst <= TOL and located
-    return CheckResult(
-        name=f"sqrt-swap point: values at t = pi/4 and grid maxima (d in {dims})",
-        passed=passed,
-        expected=f"max deviation <= {TOL:.0e} and maxima at pi/4 (e_p), pi/2 (E)",
-        computed=f"max deviation {worst:.3e}, maxima located: {located}",
-    )
+        devs += [operator_entanglement(v) - 0.75 * cap, entangling_power(v) - peak,
+                 operator_entanglement(exp_swap(d, math.pi / 2)) - cap,
+                 ep.max() - ep[np.argmin(np.abs(t - math.pi / 4))],
+                 e.max() - e[np.argmin(np.abs(t - math.pi / 2))]]
+    return _max_abs(devs)
 
 
-def _random_controlled(d: int, child_seed: int) -> BipartiteOperator:
-    blocks = tuple(haar_unitary(d, int(child_seed) + n) for n in range(d))
-    return controlled_u(ControlledUSpec(d, blocks))
-
-
-def _check_controlled_u(dims, n_instances: int = 20) -> CheckResult:
-    worst = 0.0
-    child = np.random.SeedSequence(20240 + max(dims)).generate_state(
-        n_instances * len(dims), dtype=np.uint64
-    )
-    idx = 0
-    for d in dims:
-        scale = (d / (d + 1.0)) ** 2
+def _controlled_u(run: _Run, n_instances: int = 20) -> float:
+    seeds = iter(_children(20240 + max(run.gate_dims), n_instances * len(run.gate_dims)))
+    devs = []
+    for d in run.gate_dims:
         for _ in range(n_instances):
-            cu = _random_controlled(d, int(child[idx]))
-            idx += 1
-            worst = max(
-                worst,
-                abs(entangling_power(cu) - scale * operator_entanglement(cu)),
-                abs(swapped_operator_entanglement(cu) - swap_entanglement(d)),
-            )
-    return _dev_result(
-        f"controlled-U: e_p = (d/(d+1))^2 E and swapped E = 1 - 1/d^2 "
-        f"({n_instances} instances, d in {dims})",
-        worst,
-    )
+            seed = next(seeds)
+            gate = controlled_u(ControlledUSpec(d, tuple(haar_unitary(d, seed + n) for n in range(d))))
+            devs += [entangling_power(gate) - (d / (d + 1)) ** 2 * operator_entanglement(gate),
+                     swapped_operator_entanglement(gate) - (1 - 1 / d**2),
+                     # the partial transpose of a controlled-U is again unitary
+                     unitarity_defect(partial_transpose_first(gate).mat)]
+    return _max_abs(devs)
 
 
-def _check_cnot() -> CheckResult:
+def _cnot(run: _Run) -> float:
     x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
     cnot = controlled_u(ControlledUSpec(2, (np.eye(2, dtype=np.complex128), x)))
-    worst = max(
-        abs(operator_entanglement(cnot) - 0.5),
-        abs(entangling_power(cnot) - 2.0 / 9.0),
-    )
-    return _dev_result("cnot: E = 1/2 and e_p = 2/9", worst)
+    return _max_abs(operator_entanglement(cnot) - 0.5, entangling_power(cnot) - 2.0 / 9.0)
 
 
-def _check_fan_identity(dims, n_instances: int = 100) -> CheckResult:
-    failures = 0
-    total = 0
-    child = np.random.SeedSequence(31337).generate_state(
-        n_instances * len(dims), dtype=np.uint64
-    )
-    idx = 0
-    for d in dims:
+def _fan_identity(run: _Run, n_instances: int = 100) -> float:
+    seeds = iter(_children(31337, n_instances * len(run.family_dims)))
+    mismatches = 0
+    for d in run.family_dims:
         for _ in range(n_instances):
-            u = BipartiteOperator(d, haar_unitary(d * d, int(child[idx])))
-            idx += 1
-            total += 1
+            u = _haar_op(d, next(seeds))
             lhs = swap_left(realign(swap_left(u))).mat
-            rhs = partial_transpose_first(u).mat
-            if not np.array_equal(lhs, rhs):
-                failures += 1
-    return CheckResult(
-        name=f"swap-multiplication identity, bitwise ({n_instances} unitaries, d in {dims})",
-        passed=failures == 0,
-        expected=f"0 of {total} mismatches",
-        computed=f"{failures} of {total} mismatches",
-    )
+            mismatches += lhs.tobytes() != partial_transpose_first(u).mat.tobytes()
+    return float(mismatches)
 
 
-def _check_structural(dims, n_instances: int = 100) -> CheckResult:
-    failures = 0
-    total = 0
+def _structural(run: _Run, n_instances: int = 100) -> float:
     moves = (realign, partial_transpose_first, partial_transpose_second, swap_left, swap_right)
     rng = np.random.default_rng(90210)
-    for d in dims:
-        n = d * d
+    mismatches = 0
+    for d in run.family_dims:
         for _ in range(n_instances):
-            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            m = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
             u = BipartiteOperator(d, m)
-            total += 1
-            base_norm = frobenius_norm(u.mat)
-            ok = all(
-                np.array_equal(move(move(u)).mat, u.mat)
-                and frobenius_norm(move(u).mat) == base_norm
+            norm = frobenius_norm_sq(u.mat)
+            mismatches += not all(
+                move(move(u)).mat.tobytes() == u.mat.tobytes()
+                and frobenius_norm_sq(move(u).mat) == norm
                 for move in moves
             )
-            failures += not ok
-    return CheckResult(
-        name=f"rearrangement involutions and norm preservation ({n_instances} matrices, d in {dims})",
-        passed=failures == 0,
-        expected=f"0 of {total} failures",
-        computed=f"{failures} of {total} failures",
-    )
+    return float(mismatches)
 
 
-def _check_mc_oracle(mc_samples: int, seed: int) -> CheckResult:
-    cases: list[tuple[str, BipartiteOperator]] = [("exp_swap(2, pi/4)", exp_swap(2, math.pi / 4))]
-    child = np.random.SeedSequence(seed).generate_state(10, dtype=np.uint64)
-    for i, d in enumerate([2] * 5 + [3] * 5):
-        cases.append((f"haar d={d} #{i % 5}", BipartiteOperator(d, haar_unitary(d * d, int(child[i])))))
-    worst_ratio = 0.0
-    passed = True
-    for k, (_, u) in enumerate(cases):
-        est = entangling_power_mc(u, mc_samples, seed + k)
-        dev = abs(est.mean - entangling_power(u))
-        allowed = max(5 * est.stderr, 0.01)
-        worst_ratio = max(worst_ratio, dev / allowed)
-        passed &= dev <= allowed
-    return CheckResult(
-        name=f"Monte-Carlo oracle vs closed form ({len(cases)} operators, {mc_samples} samples)",
-        passed=passed,
-        expected="|mc - closed form| <= max(5*stderr, 0.01)",
-        computed=f"worst deviation at {worst_ratio:.2f} of allowance",
-    )
+def _mc_oracle(run: _Run) -> float:
+    ops = [exp_swap(2, math.pi / 4)]
+    ops += [_haar_op(d, s) for d, s in zip([2] * 5 + [3] * 5, _children(run.seed, 10))]
+    ratios = []
+    for k, u in enumerate(ops):
+        est = entangling_power_mc(u, run.mc_samples, run.seed + k)
+        ratios.append(abs(est.mean - entangling_power(u)) / max(5 * est.stderr, 0.01))
+    return _max_abs(ratios)
 
 
-def _check_local_invariance(dims, n_instances: int = 50) -> CheckResult:
-    worst = 0.0
-    child = np.random.SeedSequence(777).generate_state(
-        5 * n_instances * len(dims), dtype=np.uint64
-    )
-    idx = 0
-    for d in dims:
+def _local_invariance(run: _Run, n_instances: int = 50) -> float:
+    seeds = iter(_children(777, 5 * n_instances * len(run.gate_dims)))
+    devs = []
+    for d in run.gate_dims:
         for _ in range(n_instances):
-            u = BipartiteOperator(d, haar_unitary(d * d, int(child[idx])))
-            a, b, c, e = (haar_unitary(d, int(child[idx + j])) for j in range(1, 5))
-            idx += 5
+            u = _haar_op(d, next(seeds))
+            a, b, c, e = (haar_unitary(d, next(seeds)) for _ in range(4))
             rotated = BipartiteOperator(d, np.kron(a, b) @ u.mat @ np.kron(c, e))
-            worst = max(
-                worst,
-                abs(operator_entanglement(rotated) - operator_entanglement(u)),
-                abs(entangling_power(rotated) - entangling_power(u)),
-            )
-    return _dev_result(
-        f"local-unitary invariance of E and e_p ({n_instances} tuples, d in {dims})",
-        worst,
-        LOCAL_INVARIANCE_TOL,
-    )
+            devs += [operator_entanglement(rotated) - operator_entanglement(u),
+                     entangling_power(rotated) - entangling_power(u)]
+    return _max_abs(devs)
 
 
-def _check_determinism(seed: int) -> CheckResult:
-    spec = SweepSpec(family="exp_swap", d=2, param_start=0.0, param_end=math.pi, steps=9, seed=seed)
-    csv_a = render_csv(sweep_rows(spec))
-    csv_b = render_csv(sweep_rows(spec))
-    v = exp_swap(2, math.pi / 4)
-    mc_a = entangling_power_mc(v, 10000, seed)
-    mc_b = entangling_power_mc(v, 10000, seed)
-    passed = csv_a == csv_b and mc_a == mc_b
-    return CheckResult(
-        name="determinism: repeated sweep CSV and repeated MC estimate",
-        passed=passed,
-        expected="byte-identical CSV, identical estimates",
-        computed=f"csv identical: {csv_a == csv_b}, mc identical: {mc_a == mc_b}",
-    )
+def _determinism(run: _Run) -> float:
+    spec = SweepSpec("controlled_u_random", 2, 0.0, 1.0, 6, run.seed)
+    u = _haar_op(3, run.seed)
+    csv_differs = render_csv(sweep_rows(spec)) != render_csv(sweep_rows(spec))
+    mc_differs = entangling_power_mc(u, 10000, run.seed) != entangling_power_mc(u, 10000, run.seed)
+    return float(csv_differs + mc_differs)
+
+
+CRITERIA = (
+    ("swap_operator_values", "swap operator: E = 1 - 1/d^2 and e_p = 0 (d in {swap_dims})",
+     1e-12, _swap_values),
+    ("swap_family_closed_forms",
+     "swap-generated family: closed forms on 50-point grid (d in {family_dims})",
+     1e-12, _swap_family),
+    ("sqrt_swap_extremes",
+     "sqrt-swap point: values at t = pi/4 and grid maxima (d in {family_dims})",
+     1e-12, _sqrt_swap),
+    ("controlled_u_theorem",
+     "controlled-U: e_p = (d/(d+1))^2 E and swapped E = 1 - 1/d^2 "
+     "(20 instances, d in {gate_dims})",
+     1e-12, _controlled_u),
+    ("cnot_values", "cnot: E = 1/2 and e_p = 2/9", 1e-12, _cnot),
+    ("fan_identity_bitwise",
+     "swap-multiplication identity, bitwise (100 unitaries, d in {family_dims})",
+     0, _fan_identity),
+    ("structural_involutions",
+     "rearrangement involutions and norm preservation (100 matrices, d in {family_dims})",
+     0, _structural),
+    ("monte_carlo_oracle",
+     "Monte-Carlo oracle vs closed form (11 operators, {mc_samples} samples)",
+     1.0, _mc_oracle),
+    ("local_unitary_invariance",
+     "local-unitary invariance of E and e_p (50 tuples, d in {gate_dims})",
+     1e-10, _local_invariance),
+    ("determinism", "determinism: repeated sweep CSV and repeated MC estimate",
+     0, _determinism),
+)

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import entpow
+import entpow.cli
+import entpow.verify
 from entpow.cli import EXIT_CHECK_FAILURE, EXIT_OK, EXIT_VALIDATION, main
 from entpow.entanglement import entanglement_report
 from entpow.opfile import parse_operator_file, serialize_operator
@@ -38,6 +40,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("reached the computation past validation")
 
 
 def grab(out, label):
@@ -245,11 +251,14 @@ class TestSweep:
         for family in FAMILIES:
             assert family in err
 
-    def test_bad_grid_rejected(self, capsys):
-        code, _, err = run(capsys, "sweep", "--family", "exp_swap", "--d", "2", "--steps", "0")
-        assert code == EXIT_VALIDATION and "steps" in err
-        code, _, err = run(capsys, "sweep", "--family", "exp_swap", "--d", "1", "--steps", "3")
-        assert code == EXIT_VALIDATION and "dimension" in err
+    def test_bad_grid_rejected(self, capsys, monkeypatch):
+        monkeypatch.setattr(entpow.cli, "sweep_rows", fail_if_called)
+        for steps in ("0", "1000001"):
+            code, _, err = run(capsys, "sweep", "--family", "exp_swap", "--d", "2", "--steps", steps)
+            assert code == EXIT_VALIDATION and "steps must be from 1 to 1000000" in err
+        for d in ("1", "17"):
+            code, _, err = run(capsys, "sweep", "--family", "exp_swap", "--d", d, "--steps", "3")
+            assert code == EXIT_VALIDATION and "dimension must be an integer from 2 to 16" in err
         code, _, err = run(
             capsys, "sweep", "--family", "exp_swap", "--d", "2",
             "--start", "2", "--end", "1",
@@ -295,10 +304,34 @@ class TestVerify:
         assert code == EXIT_OK
         assert "monte" in out.lower() or "mc" in out.lower()
 
-    def test_bad_dimension_rejected(self, capsys):
-        code, _, err = run(capsys, "verify", "--d", "1")
-        assert code == EXIT_VALIDATION
-        assert "--d" in err
+    def test_bad_dimension_rejected(self, capsys, monkeypatch):
+        monkeypatch.setattr(entpow.cli, "run_acceptance", fail_if_called)
+        for d in ("1", "17"):
+            code, _, err = run(capsys, "verify", "--d", d)
+            assert code == EXIT_VALIDATION
+            assert "--d must be from 2 to 16" in err
+
+    def test_failed_criterion_exits_2(self, capsys, monkeypatch):
+        table = list(entpow.verify.CRITERIA)
+        key, title, bound, _ = table[0]
+        table[0] = (key, title, bound, lambda run: 2 * bound)
+        monkeypatch.setattr(entpow.verify, "CRITERIA", tuple(table))
+        code, out, _ = run(capsys, "verify")
+        lines = out.splitlines()
+        assert "FAIL  swap operator: E = 1 - 1/d^2 and e_p = 0 (d in [2, 3, 4, 5])" in lines
+        assert sum(line.startswith("FAIL") for line in lines) == 1
+        assert lines[-1] == "8/9 checks passed"
+        assert code == EXIT_CHECK_FAILURE
+
+    def test_results_follow_the_table(self):
+        titles = [title for _, title, _, _ in entpow.verify.CRITERIA]
+        params = vars(entpow.verify._new_run(None, 2000, 1))
+        want = [t.format(**params) for t in titles]
+        with_mc = entpow.verify.run_acceptance(include_mc=True, mc_samples=2000)
+        without_mc = entpow.verify.run_acceptance()
+        assert (len(with_mc), len(without_mc)) == (10, 9)
+        assert [r.name for r in with_mc] == want
+        assert [r.name for r in without_mc] == want[:7] + want[8:]
 
 
 class TestEntryPoint:

@@ -23,7 +23,7 @@ from entpow.operators import (
     haar_unitary,
 )
 from entpow.rearrange import BipartiteOperator
-from entpow.sweep import FAMILIES, SweepSpec, _child_seeds, sweep_rows
+from entpow.sweep import _MAX_D, _MAX_STEPS, FAMILIES, SweepSpec, _child_seeds, sweep_rows
 
 
 def chunk_rows(d):
@@ -125,3 +125,16 @@ class TestSweepSeed:
     def test_largest_seed_accepted(self):
         spec = SweepSpec("haar", 2, 0.0, 1.0, 3, seed=2**64 - 1)
         assert len(sweep_rows(spec)) == 3
+
+
+class TestSweepSizeBounds:
+    # construction only: nothing of these sizes is allocated
+    def test_dimension_cap(self):
+        assert SweepSpec("haar", _MAX_D, 0.0, 1.0, 3).d == 16
+        with pytest.raises(ValueError, match="from 2 to 16"):
+            SweepSpec("haar", _MAX_D + 1, 0.0, 1.0, 3)
+
+    def test_steps_cap(self):
+        assert SweepSpec("haar", 2, 0.0, 1.0, _MAX_STEPS).steps == 1_000_000
+        with pytest.raises(ValueError, match="from 1 to 1000000"):
+            SweepSpec("haar", 2, 0.0, 1.0, _MAX_STEPS + 1)

@@ -1,109 +1,19 @@
 """Tests for the dense matrix kernel."""
 
-import math
-
 import numpy as np
 import pytest
 
 from entpow.densemat import (
-    adjoint,
     as_complex_matrix,
     frobenius_norm,
     frobenius_norm_sq,
-    is_unitary,
-    matmul,
-    trace,
     unitarity_defect,
 )
 from entpow.operators import haar_unitary, max_entangled_projector, swap_op
 
 
-def matmul_triple_loop(a, b):
-    """Independent oracle: textbook triple loop, no vectorization."""
-    rows, inner = a.shape
-    cols = b.shape[1]
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0j
-            for k in range(inner):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
 def random_complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
-class TestMatmul:
-    def test_identity(self):
-        eye = np.eye(2, dtype=np.complex128)
-        assert np.array_equal(matmul(eye, eye), eye)
-
-    def test_swap_squares_to_identity(self):
-        s = swap_op(2).mat
-        assert np.array_equal(matmul(s, s), np.eye(4, dtype=np.complex128))
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            a = random_complex(rng, 3, 3)
-            b = random_complex(rng, 3, 3)
-            np.testing.assert_allclose(matmul(a, b), matmul_triple_loop(a, b), atol=1e-13)
-
-    def test_dimension_mismatch_raises(self):
-        a = np.zeros((2, 3), dtype=complex)
-        b = np.zeros((2, 3), dtype=complex)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            matmul(a, b)
-
-    def test_associativity(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            a = random_complex(rng, 3, 4)
-            b = random_complex(rng, 4, 5)
-            c = random_complex(rng, 5, 2)
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.abs(left - right).max() <= 1e-12
-
-
-class TestAdjoint:
-    def test_identity(self):
-        eye = np.eye(4, dtype=np.complex128)
-        assert np.array_equal(adjoint(eye), eye)
-
-    def test_two_by_two_by_hand(self):
-        a = np.array([[0, 1j], [0, 0]])
-        expected = np.array([[0, 0], [-1j, 0]])
-        assert np.array_equal(adjoint(a), expected)
-
-    def test_swap_is_self_adjoint(self):
-        s = swap_op(3).mat
-        assert np.array_equal(adjoint(s), s)
-
-    def test_involution_is_bitwise(self):
-        rng = np.random.default_rng(13)
-        a = random_complex(rng, 5, 3)
-        assert adjoint(adjoint(a)).tobytes() == a.tobytes()
-
-
-class TestTrace:
-    def test_identity(self):
-        assert trace(np.eye(9, dtype=complex)) == 9
-
-    def test_swap(self):
-        # d diagonal ones, at the |ii><ii| positions
-        assert trace(swap_op(2).mat) == 2
-
-    def test_scaled_projector(self):
-        # P+ is a rank-1 projector, so d * P+ has trace d
-        assert trace(3 * max_entangled_projector(3).mat) == pytest.approx(3, abs=1e-14)
-
-    def test_non_square_raises(self):
-        with pytest.raises(ValueError, match="square"):
-            trace(np.zeros((2, 3), dtype=complex))
 
 
 class TestFrobeniusNorm:
@@ -122,7 +32,7 @@ class TestFrobeniusNorm:
         rng = np.random.default_rng(14)
         for _ in range(10):
             a = random_complex(rng, 4, 4)
-            via_trace = trace(matmul(adjoint(a), a)).real
+            via_trace = np.trace(a.conj().T @ a).real
             assert abs(frobenius_norm(a) ** 2 - via_trace) <= 1e-12
 
     def test_norm_sq_is_order_independent(self):
@@ -133,28 +43,16 @@ class TestFrobeniusNorm:
         assert frobenius_norm_sq(a) == frobenius_norm_sq(shuffled.reshape(6, 6))
 
 
-class TestIsUnitary:
+class TestUnitarityDefect:
     def test_identity(self):
-        assert is_unitary(np.eye(4, dtype=complex), 1e-12)
-        assert is_unitary(np.eye(4, dtype=complex), 0.0)
+        assert unitarity_defect(np.eye(4, dtype=complex)) == 0.0
 
     def test_swap(self):
-        assert is_unitary(swap_op(4).mat, 1e-12)
+        assert unitarity_defect(swap_op(4).mat) == 0.0
 
     def test_scaled_projector_is_not(self):
         d = 2
-        assert not is_unitary(d * max_entangled_projector(d).mat, 1e-12)
         assert unitarity_defect(d * max_entangled_projector(d).mat) > 0.9
-
-    def test_negative_tolerance_raises(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            is_unitary(np.eye(2, dtype=complex), -1.0)
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf])
-    def test_non_finite_tolerance_raises(self, tol):
-        # a NaN tolerance used to answer False and an infinite one True
-        with pytest.raises(ValueError, match="finite"):
-            is_unitary(np.ones((2, 2), dtype=complex), tol)
 
     def test_non_square_raises(self):
         with pytest.raises(ValueError, match="square"):

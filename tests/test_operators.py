@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from entpow.densemat import frobenius_norm_sq, matmul, trace, unitarity_defect
+from entpow.densemat import frobenius_norm_sq, unitarity_defect
 from entpow.entanglement import state_linear_entropy
 from entpow.operators import (
     ControlledUSpec,
@@ -50,7 +50,7 @@ class TestIdentityAndSwap:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_swap_squares_to_identity(self, d):
         s = swap_op(d).mat
-        assert np.array_equal(matmul(s, s), identity_op(d).mat)
+        assert np.array_equal(s @ s, identity_op(d).mat)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_swap_action_on_basis(self, d):
@@ -86,7 +86,7 @@ class TestMaxEntangledProjector:
     def test_idempotent_rank_one(self, d):
         p = max_entangled_projector(d).mat
         np.testing.assert_allclose(p @ p, p, atol=1e-15)
-        assert trace(p).real == pytest.approx(1.0, abs=1e-14)
+        assert np.trace(p).real == pytest.approx(1.0, abs=1e-14)
         assert frobenius_norm_sq(p) == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -113,12 +113,12 @@ class TestExpSwap:
         rng = np.random.default_rng(61)
         for _ in range(10):
             t, s = rng.uniform(-3, 3, size=2)
-            product = matmul(exp_swap(d, t).mat, exp_swap(d, s).mat)
+            product = exp_swap(d, t).mat @ exp_swap(d, s).mat
             assert np.abs(product - exp_swap(d, t + s).mat).max() <= 1e-12
 
     def test_sqrt_swap_squares_to_swap_phase(self):
         v = exp_swap(2, math.pi / 4).mat
-        assert np.abs(matmul(v, v) - exp_swap(2, math.pi / 2).mat).max() <= 1e-12
+        assert np.abs(v @ v - exp_swap(2, math.pi / 2).mat).max() <= 1e-12
 
     def test_rejects_non_finite_parameter(self):
         with pytest.raises(ValueError, match="finite"):

@@ -7,7 +7,7 @@ equality (tobytes), not just closeness.
 import numpy as np
 import pytest
 
-from entpow.densemat import frobenius_norm_sq, matmul
+from entpow.densemat import frobenius_norm_sq
 from entpow.operators import haar_unitary, identity_op, max_entangled_projector, swap_op
 from entpow.rearrange import (
     BipartiteOperator,
@@ -183,13 +183,13 @@ class TestSwapConjugations:
     @pytest.mark.parametrize("d", [2, 3])
     def test_swap_left_matches_matrix_product(self, d):
         u = random_op(d, 45 + d)
-        product = matmul(swap_op(d).mat, u.mat)
+        product = swap_op(d).mat @ u.mat
         assert np.array_equal(swap_left(u).mat, product)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_swap_right_matches_matrix_product(self, d):
         u = random_op(d, 48 + d)
-        product = matmul(u.mat, swap_op(d).mat)
+        product = u.mat @ swap_op(d).mat
         assert np.array_equal(swap_right(u).mat, product)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
