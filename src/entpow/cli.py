@@ -17,9 +17,9 @@ import math
 import sys
 
 from .entanglement import UNITARITY_TOL, entangling_power_mc, entanglement_report
-from .opfile import read_operator_file
-from .sweep import _MAX_D, FAMILIES, SweepSpec, render_csv, sweep_rows
-from .verify import run_acceptance
+from .opfile import _MAX_BYTES, read_operator_file
+from .sweep import FAMILIES, SweepSpec, render_csv, sweep_rows
+from .verify import _check_extra_d, run_acceptance
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -96,7 +96,8 @@ def main(argv=None) -> int:
 def cmd_eval(path: str, mc: bool, mc_samples: int, seed: int, tol: float) -> int:
     """Print every measure of the operator stored at ``path``."""
     with open(path, "rb") as fh:
-        op, name = read_operator_file(fh.read())
+        # one byte past the cap is enough for the reader to reject the file
+        op, name = read_operator_file(fh.read(_MAX_BYTES + 1))
 
     report = entanglement_report(op, tol=tol)
     e_max = report.e_swap  # 1 - 1/d^2, the entanglement ceiling
@@ -143,8 +144,7 @@ def cmd_sweep(spec: SweepSpec, out: str) -> int:
 
 def cmd_verify(include_mc: bool, extra_d: int | None, mc_samples: int, seed: int) -> int:
     """Run the verification suite, one line per check."""
-    if extra_d is not None and not 2 <= extra_d <= _MAX_D:
-        raise ValueError(f"--d must be from 2 to {_MAX_D}, got {extra_d}")
+    _check_extra_d(extra_d, "--d")
     results = run_acceptance(
         include_mc=include_mc, extra_d=extra_d, mc_samples=mc_samples, seed=seed
     )

@@ -19,6 +19,11 @@ __all__ = [
     "unitarity_defect",
 ]
 
+# Largest local dimension accepted anywhere input arrives (sweeps, operator
+# files, extra verify dimensions): d = 16 gives the 256 x 256 operators this
+# kernel is sized for (1 MiB each).
+_MAX_D = 16
+
 
 def as_complex_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a finite 2-D complex128 array in row-major order."""

@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from .densemat import _MAX_D
 from .entanglement import UNITARITY_TOL, _entanglement, _gate, _power, _purities
 # Not called here: perfbench's tracing test checks that it wraps and restores
 # this binding.
@@ -34,9 +35,8 @@ CSV_HEADER = "param,e_op,e_op_swapped,e_power"
 # Bytes of operator entries per chunk: 256 rows at d=2, 16 at d=4, 1 from d=8.
 _CHUNK_BYTES = 64 * 1024
 
-# Largest accepted inputs, so that no flag makes time or memory unbounded:
-# d = 16 gives 256 x 256 operators (1 MiB each).
-_MAX_D = 16
+# Largest accepted step count, so that no flag makes time unbounded; d is
+# capped at densemat._MAX_D.
 _MAX_STEPS = 1_000_000
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densemat import frobenius_norm_sq, unitarity_defect
+from .densemat import _MAX_D, frobenius_norm_sq, unitarity_defect
 from .entanglement import (
     entangling_power,
     entangling_power_mc,
@@ -82,8 +82,10 @@ def run_acceptance(
     """Check every criterion of ``CRITERIA``, the Monte-Carlo one only when ``include_mc``.
 
     ``extra_d`` repeats the dimension-dependent checks at one more local
-    dimension.
+    dimension, from 2 to 16; any other value raises ``ValueError`` before
+    anything is built.
     """
+    _check_extra_d(extra_d)
     run = _new_run(extra_d, mc_samples, seed)
     results = []
     for key, title, bound, worst in CRITERIA:
@@ -93,6 +95,11 @@ def run_acceptance(
         results.append(CheckResult(title.format(**vars(run)), value <= bound,
                                    *_detail(key, bound, value)))
     return results
+
+
+def _check_extra_d(extra_d: int | None, label: str = "extra_d") -> None:
+    if extra_d is not None and not (isinstance(extra_d, int) and 2 <= extra_d <= _MAX_D):
+        raise ValueError(f"{label} must be from 2 to {_MAX_D}, got {extra_d}")
 
 
 def _detail(key: str, bound: float, value: float) -> tuple[str, str]:

@@ -14,7 +14,7 @@ import entpow.cli
 import entpow.verify
 from entpow.cli import EXIT_CHECK_FAILURE, EXIT_OK, EXIT_VALIDATION, main
 from entpow.entanglement import entanglement_report
-from entpow.opfile import parse_operator_file, serialize_operator
+from entpow.opfile import _MAX_BYTES, parse_operator_file, read_operator_file, serialize_operator
 from entpow.operators import ControlledUSpec, controlled_u, exp_swap, haar_unitary, swap_op
 from entpow.rearrange import BipartiteOperator
 from entpow.sweep import CSV_HEADER, FAMILIES, SweepSpec, render_csv, sweep_rows
@@ -166,6 +166,35 @@ class TestEval:
         assert code == EXIT_VALIDATION
         assert "malformed" in err
 
+    @pytest.mark.parametrize("content, message", [
+        (serialize_operator(swap_op(2)).replace("1, 0]", "1" + "0" * 400 + ", 0]", 1),
+         "entry at row 0, column 0 is out of float range"),
+        ("[" * 100_000, "malformed operator file: nesting too deep"),
+        ('{"d": 17, "matrix": []}', "'d' must be at most 16, got 17"),
+    ], ids=["huge-int", "deep-nesting", "d-17"])
+    def test_out_of_range_file_exits_1(self, capsys, monkeypatch, tmp_path, content, message):
+        monkeypatch.setattr(entpow.cli, "entanglement_report", fail_if_called)
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        code, out, err = run(capsys, "eval", str(path))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == f"entpow: error: {message}\n"
+
+    def test_oversized_file_read_only_past_the_cap(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_bytes(b" " * (_MAX_BYTES + 4096))
+        sizes = []
+
+        def reader(content):
+            sizes.append(len(content))
+            return read_operator_file(content)
+
+        monkeypatch.setattr(entpow.cli, "read_operator_file", reader)
+        code, out, err = run(capsys, "eval", str(path))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert "16 MiB" in err
+        assert sizes == [_MAX_BYTES + 1]
+
 
 class TestSweep:
     def test_csv_header(self, capsys):
@@ -309,7 +338,14 @@ class TestVerify:
         for d in ("1", "17"):
             code, _, err = run(capsys, "verify", "--d", d)
             assert code == EXIT_VALIDATION
-            assert "--d must be from 2 to 16" in err
+            assert err == f"entpow: error: --d must be from 2 to 16, got {d}\n"
+
+    @pytest.mark.parametrize("extra_d", [1, 17, 200, 3.5])
+    def test_library_rejects_extra_d_before_building(self, monkeypatch, extra_d):
+        monkeypatch.setattr(entpow.verify, "swap_op", fail_if_called)
+        monkeypatch.setattr(entpow.verify, "_new_run", fail_if_called)
+        with pytest.raises(ValueError, match=f"extra_d must be from 2 to 16, got {extra_d}"):
+            entpow.verify.run_acceptance(extra_d=extra_d)
 
     def test_failed_criterion_exits_2(self, capsys, monkeypatch):
         table = list(entpow.verify.CRITERIA)

@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from entpow.opfile import parse_operator_file, read_operator_file, serialize_operator
+import entpow.opfile
+from entpow.opfile import _MAX_BYTES, parse_operator_file, read_operator_file, serialize_operator
 from entpow.operators import ControlledUSpec, controlled_u, haar_unitary, swap_op
 from entpow.rearrange import BipartiteOperator
 
@@ -16,6 +19,16 @@ def doc(d, matrix, **extra):
 
 def zeros_matrix(n):
     return [[[0.0, 0.0]] * n for _ in range(n)]
+
+
+def with_cell(rows, r, c, cell):
+    rows[r] = list(rows[r])
+    rows[r][c] = cell
+    return rows
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("reached a step the reader must not take here")
 
 
 class TestRoundTrip:
@@ -45,6 +58,139 @@ class TestRoundTrip:
         op = BipartiteOperator(2, m)
         back = parse_operator_file(serialize_operator(op))
         assert back.mat.tobytes() == op.mat.tobytes()
+
+
+class TestBulkConversion:
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_matches_per_entry_reference_bitwise(self, d):
+        n = d * d
+        pairs = [[[z.real, z.imag] for z in row] for row in haar_unitary(n, seed=d)]
+        # integers, including ones that round when converted to float64
+        for k, value in enumerate([1, 2**53 + 1, 2**64 + 1, -(2**64 + 1)]):
+            pairs[k % n][(3 * k) % n] = [value, -value]
+        pairs[n - 1][0] = [0, 2**53 + 3]
+        text = doc(d, pairs)
+        reference = np.array(
+            [[complex(re, im) for re, im in row] for row in json.loads(text)["matrix"]],
+            dtype=np.complex128,
+        )
+        op, _ = read_operator_file(text)
+        assert op.mat.tobytes() == reference.tobytes()
+
+    def test_valid_file_never_walks_entries(self, monkeypatch):
+        monkeypatch.setattr(entpow.opfile, "_parse_entry", fail_if_called)
+        op = BipartiteOperator(16, haar_unitary(256, seed=5))
+        back, _ = read_operator_file(serialize_operator(op))
+        assert back.mat.tobytes() == op.mat.tobytes()
+
+    def test_first_bad_entry_wins_over_later_ragged_row(self):
+        rows = with_cell(zeros_matrix(4), 0, 3, [1.0, "x"])
+        rows[2] = rows[2][:3]
+        with pytest.raises(ValueError, match="row 0, column 3"):
+            parse_operator_file(doc(2, rows))
+
+    @pytest.mark.parametrize("leaf", [True, False, "2", None])
+    @pytest.mark.parametrize("r, c, part", [(0, 0, 0), (1, 3, 1), (3, 2, 0)])
+    def test_non_number_leaf_rejected_at_its_entry(self, leaf, r, c, part):
+        cell = [0.5, 0.5]
+        cell[part] = leaf
+        rows = with_cell(zeros_matrix(4), r, c, cell)
+        with pytest.raises(ValueError, match=f"row {r}, column {c} must be a"):
+            parse_operator_file(doc(2, rows))
+
+    def test_integer_beyond_float_range_located(self):
+        rows = with_cell(zeros_matrix(4), 2, 1, [10**400, 0])
+        with pytest.raises(ValueError, match="row 2, column 1 is out of float range"):
+            parse_operator_file(doc(2, rows))
+
+
+class TestLimits:
+    def test_deep_nesting_is_malformed(self):
+        with pytest.raises(ValueError, match="malformed operator file: nesting too deep"):
+            read_operator_file("[" * 100_000)
+
+    @pytest.mark.parametrize("depth", [50, 900])
+    def test_deeply_nested_entry_located(self, depth):
+        text = doc(2, zeros_matrix(4)).replace("[0.0, 0.0]", "[" * depth + "]" * depth, 1)
+        with pytest.raises(ValueError, match="row 0, column 0|nesting too deep"):
+            parse_operator_file(text)
+
+    def test_d_above_16_rejected(self):
+        with pytest.raises(ValueError, match="'d' must be at most 16, got 17"):
+            parse_operator_file(doc(17, zeros_matrix(289)))
+        with pytest.raises(ValueError, match="'d' must be at most 16"):
+            parse_operator_file(json.dumps({"d": 10**300, "matrix": []}))
+
+    def test_d_16_accepted(self):
+        op = BipartiteOperator(16, haar_unitary(256, seed=3))
+        assert parse_operator_file(serialize_operator(op)).d == 16
+
+    @pytest.mark.parametrize("kind", [bytes, str])
+    def test_oversized_valid_document_rejected_before_parsing(self, monkeypatch, kind):
+        monkeypatch.setattr(entpow.opfile.json, "loads", fail_if_called)
+        text = serialize_operator(swap_op(2))
+        content = text + " " * (_MAX_BYTES + 1 - len(text))
+        with pytest.raises(ValueError, match="exceeds the 16 MiB limit"):
+            read_operator_file(content.encode() if kind is bytes else content)
+
+    def test_content_at_the_cap_is_parsed(self):
+        text = serialize_operator(swap_op(2))
+        op = parse_operator_file(text + " " * (_MAX_BYTES - len(text)))
+        assert np.array_equal(op.mat, swap_op(2).mat)
+
+
+# Generated documents are mostly well shaped, with a few odd rows and cells,
+# so that they reach every branch of the reader. Numbers include integers
+# beyond float range, NaN and infinities (written as the NaN/Infinity
+# tokens); other leaves are those numpy's conversion would accept; values
+# nest lists and objects. Oversized content is covered in TestLimits.
+_NUMBERS = (
+    st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([2**53 + 1, 2**64 + 1, 10**400, -(10**309)])
+)
+_LEAVES = _NUMBERS | st.booleans() | st.none() | st.text(max_size=3)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+_PAIRS = st.lists(_NUMBERS, min_size=2, max_size=2)
+_LENGTHS = st.sampled_from([4, 4, 4, 0, 3, 5])
+
+
+@st.composite
+def _documents(draw):
+    d = draw(st.sampled_from([2] * 6 + [0, 1, 17, True, "2", 2.0]))
+    rows = [draw(st.lists(_PAIRS, min_size=4, max_size=4)) for _ in range(draw(_LENGTHS))]
+    for _ in range(draw(st.integers(min_value=0, max_value=3)) if rows else 0):
+        r = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        if draw(st.booleans()):
+            rows[r] = draw(_VALUES | st.lists(_PAIRS, min_size=0, max_size=5))
+        elif isinstance(rows[r], list) and rows[r]:
+            c = draw(st.integers(min_value=0, max_value=len(rows[r]) - 1))
+            rows[r][c] = draw(_VALUES | st.lists(_LEAVES, min_size=2, max_size=2))
+    # the matrix nested within the parser's reach, or beyond it
+    depth = draw(st.sampled_from([0] * 6 + [50, 900, 5000]))
+    matrix = "[" * depth + json.dumps(rows) + "]" * depth
+    return f'{{"d": {json.dumps(d)}, "matrix": {matrix}}}'
+
+
+class TestOnlyValueError:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_documents())
+    def test_generated_documents(self, text):
+        try:
+            op, _ = read_operator_file(text)
+        except ValueError:
+            return
+        assert np.isfinite(op.mat).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(max_size=64) | st.text(max_size=64))
+    def test_arbitrary_content(self, content):
+        with pytest.raises(ValueError):
+            read_operator_file(content)
 
 
 class TestParsing:
