@@ -16,7 +16,12 @@ import argparse
 import math
 import sys
 
-from .entanglement import UNITARITY_TOL, entangling_power_mc, entanglement_report
+from .entanglement import (
+    UNITARITY_TOL,
+    _check_mc_samples,
+    entangling_power_mc,
+    entanglement_report,
+)
 from .opfile import _MAX_BYTES, read_operator_file
 from .sweep import FAMILIES, SweepSpec, render_csv, sweep_rows
 from .verify import _check_extra_d, run_acceptance
@@ -95,6 +100,8 @@ def main(argv=None) -> int:
 
 def cmd_eval(path: str, mc: bool, mc_samples: int, seed: int, tol: float) -> int:
     """Print every measure of the operator stored at ``path``."""
+    if mc:
+        _check_mc_samples(mc_samples)  # a bad flag prints no measures
     with open(path, "rb") as fh:
         # one byte past the cap is enough for the reader to reject the file
         op, name = read_operator_file(fh.read(_MAX_BYTES + 1))

@@ -37,7 +37,11 @@ here the purities only need to be accurate to rounding.
 
 A definition-level Monte-Carlo estimate of the entangling power is provided
 as an independent cross-check of the closed formula: it averages the linear
-entropy of U applied to seeded Haar-random product states.
+entropy of U applied to seeded Haar-random product states.  The samples
+stream through fixed-size chunks -- one draw, one GEMM and one purity
+reduction per chunk -- so its memory is 8 bytes per sample (16 while the
+standard deviation is taken) plus one chunk, and the sample count is capped
+at ``MAX_MC_SAMPLES``.
 """
 
 from __future__ import annotations
@@ -72,6 +76,10 @@ __all__ = [
 UNITARITY_TOL = 1e-9
 
 MIN_MC_SAMPLES = 100
+MAX_MC_SAMPLES = 10_000_000
+
+# States per Monte-Carlo chunk, in bytes: 16384 / d^2 samples, at least one.
+_MC_CHUNK_BYTES = 256 * 1024
 
 
 class UnitarityError(ValueError):
@@ -226,9 +234,21 @@ def entangling_power_mc(
     (seed, n_samples) give an identical estimate.  This is the measure by
     definition, independent of the rearrangement formulas, so it serves as
     an oracle for :func:`entangling_power`.
+
+    Samples stream through fixed-size chunks of about 256 KiB of states, so
+    memory is 8 bytes per sample for the entropies (16 while their standard
+    deviation is taken) plus one chunk.
+
+    Raises
+    ------
+    ValueError
+        If ``n_samples`` is not an integer from ``MIN_MC_SAMPLES`` (100) to
+        ``MAX_MC_SAMPLES`` (10,000,000), or ``tol`` is not a finite number
+        >= 0; both are checked before anything is drawn.
+    UnitarityError
+        If the unitarity defect of ``u`` exceeds ``tol``.
     """
-    if n_samples < MIN_MC_SAMPLES:
-        raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {n_samples}")
+    _check_mc_samples(n_samples)
     _gated(u, tol)
     rng = np.random.default_rng(seed)
     entropies = _sample_entropies(u, n_samples, rng)
@@ -289,6 +309,16 @@ def _gate(stack: np.ndarray, tol: float) -> np.ndarray:
     return defects
 
 
+def _check_mc_samples(n_samples: int) -> None:
+    """Raise ValueError unless ``n_samples`` is an integer within the MC limits."""
+    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
+        raise ValueError(f"number of samples must be an integer, got {n_samples!r}")
+    if n_samples < MIN_MC_SAMPLES:
+        raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {n_samples}")
+    if n_samples > MAX_MC_SAMPLES:
+        raise ValueError(f"at most {MAX_MC_SAMPLES} samples are allowed, got {n_samples}")
+
+
 def _gated(u: BipartiteOperator, tol: float) -> np.ndarray:
     """``u`` as a stack of one, after it has passed the gate."""
     stack = u.mat[None]
@@ -325,9 +355,26 @@ def _power(tr_r: np.ndarray, tr_t: np.ndarray, d: int) -> np.ndarray:
 
 
 def _sample_entropies(u: BipartiteOperator, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Linear entropies of U applied to n sampled product states."""
+    """Linear entropies of U applied to n sampled product states.
+
+    Samples are drawn and evaluated in chunks of at most ``_MC_CHUNK_BYTES``
+    of states; the sampler's draw order makes the states those of one call.
+    One GEMM per chunk gives the coefficients C[i, j, s] of U|psi_s> with the
+    sample axis last, so the reduced state rho = C C^dag of every sample is
+    accumulated over j with elementwise products, and its purity is the sum
+    of |rho|^2 over the float view.
+    """
     d = u.d
-    states = product_state_batch(rng, n, d)
-    coeff = (states @ u.mat.T).reshape(n, d, d)
-    rho = coeff @ coeff.conj().transpose(0, 2, 1)
-    return 1.0 - np.einsum("nij,nij->n", rho, rho.conj()).real
+    step = max(1, _MC_CHUNK_BYTES // (16 * d * d))
+    entropies = np.empty(n)
+    for lo in range(0, n, step):
+        m = min(step, n - lo)
+        coeff = (u.mat @ product_state_batch(rng, m, d).T).reshape(d, d, m)
+        conj = coeff.conj()
+        rho = coeff[:, None, 0] * conj[None, :, 0]
+        for j in range(1, d):
+            rho += coeff[:, None, j] * conj[None, :, j]
+        x = rho.view(np.float64).reshape(d * d, 2 * m)
+        sq = np.einsum("ks,ks->s", x, x)  # re^2 and im^2 of each sample, interleaved
+        entropies[lo:lo + m] = 1.0 - (sq[0::2] + sq[1::2])
+    return entropies

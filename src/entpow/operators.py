@@ -213,12 +213,15 @@ def product_state_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """n Haar-random product states |psi1>|psi2>, one per row of an (n, d^2) array.
 
     Each factor is an independent complex standard-Gaussian d-vector,
-    normalized; the first factors of all samples are drawn before the
-    second factors.
+    normalized.  The draws are sample-major: each sample takes the real and
+    then the imaginary parts of psi1, then those of psi2, before the next
+    sample starts, so n samples drawn over several calls on one generator
+    are bitwise the states of one call.
     """
-    p1 = _unit_gaussian_rows(rng, n, d)
-    p2 = _unit_gaussian_rows(rng, n, d)
-    return (p1[:, :, None] * p2[:, None, :]).reshape(n, d * d)
+    g = rng.standard_normal((n, 2, 2, d))
+    z = g[:, :, 0] + 1j * g[:, :, 1]
+    z /= np.linalg.norm(z, axis=2, keepdims=True)
+    return (z[:, 0, :, None] * z[:, 1, None, :]).reshape(n, d * d)
 
 
 def random_product_state(d: int, seed: int) -> PureStateVector:
@@ -226,9 +229,3 @@ def random_product_state(d: int, seed: int) -> PureStateVector:
     d = _check_local_dim(d)
     rng = np.random.default_rng(seed)
     return PureStateVector(d, product_state_batch(rng, 1, d)[0])
-
-
-def _unit_gaussian_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    return z

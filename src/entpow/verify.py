@@ -17,6 +17,7 @@ import numpy as np
 
 from .densemat import _MAX_D, frobenius_norm_sq, unitarity_defect
 from .entanglement import (
+    _check_mc_samples,
     entangling_power,
     entangling_power_mc,
     operator_entanglement,
@@ -83,9 +84,12 @@ def run_acceptance(
 
     ``extra_d`` repeats the dimension-dependent checks at one more local
     dimension, from 2 to 16; any other value raises ``ValueError`` before
-    anything is built.
+    anything is built, as does an ``mc_samples`` outside the limits of
+    ``entangling_power_mc`` when ``include_mc`` is set.
     """
     _check_extra_d(extra_d)
+    if include_mc:
+        _check_mc_samples(mc_samples)
     run = _new_run(extra_d, mc_samples, seed)
     results = []
     for key, title, bound, worst in CRITERIA:

@@ -11,6 +11,7 @@ import pytest
 
 import entpow
 import entpow.cli
+import entpow.entanglement
 import entpow.verify
 from entpow.cli import EXIT_CHECK_FAILURE, EXIT_OK, EXIT_VALIDATION, main
 from entpow.entanglement import entanglement_report
@@ -153,6 +154,13 @@ class TestEval:
         mean = grab(out, "e_p (mc)")
         stderr = float(out.split("+/-")[1].split("(")[0])
         assert abs(mean - 2 / 9) <= 6 * stderr
+
+    def test_mc_sample_cap(self, capsys, cnot_file, monkeypatch):
+        monkeypatch.setattr(entpow.entanglement, "product_state_batch", fail_if_called)
+        code, out, err = run(capsys, "eval", cnot_file, "--mc", "--mc-samples", "10000001")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == "entpow: error: at most 10000000 samples are allowed, got 10000001\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "eval", str(tmp_path / "nope.json"))
@@ -332,6 +340,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--mc", "--mc-samples", "20000")
         assert code == EXIT_OK
         assert "monte" in out.lower() or "mc" in out.lower()
+
+    def test_mc_sample_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(entpow.verify, "_new_run", fail_if_called)
+        monkeypatch.setattr(entpow.entanglement, "product_state_batch", fail_if_called)
+        code, _, err = run(capsys, "verify", "--mc", "--mc-samples", "10000001")
+        assert code == EXIT_VALIDATION
+        assert err == "entpow: error: at most 10000000 samples are allowed, got 10000001\n"
 
     def test_bad_dimension_rejected(self, capsys, monkeypatch):
         monkeypatch.setattr(entpow.cli, "run_acceptance", fail_if_called)

@@ -16,12 +16,15 @@ Frozen expected values used here, all hand-derivable:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import entpow.entanglement
 from entpow.densemat import unitarity_defect
 from entpow.entanglement import (
+    MAX_MC_SAMPLES,
     EntanglementReport,
     McEstimate,
     NormalizationError,
@@ -314,6 +317,57 @@ class TestMonteCarlo:
             u = haar_op(d, 800 + 10 * d + k)
             est = entangling_power_mc(u, 20_000, seed=900 + k)
             assert abs(est.mean - entangling_power(u)) <= max(5 * est.stderr, 0.01)
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("drew samples past validation")
+
+
+class TestMonteCarloChunks:
+    """The estimator streams its samples through chunks of _MC_CHUNK_BYTES."""
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_entropies_do_not_depend_on_chunk_size(self, monkeypatch, rows):
+        d, n = 3, 4000  # three chunks at the default size
+        u = haar_op(d, 41)
+        ref = _sample_entropies(u, n, np.random.default_rng(8))
+        # rows=None: the whole run is one chunk
+        monkeypatch.setattr(entpow.entanglement, "_MC_CHUNK_BYTES", 16 * d * d * (rows or n))
+        got = _sample_entropies(u, n, np.random.default_rng(8))
+        assert np.max(np.abs(got - ref)) <= 2e-15
+
+    def test_fixed_seed_and_count_span_chunks_identically(self):
+        # d=5: 655 samples per chunk, so 2000 samples take four chunks
+        u = haar_op(5, 43)
+        assert entangling_power_mc(u, 2000, seed=6) == entangling_power_mc(u, 2000, seed=6)
+
+    def test_peak_memory_is_the_entropies_plus_one_chunk(self):
+        u = haar_op(5, 47)
+        n = 200_000
+        entangling_power_mc(u, 1000, seed=1)  # first-call allocations outside the window
+        tracemalloc.start()
+        try:
+            entangling_power_mc(u, n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n + 4 * 2**20
+
+    @pytest.mark.parametrize("n", [MAX_MC_SAMPLES + 1, 10**12])
+    def test_sample_cap(self, monkeypatch, n):
+        monkeypatch.setattr(entpow.entanglement, "product_state_batch", fail_if_called)
+        with pytest.raises(ValueError, match=f"at most {MAX_MC_SAMPLES} samples"):
+            entangling_power_mc(CNOT, n, seed=1)
+
+    @pytest.mark.parametrize("n", [True, 500.0, "500", None, np.float64(500)])
+    def test_sample_count_must_be_an_integer(self, monkeypatch, n):
+        monkeypatch.setattr(entpow.entanglement, "product_state_batch", fail_if_called)
+        with pytest.raises(ValueError, match="must be an integer"):
+            entangling_power_mc(CNOT, n, seed=1)
+
+    def test_numpy_integer_count_accepted(self):
+        est = entangling_power_mc(CNOT, np.int64(300), seed=2)
+        assert est == entangling_power_mc(CNOT, 300, seed=2)
 
 
 class TestEntanglementReport:

@@ -227,6 +227,13 @@ class TestProductStates:
         batch = product_state_batch(np.random.default_rng(seed), 1, d)
         assert single.amplitudes.tobytes() == batch[0].tobytes()
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 16])
+    def test_batch_split_is_one_call(self, d):
+        one = product_state_batch(np.random.default_rng(29), 2000, d)
+        rng = np.random.default_rng(29)
+        parts = [product_state_batch(rng, m, d) for m in (1, 7, 999, 993)]
+        assert np.concatenate(parts).tobytes() == one.tobytes()
+
     def test_batch_rows_are_product_states(self):
         d = 3
         batch = product_state_batch(np.random.default_rng(23), 50, d)

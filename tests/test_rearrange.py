@@ -6,6 +6,9 @@ equality (tobytes), not just closeness.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from entpow.densemat import frobenius_norm_sq
 from entpow.operators import haar_unitary, identity_op, max_entangled_projector, swap_op
@@ -223,3 +226,38 @@ class TestFanIdentity:
             lhs = swap_left(realign(swap_left(u)))
             rhs = partial_transpose_first(u)
             assert lhs.mat.tobytes() == rhs.mat.tobytes()
+
+
+# Any finite double, with signed zeros and subnormals drawn often enough
+# that most operators contain some.
+_PARTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1e-310]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def _any_operator(draw):
+    """An operator at d in 2..6 with arbitrary finite entries; the parts are
+    viewed as complex, not added, so their bit patterns reach the matrix
+    unchanged."""
+    d = draw(st.integers(min_value=2, max_value=6))
+    n = d * d
+    parts = draw(arrays(np.float64, (n, n, 2), elements=_PARTS))
+    return BipartiteOperator(d, parts.view(np.complex128).reshape(n, n))
+
+
+MOVES = (realign, partial_transpose_first, partial_transpose_second, swap_left, swap_right)
+
+
+class TestIdentityProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_any_operator())
+    def test_every_move_is_a_bitwise_involution(self, u):
+        for move in MOVES:
+            assert move(move(u)).mat.tobytes() == u.mat.tobytes(), move.__name__
+
+    @settings(max_examples=60, deadline=None)
+    @given(_any_operator())
+    def test_interchange_identity_bitwise(self, u):
+        lhs = swap_left(realign(swap_left(u)))
+        assert lhs.mat.tobytes() == partial_transpose_first(u).mat.tobytes()
