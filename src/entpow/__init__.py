@@ -8,7 +8,6 @@ standard gate families and a seeded Monte-Carlo cross-check.
 
 from .densemat import (
     as_complex_matrix,
-    frobenius_norm,
     frobenius_norm_sq,
     unitarity_defect,
 )
@@ -26,21 +25,19 @@ from .entanglement import (
     swap_entanglement,
     swapped_operator_entanglement,
 )
-from .opfile import parse_operator_file, read_operator_file, serialize_operator
+from .opfile import read_operator_file, serialize_operator
 from .operators import (
     ControlledUSpec,
     PureStateVector,
     controlled_u,
     exp_swap,
     haar_unitary,
-    identity_op,
     max_entangled_projector,
     random_product_state,
     swap_op,
 )
 from .rearrange import (
     BipartiteOperator,
-    composite_index,
     partial_transpose_first,
     partial_transpose_second,
     realign,
@@ -55,12 +52,10 @@ __all__ = [
     "__version__",
     # matrix kernel
     "as_complex_matrix",
-    "frobenius_norm",
     "frobenius_norm_sq",
     "unitarity_defect",
     # rearrangements
     "BipartiteOperator",
-    "composite_index",
     "realign",
     "partial_transpose_first",
     "partial_transpose_second",
@@ -82,7 +77,6 @@ __all__ = [
     # operator constructors and samplers
     "ControlledUSpec",
     "PureStateVector",
-    "identity_op",
     "swap_op",
     "max_entangled_projector",
     "exp_swap",
@@ -90,7 +84,6 @@ __all__ = [
     "haar_unitary",
     "random_product_state",
     # file format and sweeps
-    "parse_operator_file",
     "read_operator_file",
     "serialize_operator",
     "FAMILIES",

@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "as_complex_matrix",
-    "frobenius_norm",
     "frobenius_norm_sq",
     "unitarity_defect",
 ]
@@ -48,11 +47,6 @@ def frobenius_norm_sq(a) -> float:
     a = as_complex_matrix(a)
     sq = a.real * a.real + a.imag * a.imag
     return math.fsum(sq.ravel().tolist())
-
-
-def frobenius_norm(a) -> float:
-    """Frobenius norm sqrt(Tr(A^dag A)) = sqrt(sum of |entry|^2)."""
-    return math.sqrt(frobenius_norm_sq(a))
 
 
 def unitarity_defect(a) -> float:

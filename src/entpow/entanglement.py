@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densemat import _check_tolerance, _unitarity_defects, as_complex_matrix, frobenius_norm_sq
-from .operators import product_state_batch
+from .operators import _check_seed, product_state_batch
 from .rearrange import BipartiteOperator, _rearrange
 
 __all__ = [
@@ -243,12 +243,14 @@ def entangling_power_mc(
     ------
     ValueError
         If ``n_samples`` is not an integer from ``MIN_MC_SAMPLES`` (100) to
-        ``MAX_MC_SAMPLES`` (10,000,000), or ``tol`` is not a finite number
-        >= 0; both are checked before anything is drawn.
+        ``MAX_MC_SAMPLES`` (10,000,000), ``seed`` is not a nonnegative
+        integer, or ``tol`` is not a finite number >= 0; all three are
+        checked before anything is drawn.
     UnitarityError
         If the unitarity defect of ``u`` exceeds ``tol``.
     """
     _check_mc_samples(n_samples)
+    _check_seed(seed)
     _gated(u, tol)
     rng = np.random.default_rng(seed)
     entropies = _sample_entropies(u, n_samples, rng)

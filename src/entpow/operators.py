@@ -4,10 +4,13 @@ Covers the swap operator, the maximally entangled projector, the
 one-parameter family exp(-i*t*S12) generated by the swap, general
 controlled-U gates, Haar-random unitaries, and Haar-random product states.
 
-Random sampling is deterministic: every sampler takes a 64-bit seed and
-feeds it to a fresh ``numpy.random.default_rng`` (PCG64) generator, so
-identical seeds give bitwise identical output.  No shared generator state
-is kept anywhere.
+Random sampling is deterministic.  The public samplers take a
+nonnegative integer seed, checked before anything is drawn, and seed a
+fresh ``numpy.random.default_rng`` (PCG64) generator with it, so identical
+seeds give bitwise identical output.  The stacked samplers draw from a
+generator their caller owns, sample-major, so n samples drawn over several
+calls on one generator are bitwise the samples of one call.  No shared
+generator state is kept anywhere.
 """
 
 from __future__ import annotations
@@ -17,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import _unitarity_defects, as_complex_matrix
+from .densemat import _MAX_D, _unitarity_defects, as_complex_matrix
 from .rearrange import BipartiteOperator
 
 __all__ = [
     "ControlledUSpec",
     "PureStateVector",
-    "identity_op",
     "swap_op",
     "max_entangled_projector",
     "exp_swap",
@@ -41,6 +43,19 @@ def _check_local_dim(d: int) -> int:
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise ValueError(f"local dimension must be an integer >= 2, got {d!r}")
     return int(d)
+
+
+def _check_seed(seed, bits: int | None = None) -> None:
+    """Raise ValueError unless ``seed`` is a non-bool integer >= 0, and below
+    2**bits when ``bits`` is given."""
+    if (
+        isinstance(seed, bool)
+        or not isinstance(seed, (int, np.integer))
+        or seed < 0
+        or (bits is not None and seed >= 2**bits)
+    ):
+        kind = "integer" if bits is None else f"{bits}-bit integer"
+        raise ValueError(f"seed must be a nonnegative {kind}, got {seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,12 +113,6 @@ class PureStateVector:
         return self.amplitudes.reshape(self.d, self.d)
 
 
-def identity_op(d: int) -> BipartiteOperator:
-    """Identity on the composite d^2-dimensional space."""
-    d = _check_local_dim(d)
-    return BipartiteOperator(d, np.eye(d * d, dtype=np.complex128))
-
-
 def swap_op(d: int) -> BipartiteOperator:
     """The swap operator S12, with entry 1 at [(i,j),(j,i)] and 0 elsewhere."""
     d = _check_local_dim(d)
@@ -153,10 +162,19 @@ def haar_unitary(d_total: int, seed: int) -> np.ndarray:
     QR orthonormalization of a complex Gaussian (Ginibre) matrix, with the
     diagonal of the triangular factor normalized to positive reals -- the
     phase convention under which the distribution is exactly Haar.
+
+    Raises ValueError, before anything is drawn, unless ``d_total`` is an
+    integer from 1 to 256 (d = 16 on each side) and ``seed`` a nonnegative
+    integer.
     """
-    if d_total < 1:
-        raise ValueError(f"dimension must be positive, got {d_total}")
-    return as_complex_matrix(_haar_stack(d_total, [seed])[0])
+    if (
+        isinstance(d_total, bool)
+        or not isinstance(d_total, (int, np.integer))
+        or not 1 <= d_total <= _MAX_D**2
+    ):
+        raise ValueError(f"dimension must be an integer from 1 to {_MAX_D**2}, got {d_total!r}")
+    _check_seed(seed)
+    return _haar_stack(int(d_total), 1, np.random.default_rng(seed))[0]
 
 
 def _exp_swap_stack(d: int, ts: np.ndarray) -> np.ndarray:
@@ -191,17 +209,15 @@ def _check_blocks(blocks: np.ndarray) -> None:
         )
 
 
-def _haar_stack(m: int, seeds) -> np.ndarray:
-    """Haar unitaries of size m x m, one per seed, as an (n, m, m) stack.
+def _haar_stack(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n Haar unitaries of size m x m from ``rng``, as an (n, m, m) stack.
 
-    Each seed feeds its own PCG64 generator and the stacked QR factors each
-    matrix on its own, so entry k depends on ``seeds[k]`` alone and equals
-    ``haar_unitary(m, seeds[k])`` bitwise, whatever the other seeds are.
+    The draws are sample-major: each matrix takes its real parts, then its
+    imaginary parts, before the next matrix starts.  The stacked QR factors
+    each matrix on its own, so n matrices drawn over several calls on one
+    generator are bitwise the matrices of one call.
     """
-    z = np.empty((len(seeds), 2, m, m))
-    for k, seed in enumerate(seeds):
-        # one call draws the real parts, then the imaginary parts
-        np.random.default_rng(seed).standard_normal(out=z[k])
+    z = rng.standard_normal((n, 2, m, m))
     z = z[:, 0] + 1j * z[:, 1]
     z /= math.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -225,7 +241,14 @@ def product_state_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 
 
 def random_product_state(d: int, seed: int) -> PureStateVector:
-    """Haar-random product state |psi1>|psi2>, deterministic in ``seed``."""
+    """Haar-random product state |psi1>|psi2>, deterministic in ``seed``.
+
+    Raises ValueError, before anything is drawn, unless ``d`` is an integer
+    from 2 to 16 and ``seed`` a nonnegative integer.
+    """
     d = _check_local_dim(d)
+    if d > _MAX_D:
+        raise ValueError(f"local dimension must be at most {_MAX_D}, got {d}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     return PureStateVector(d, product_state_batch(rng, 1, d)[0])

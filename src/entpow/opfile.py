@@ -30,15 +30,10 @@ import numpy as np
 from .densemat import _MAX_D
 from .rearrange import BipartiteOperator
 
-__all__ = ["parse_operator_file", "read_operator_file", "serialize_operator"]
+__all__ = ["read_operator_file", "serialize_operator"]
 
 # A d=16 Haar operator written with json.dumps(..., indent=4) is 6.8 MiB.
 _MAX_BYTES = 16 * 1024 * 1024
-
-
-def parse_operator_file(content: bytes | str) -> BipartiteOperator:
-    """Parse an operator document; raises ValueError on any malformation."""
-    return read_operator_file(content)[0]
 
 
 def read_operator_file(content: bytes | str) -> tuple[BipartiteOperator, str | None]:

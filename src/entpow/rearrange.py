@@ -20,7 +20,6 @@ from .densemat import as_complex_matrix
 
 __all__ = [
     "BipartiteOperator",
-    "composite_index",
     "realign",
     "partial_transpose_first",
     "partial_transpose_second",
@@ -54,15 +53,6 @@ class BipartiteOperator:
         m.flags.writeable = False
         object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "mat", m)
-
-
-def composite_index(i: int, j: int, d: int) -> int:
-    """Flat index of the composite basis ket |i>|j>: returns i*d + j."""
-    if d < 1:
-        raise ValueError(f"local dimension must be positive, got {d}")
-    if not (0 <= i < d) or not (0 <= j < d):
-        raise ValueError(f"local indices ({i}, {j}) out of range for dimension {d}")
-    return i * d + j
 
 
 # The one table of entry moves.  Each move views a d^2 x d^2 matrix as the

@@ -3,8 +3,10 @@
 Rows are evaluated in chunks: each chunk of operators is built as one
 (n, d^2, d^2) stack, passes the unitarity gate once and goes through the
 batched purity core once.  A chunk holds at most ``_CHUNK_BYTES`` of
-operator entries, which bounds memory whatever ``steps`` is, and the rows
-do not depend on where the chunks split.
+operator entries, which bounds memory whatever ``steps`` is.  The random
+families draw every instance from one generator seeded with ``seed``, in
+row order, sample-major, so the rows do not depend on where the chunks
+split.
 
 Output is locale-independent by construction: '.' decimal separator, LF
 line endings, floats at 17 significant digits.  A fixed spec always
@@ -24,7 +26,13 @@ from .entanglement import UNITARITY_TOL, _entanglement, _gate, _power, _purities
 # Not called here: perfbench's tracing test checks that it wraps and restores
 # this binding.
 from .entanglement import operator_entanglement  # noqa: F401
-from .operators import _check_blocks, _controlled_u_stack, _exp_swap_stack, _haar_stack
+from .operators import (
+    _check_blocks,
+    _check_seed,
+    _controlled_u_stack,
+    _exp_swap_stack,
+    _haar_stack,
+)
 
 __all__ = ["FAMILIES", "SweepSpec", "sweep_rows", "render_csv"]
 
@@ -44,9 +52,10 @@ _MAX_STEPS = 1_000_000
 class SweepSpec:
     """One sweep: a family evaluated on a uniform parameter grid.
 
-    For ``exp_swap`` the parameter is the angle t; the random families draw
-    a fresh instance per grid point from a child seed, and the parameter
-    column merely labels the row.
+    For ``exp_swap`` the parameter is the angle t.  The random families
+    draw one instance per grid point, in row order, from one PCG64
+    generator seeded with ``seed``; the parameter column merely labels the
+    row.
     """
 
     family: str
@@ -65,7 +74,11 @@ class SweepSpec:
             raise ValueError(
                 f"local dimension must be an integer from 2 to {_MAX_D}, got {self.d!r}"
             )
-        if not 1 <= self.steps <= _MAX_STEPS:
+        if (
+            isinstance(self.steps, bool)
+            or not isinstance(self.steps, (int, np.integer))
+            or not 1 <= self.steps <= _MAX_STEPS
+        ):
             raise ValueError(f"steps must be from 1 to {_MAX_STEPS}, got {self.steps}")
         if not (math.isfinite(self.param_start) and math.isfinite(self.param_end)):
             raise ValueError("parameter range must be finite")
@@ -73,20 +86,20 @@ class SweepSpec:
             raise ValueError(
                 f"param_start {self.param_start} exceeds param_end {self.param_end}"
             )
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a nonnegative 64-bit integer, got {self.seed}")
+        _check_seed(self.seed, bits=64)
 
 
 def sweep_rows(spec: SweepSpec) -> list[tuple[float, float, float, float]]:
     """Evaluate the sweep: one (param, E(U), E(S12 U), e_p) tuple per grid point."""
     d = spec.d
     params = np.linspace(spec.param_start, spec.param_end, spec.steps)
-    child_seeds = _child_seeds(spec).tolist()
+    # drawn from only by the random families; exp_swap builds none
+    rng = None if spec.family == "exp_swap" else np.random.default_rng(spec.seed)
     chunk = max(1, _CHUNK_BYTES // (16 * d**4))
     rows = []
     for lo in range(0, spec.steps, chunk):
         hi = min(lo + chunk, spec.steps)
-        stack = _stack(spec, params, child_seeds, lo, hi)
+        stack = _stack(spec, params, rng, lo, hi)
         _gate(stack, UNITARITY_TOL)
         tr_r, tr_t = _purities(stack, d)
         rows += zip(
@@ -106,19 +119,17 @@ def render_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _child_seeds(spec: SweepSpec) -> np.ndarray:
-    # one independent child seed per random draw, derived from (seed, index)
-    n = spec.steps * (spec.d if spec.family == "controlled_u_random" else 1)
-    return np.random.SeedSequence(spec.seed).generate_state(n, dtype=np.uint64)
-
-
-def _stack(spec: SweepSpec, params: np.ndarray, child_seeds: list, lo: int, hi: int) -> np.ndarray:
-    """Operators of rows lo..hi-1 as an (hi - lo, d^2, d^2) stack."""
+def _stack(
+    spec: SweepSpec, params: np.ndarray, rng: np.random.Generator | None, lo: int, hi: int
+) -> np.ndarray:
+    """Operators of rows lo..hi-1 as an (hi - lo, d^2, d^2) stack; the
+    random families draw them from ``rng``, which must have drawn rows
+    0..lo-1 already."""
     d = spec.d
     if spec.family == "exp_swap":
         return _exp_swap_stack(d, params[lo:hi])
     if spec.family == "haar":
-        return _haar_stack(d * d, child_seeds[lo:hi])
-    blocks = _haar_stack(d, child_seeds[lo * d : hi * d]).reshape(hi - lo, d, d, d)
+        return _haar_stack(d * d, hi - lo, rng)
+    blocks = _haar_stack(d, (hi - lo) * d, rng).reshape(hi - lo, d, d, d)
     _check_blocks(blocks)
     return _controlled_u_stack(blocks)

@@ -1,13 +1,17 @@
 """Tests for the command-line interface and the sweep CSV contract."""
 
+import io
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entpow
 import entpow.cli
@@ -15,7 +19,7 @@ import entpow.entanglement
 import entpow.verify
 from entpow.cli import EXIT_CHECK_FAILURE, EXIT_OK, EXIT_VALIDATION, main
 from entpow.entanglement import entanglement_report
-from entpow.opfile import _MAX_BYTES, parse_operator_file, read_operator_file, serialize_operator
+from entpow.opfile import _MAX_BYTES, read_operator_file, serialize_operator
 from entpow.operators import ControlledUSpec, controlled_u, exp_swap, haar_unitary, swap_op
 from entpow.rearrange import BipartiteOperator
 from entpow.sweep import CSV_HEADER, FAMILIES, SweepSpec, render_csv, sweep_rows
@@ -407,3 +411,96 @@ class TestNoCommand:
             main([])
         assert exc.value.code == EXIT_VALIDATION
         capsys.readouterr()
+
+
+# Tokens for the argv property test.  No token is a prefix of --out (argparse
+# accepts abbreviations), so no drawn argv writes a file; accepted --steps
+# stay within 1..8 and accepted --mc-samples within 100..300, and the eval
+# files are d=2, so no drawn argv starts a large computation.
+JUNK = st.sampled_from(
+    ["", "-", "--", "-x", "--bogus", "abc", "nan", "inf", "1e9", "0x10", "3.5", "é"]
+)
+
+
+def _flag(name, accepted, rejected):
+    """(accepted, rejected) token lists of one flag; a rejected flag has a
+    value from ``rejected`` or no value at all."""
+    def with_value(values):
+        return st.sampled_from(values).map(lambda v: [name, v])
+
+    return with_value(accepted), st.one_of(with_value(rejected), st.just([name]))
+
+
+SEED = _flag("--seed", ["0", "1", "7", str(2**64 - 1)], [str(2**64), "-1", "1.5", "x"])
+
+SWEEP_FLAGS = [
+    _flag("--family", list(FAMILIES), ["nope"]),
+    _flag("--d", ["2", "3", "4"], ["0", "1", "-1", "17", "100"]),
+    _flag("--steps", [str(n) for n in range(1, 9)], ["0", "-3", "1000001", str(10**12)]),
+    _flag("--start", ["0", "-1", "0.5"], ["2.5", "nan", "inf", "-inf"]),
+    _flag("--end", ["1", "3.14", "1e308"], ["nan", "inf", "-1e308"]),
+    SEED,
+]
+
+
+@st.composite
+def _argv(draw, command, fields):
+    """``command`` and every field accepted, then up to three edits (a field
+    rejected or dropped, a junk token inserted), in shuffled order."""
+    groups = [draw(valid) for valid, _ in fields]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(fields) - 1))
+        edit = draw(st.sampled_from(["reject", "drop", "junk"]))
+        if edit == "reject":
+            groups[k] = draw(fields[k][1])
+        elif edit == "drop":
+            groups[k] = []
+        else:
+            groups.insert(k, [draw(JUNK)])
+    return [command, *(t for g in draw(st.permutations(groups)) for t in g)]
+
+
+@pytest.fixture(scope="module")
+def eval_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("eval_argv")
+    files = {"swap.json": swap_op(2), "cnot.json": CNOT}
+    for name, op in files.items():
+        (root / name).write_text(serialize_operator(op, name=name))
+    scaled = BipartiteOperator(2, 1.5 * np.eye(4))  # exits 2: not unitary
+    (root / "scaled.json").write_text(serialize_operator(scaled))
+    (root / "bad.json").write_text('{"d": 2, "matrix": [[[1, 0]]]}')
+    # (accepted, rejected) paths; the scaled operator is accepted and exits 2
+    accepted = [str(root / name) for name in [*files, "scaled.json"]]
+    rejected = [str(root / "bad.json"), str(root / "missing.json"), str(root)]
+    return st.sampled_from([[p] for p in accepted]), st.sampled_from([[p] for p in rejected])
+
+
+def _exit_status(argv):
+    """Exit status of ``main(argv)``, returned or carried by argparse's SystemExit."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as e:
+            return e.code
+
+
+class TestExitCodeProperty:
+    """Any argv gives exit status 0, 1 or 2; nothing else escapes main."""
+
+    @settings(max_examples=200, deadline=5000)
+    @given(_argv("sweep", SWEEP_FLAGS))
+    def test_sweep(self, argv):
+        assert _exit_status(argv) in (EXIT_OK, EXIT_VALIDATION, EXIT_CHECK_FAILURE)
+
+    @settings(max_examples=150, deadline=5000)
+    @given(st.data())
+    def test_eval(self, eval_paths, data):
+        fields = [
+            eval_paths,
+            (st.just(["--mc"]), st.just([])),
+            _flag("--mc-samples", [str(n) for n in range(100, 301)], ["99", "0", "-5", "10000001"]),
+            SEED,
+            _flag("--tol", ["1e-9", "0", "0.5"], ["-1", "nan", "inf"]),
+        ]
+        argv = data.draw(_argv("eval", fields))
+        assert _exit_status(argv) in (EXIT_OK, EXIT_VALIDATION, EXIT_CHECK_FAILURE)

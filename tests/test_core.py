@@ -23,7 +23,10 @@ from entpow.operators import (
     haar_unitary,
 )
 from entpow.rearrange import BipartiteOperator
-from entpow.sweep import _MAX_D, _MAX_STEPS, FAMILIES, SweepSpec, _child_seeds, sweep_rows
+from entpow.sweep import _MAX_D, _MAX_STEPS, FAMILIES, SweepSpec, sweep_rows
+
+DIMS = [1, 2, 3, 4, 9, 16]
+SEEDS = [0, 1, 7, 20070209, 2**64 - 1]
 
 
 def chunk_rows(d):
@@ -31,29 +34,54 @@ def chunk_rows(d):
     return max(1, entpow.sweep._CHUNK_BYTES // (16 * d**4))
 
 
-def scalar_operator(spec, k, t, seeds):
-    """Row k of a sweep, built one operator at a time through the public API."""
+def haar_reference(m, rng):
+    """One Haar unitary from ``rng``: real parts, then imaginary parts of a
+    Ginibre matrix, numpy's QR and the phase fix, one matrix at a time."""
+    g = rng.standard_normal((2, m, m))
+    z = (g[0] + 1j * g[1]) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))[None, :]
+
+
+def scalar_operator(spec, t, rng):
+    """The next row of a sweep, built one operator at a time from ``rng``."""
     d = spec.d
     if spec.family == "exp_swap":
         return exp_swap(d, t)
     if spec.family == "haar":
-        return BipartiteOperator(d, haar_unitary(d * d, seeds[k]))
-    blocks = tuple(haar_unitary(d, seeds[k * d + n]) for n in range(d))
+        return BipartiteOperator(d, haar_reference(d * d, rng))
+    blocks = tuple(haar_reference(d, rng) for _ in range(d))
     return controlled_u(ControlledUSpec(d, blocks))
 
 
 class TestHaarStack:
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 9, 16])
+    @pytest.mark.parametrize("m", DIMS)
     def test_equals_per_seed_draws_bitwise(self, m):
-        seeds = np.random.SeedSequence(m).generate_state(12, dtype=np.uint64).tolist()
-        stack = _haar_stack(m, seeds)
-        assert stack.shape == (12, m, m)
-        for k, seed in enumerate(seeds):
-            assert np.array_equal(stack[k], haar_unitary(m, seed))
+        # the stack equals the reference drawn one matrix at a time
+        for seed in SEEDS:
+            stack = _haar_stack(m, 12, np.random.default_rng(seed))
+            assert stack.shape == (12, m, m)
+            rng = np.random.default_rng(seed)
+            for k in range(12):
+                assert stack[k].tobytes() == haar_reference(m, rng).tobytes()
+
+    @pytest.mark.parametrize("m", DIMS)
+    def test_split_draws_equal_one_draw_bitwise(self, m):
+        one = _haar_stack(m, 20, np.random.default_rng(100 + m))
+        rng = np.random.default_rng(100 + m)
+        parts = [_haar_stack(m, n, rng) for n in (1, 7, 12)]
+        assert np.concatenate(parts).tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("m", DIMS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_haar_unitary_pins_the_draw_order(self, m, seed):
+        want = haar_reference(m, np.random.default_rng(seed))
+        assert haar_unitary(m, seed).tobytes() == want.tobytes()
 
     def test_controlled_stack_equals_controlled_u(self):
         d = 3
-        blocks = _haar_stack(d, [11, 12, 13, 14, 15, 16]).reshape(2, d, d, d)
+        blocks = _haar_stack(d, 6, np.random.default_rng(11)).reshape(2, d, d, d)
         stack = _controlled_u_stack(blocks)
         for k in range(2):
             gate = controlled_u(ControlledUSpec(d, tuple(blocks[k])))
@@ -94,11 +122,11 @@ class TestChunkedSweep:
     def test_rows_equal_scalar_measures(self, family, d):
         steps = 2 * chunk_rows(d) + 3  # three chunks, the last one partial
         spec = SweepSpec(family, d, 0.0, math.pi, steps, seed=41)
-        seeds = _child_seeds(spec).tolist()
+        rng = np.random.default_rng(spec.seed)
         rows = sweep_rows(spec)
         assert len(rows) == steps
-        for k, (t, e, e_s, e_p) in enumerate(rows):
-            u = scalar_operator(spec, k, t, seeds)
+        for t, e, e_s, e_p in rows:
+            u = scalar_operator(spec, t, rng)
             assert abs(e - operator_entanglement(u)) <= 1e-15
             assert abs(e_s - swapped_operator_entanglement(u)) <= 1e-15
             assert abs(e_p - entangling_power(u)) <= 1e-15
@@ -122,6 +150,11 @@ class TestSweepSeed:
         with pytest.raises(ValueError, match="64-bit"):
             SweepSpec("haar", 2, 0.0, 1.0, 3, seed=seed)
 
+    @pytest.mark.parametrize("seed", [None, True, 1.0, "1", np.float64(1)])
+    def test_non_integer_rejected(self, seed):
+        with pytest.raises(ValueError, match="64-bit"):
+            SweepSpec("haar", 2, 0.0, 1.0, 3, seed=seed)
+
     def test_largest_seed_accepted(self):
         spec = SweepSpec("haar", 2, 0.0, 1.0, 3, seed=2**64 - 1)
         assert len(sweep_rows(spec)) == 3
@@ -138,3 +171,8 @@ class TestSweepSizeBounds:
         assert SweepSpec("haar", 2, 0.0, 1.0, _MAX_STEPS).steps == 1_000_000
         with pytest.raises(ValueError, match="from 1 to 1000000"):
             SweepSpec("haar", 2, 0.0, 1.0, _MAX_STEPS + 1)
+
+    @pytest.mark.parametrize("steps", [True, 3.0, "3", None])
+    def test_steps_must_be_an_integer(self, steps):
+        with pytest.raises(ValueError, match="from 1 to 1000000"):
+            SweepSpec("haar", 2, 0.0, 1.0, steps)

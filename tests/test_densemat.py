@@ -5,7 +5,6 @@ import pytest
 
 from entpow.densemat import (
     as_complex_matrix,
-    frobenius_norm,
     frobenius_norm_sq,
     unitarity_defect,
 )
@@ -18,22 +17,22 @@ def random_complex(rng, rows, cols):
 
 class TestFrobeniusNorm:
     def test_zero_matrix(self):
-        assert frobenius_norm(np.zeros((3, 3), dtype=complex)) == 0.0
+        assert frobenius_norm_sq(np.zeros((3, 3), dtype=complex)) == 0.0
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_unitary_norm_is_d(self, d):
         u = haar_unitary(d * d, seed=100 + d)
-        assert frobenius_norm(u) == pytest.approx(d, abs=1e-12)
+        assert frobenius_norm_sq(u) == pytest.approx(d * d, abs=1e-12)
 
     def test_rank_one_projector(self):
-        assert frobenius_norm(max_entangled_projector(3).mat) == pytest.approx(1, abs=1e-12)
+        assert frobenius_norm_sq(max_entangled_projector(3).mat) == pytest.approx(1, abs=1e-12)
 
     def test_squared_norm_equals_trace_form(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
             a = random_complex(rng, 4, 4)
             via_trace = np.trace(a.conj().T @ a).real
-            assert abs(frobenius_norm(a) ** 2 - via_trace) <= 1e-12
+            assert abs(frobenius_norm_sq(a) - via_trace) <= 1e-12
 
     def test_norm_sq_is_order_independent(self):
         rng = np.random.default_rng(15)

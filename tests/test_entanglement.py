@@ -43,7 +43,6 @@ from entpow.operators import (
     controlled_u,
     exp_swap,
     haar_unitary,
-    identity_op,
     max_entangled_projector,
     swap_op,
 )
@@ -105,7 +104,8 @@ class TestOperatorEntanglement:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_identity_is_zero(self, d):
-        assert operator_entanglement(identity_op(d)) == pytest.approx(0.0, abs=1e-14)
+        eye = BipartiteOperator(d, np.eye(d * d))
+        assert operator_entanglement(eye) == pytest.approx(0.0, abs=1e-14)
 
     def test_swap_family_value(self):
         # d=3, t=pi/6: (8/9)(1 - cos^4) = (8/9)(7/16) = 7/18
@@ -169,7 +169,7 @@ class TestTolerance:
 class TestSwappedOperatorEntanglement:
     @pytest.mark.parametrize("d", [2, 3])
     def test_identity_reaches_maximum(self, d):
-        got = swapped_operator_entanglement(identity_op(d))
+        got = swapped_operator_entanglement(BipartiteOperator(d, np.eye(d * d)))
         assert got == pytest.approx(1 - 1 / d**2, abs=1e-14)
 
     def test_swap_is_zero(self):
@@ -208,7 +208,7 @@ class TestEntanglingPower:
         assert entangling_power(swap_op(5)) == pytest.approx(0.0, abs=1e-14)
 
     def test_identity_has_none(self):
-        assert entangling_power(identity_op(3)) == pytest.approx(0.0, abs=1e-14)
+        assert entangling_power(BipartiteOperator(3, np.eye(9))) == pytest.approx(0.0, abs=1e-14)
 
     def test_sqrt_swap_value(self):
         got = entangling_power(exp_swap(2, math.pi / 4))
@@ -299,7 +299,7 @@ class TestMonteCarlo:
         assert est.mean == float(entropies.mean())
         assert est.stderr == float(entropies.std(ddof=1)) / math.sqrt(500)
 
-    @pytest.mark.parametrize("op", [identity_op(2), swap_op(3)])
+    @pytest.mark.parametrize("op", [BipartiteOperator(2, np.eye(4)), swap_op(3)])
     def test_local_gates_give_zero(self, op):
         est = entangling_power_mc(op, 300, seed=5)
         assert abs(est.mean) <= 1e-12
@@ -369,6 +369,17 @@ class TestMonteCarloChunks:
         est = entangling_power_mc(CNOT, np.int64(300), seed=2)
         assert est == entangling_power_mc(CNOT, 300, seed=2)
 
+    @pytest.mark.parametrize("seed", [None, -1, True, 1.0, "1", np.float64(1)])
+    def test_seed_rejected_before_drawing(self, monkeypatch, seed):
+        monkeypatch.setattr(entpow.entanglement, "product_state_batch", fail_if_called)
+        monkeypatch.setattr(np.random, "default_rng", fail_if_called)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            entangling_power_mc(CNOT, 500, seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        est = entangling_power_mc(CNOT, 300, np.uint64(2**64 - 1))
+        assert est == entangling_power_mc(CNOT, 300, 2**64 - 1)
+
 
 class TestEntanglementReport:
     def test_swap_fields(self):
@@ -382,7 +393,7 @@ class TestEntanglementReport:
         assert report.e_power == pytest.approx(0.0, abs=1e-14)
 
     def test_identity_fields(self):
-        report = entanglement_report(identity_op(3))
+        report = entanglement_report(BipartiteOperator(3, np.eye(9)))
         assert report.e_op == pytest.approx(0.0, abs=1e-14)
         assert report.e_op_swapped == pytest.approx(8 / 9, abs=1e-14)
         assert report.e_power == pytest.approx(0.0, abs=1e-14)

@@ -13,13 +13,20 @@ from entpow.operators import (
     controlled_u,
     exp_swap,
     haar_unitary,
-    identity_op,
     max_entangled_projector,
     product_state_batch,
     random_product_state,
     swap_op,
 )
-from entpow.rearrange import partial_transpose_first, realign
+from entpow.rearrange import BipartiteOperator, partial_transpose_first, realign
+
+
+# Seeds that cannot reproduce a draw: none, negative, or not an integer.
+BAD_SEEDS = [None, -1, True, False, 1.0, "1", np.float64(1), [1, 2]]
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("reached the draw past validation")
 
 
 def haar_spec(d, seed):
@@ -28,13 +35,6 @@ def haar_spec(d, seed):
 
 
 class TestIdentityAndSwap:
-    def test_identity_matrix(self):
-        assert np.array_equal(identity_op(2).mat, np.eye(4, dtype=complex))
-        assert identity_op(3).mat.shape == (9, 9)
-
-    def test_identity_is_exactly_unitary(self):
-        assert unitarity_defect(identity_op(3).mat) == 0.0
-
     def test_swap_d2_by_hand(self):
         expected = np.array(
             [
@@ -50,7 +50,7 @@ class TestIdentityAndSwap:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_swap_squares_to_identity(self, d):
         s = swap_op(d).mat
-        assert np.array_equal(s @ s, identity_op(d).mat)
+        assert np.array_equal(s @ s, np.eye(d * d))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_swap_action_on_basis(self, d):
@@ -64,7 +64,7 @@ class TestIdentityAndSwap:
                 assert np.count_nonzero(out) == 1
 
     def test_rejects_small_dimension(self):
-        for ctor in (identity_op, swap_op, max_entangled_projector):
+        for ctor in (swap_op, max_entangled_projector):
             with pytest.raises(ValueError):
                 ctor(1)
 
@@ -91,13 +91,13 @@ class TestMaxEntangledProjector:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_is_realigned_identity(self, d):
-        expected = realign(identity_op(d)).mat
+        expected = realign(BipartiteOperator(d, np.eye(d * d))).mat
         assert np.array_equal(d * max_entangled_projector(d).mat, expected)
 
 
 class TestExpSwap:
     def test_t_zero_is_identity(self):
-        assert exp_swap(3, 0.0).mat.tobytes() == identity_op(3).mat.tobytes()
+        assert exp_swap(3, 0.0).mat.tobytes() == np.eye(9, dtype=complex).tobytes()
 
     def test_t_half_pi_is_minus_i_swap(self):
         got = exp_swap(2, math.pi / 2).mat
@@ -199,6 +199,22 @@ class TestHaarUnitary:
         with pytest.raises(ValueError):
             haar_unitary(0, seed=1)
 
+    @pytest.mark.parametrize("d_total", [0, 257, 10**5, True, 4.0, "4", None])
+    def test_dimension_rejected_before_drawing(self, monkeypatch, d_total):
+        monkeypatch.setattr(np.random, "default_rng", fail_if_called)
+        with pytest.raises(ValueError, match="dimension must be an integer from 1 to 256"):
+            haar_unitary(d_total, seed=1)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_seed_rejected_before_drawing(self, monkeypatch, seed):
+        monkeypatch.setattr(np.random, "default_rng", fail_if_called)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            haar_unitary(4, seed)
+
+    def test_numpy_integers_accepted(self):
+        u = haar_unitary(np.int64(4), np.uint64(2**64 - 1))
+        assert u.tobytes() == haar_unitary(4, 2**64 - 1).tobytes()
+
     def test_trace_moment(self):
         # For Haar measure, E[|Tr U|^2] = 1 at any dimension.
         samples = [abs(np.trace(haar_unitary(4, seed))) ** 2 for seed in range(2000)]
@@ -215,6 +231,18 @@ class TestProductStates:
     def test_zero_linear_entropy(self, d):
         psi = random_product_state(d, seed=6)
         assert abs(state_linear_entropy(psi.coefficient_matrix())) <= 1e-12
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_seed_rejected_before_drawing(self, monkeypatch, seed):
+        monkeypatch.setattr(np.random, "default_rng", fail_if_called)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            random_product_state(2, seed)
+
+    @pytest.mark.parametrize("d", [17, 10**5])
+    def test_dimension_cap(self, monkeypatch, d):
+        monkeypatch.setattr(np.random, "default_rng", fail_if_called)
+        with pytest.raises(ValueError, match="at most 16"):
+            random_product_state(d, seed=1)
 
     def test_deterministic_in_seed(self):
         a = random_product_state(3, seed=9)

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import entpow.opfile
-from entpow.opfile import _MAX_BYTES, parse_operator_file, read_operator_file, serialize_operator
+from entpow.opfile import _MAX_BYTES, read_operator_file, serialize_operator
 from entpow.operators import ControlledUSpec, controlled_u, haar_unitary, swap_op
 from entpow.rearrange import BipartiteOperator
 
@@ -56,7 +56,7 @@ class TestRoundTrip:
         m = np.zeros((4, 4), dtype=complex)
         m[0, :] = [v + 1j * w for v, w in zip(vals, reversed(vals))]
         op = BipartiteOperator(2, m)
-        back = parse_operator_file(serialize_operator(op))
+        back = read_operator_file(serialize_operator(op))[0]
         assert back.mat.tobytes() == op.mat.tobytes()
 
 
@@ -87,7 +87,7 @@ class TestBulkConversion:
         rows = with_cell(zeros_matrix(4), 0, 3, [1.0, "x"])
         rows[2] = rows[2][:3]
         with pytest.raises(ValueError, match="row 0, column 3"):
-            parse_operator_file(doc(2, rows))
+            read_operator_file(doc(2, rows))
 
     @pytest.mark.parametrize("leaf", [True, False, "2", None])
     @pytest.mark.parametrize("r, c, part", [(0, 0, 0), (1, 3, 1), (3, 2, 0)])
@@ -96,12 +96,12 @@ class TestBulkConversion:
         cell[part] = leaf
         rows = with_cell(zeros_matrix(4), r, c, cell)
         with pytest.raises(ValueError, match=f"row {r}, column {c} must be a"):
-            parse_operator_file(doc(2, rows))
+            read_operator_file(doc(2, rows))
 
     def test_integer_beyond_float_range_located(self):
         rows = with_cell(zeros_matrix(4), 2, 1, [10**400, 0])
         with pytest.raises(ValueError, match="row 2, column 1 is out of float range"):
-            parse_operator_file(doc(2, rows))
+            read_operator_file(doc(2, rows))
 
 
 class TestLimits:
@@ -113,17 +113,17 @@ class TestLimits:
     def test_deeply_nested_entry_located(self, depth):
         text = doc(2, zeros_matrix(4)).replace("[0.0, 0.0]", "[" * depth + "]" * depth, 1)
         with pytest.raises(ValueError, match="row 0, column 0|nesting too deep"):
-            parse_operator_file(text)
+            read_operator_file(text)
 
     def test_d_above_16_rejected(self):
         with pytest.raises(ValueError, match="'d' must be at most 16, got 17"):
-            parse_operator_file(doc(17, zeros_matrix(289)))
+            read_operator_file(doc(17, zeros_matrix(289)))
         with pytest.raises(ValueError, match="'d' must be at most 16"):
-            parse_operator_file(json.dumps({"d": 10**300, "matrix": []}))
+            read_operator_file(json.dumps({"d": 10**300, "matrix": []}))
 
     def test_d_16_accepted(self):
         op = BipartiteOperator(16, haar_unitary(256, seed=3))
-        assert parse_operator_file(serialize_operator(op)).d == 16
+        assert read_operator_file(serialize_operator(op))[0].d == 16
 
     @pytest.mark.parametrize("kind", [bytes, str])
     def test_oversized_valid_document_rejected_before_parsing(self, monkeypatch, kind):
@@ -135,7 +135,7 @@ class TestLimits:
 
     def test_content_at_the_cap_is_parsed(self):
         text = serialize_operator(swap_op(2))
-        op = parse_operator_file(text + " " * (_MAX_BYTES - len(text)))
+        op, _ = read_operator_file(text + " " * (_MAX_BYTES - len(text)))
         assert np.array_equal(op.mat, swap_op(2).mat)
 
 
@@ -210,43 +210,43 @@ class TestParsing:
 
     def test_bytes_input(self):
         content = serialize_operator(swap_op(2)).encode()
-        op = parse_operator_file(content)
+        op, _ = read_operator_file(content)
         assert np.array_equal(op.mat, swap_op(2).mat)
 
 
 class TestErrors:
     def test_malformed_json_reports_position(self):
         with pytest.raises(ValueError, match="line"):
-            parse_operator_file('{"d": 2, "matrix": [[[')
+            read_operator_file('{"d": 2, "matrix": [[[')
 
     def test_non_object_document(self):
         with pytest.raises(ValueError, match="JSON object"):
-            parse_operator_file("[1, 2, 3]")
+            read_operator_file("[1, 2, 3]")
 
     def test_missing_keys(self):
         with pytest.raises(ValueError, match="'matrix'"):
-            parse_operator_file('{"d": 2}')
+            read_operator_file('{"d": 2}')
         with pytest.raises(ValueError, match="'d'"):
-            parse_operator_file(json.dumps({"matrix": zeros_matrix(4)}))
+            read_operator_file(json.dumps({"matrix": zeros_matrix(4)}))
 
     def test_wrong_matrix_size_states_expected(self):
         with pytest.raises(ValueError, match="4 rows"):
-            parse_operator_file(doc(2, zeros_matrix(3)))
+            read_operator_file(doc(2, zeros_matrix(3)))
 
     def test_ragged_row(self):
         rows = zeros_matrix(4)
         rows[2] = rows[2][:3]
         with pytest.raises(ValueError, match="row 2"):
-            parse_operator_file(doc(2, rows))
+            read_operator_file(doc(2, rows))
 
     def test_bad_d_values(self):
         for d in (1, "2", 2.0, True, None):
             with pytest.raises(ValueError, match="'d'"):
-                parse_operator_file(json.dumps({"d": d, "matrix": []}))
+                read_operator_file(json.dumps({"d": d, "matrix": []}))
 
     def test_bad_name(self):
         with pytest.raises(ValueError, match="'name'"):
-            parse_operator_file(doc(2, zeros_matrix(4), name=7))
+            read_operator_file(doc(2, zeros_matrix(4), name=7))
 
     def test_bad_cell_shapes(self):
         for bad in ([1.0], [1.0, 2.0, 3.0], "x", 5, [True, 0.0], None):
@@ -254,7 +254,7 @@ class TestErrors:
             rows[1] = list(rows[1])
             rows[1][2] = bad
             with pytest.raises(ValueError, match="row 1, column 2"):
-                parse_operator_file(doc(2, rows))
+                read_operator_file(doc(2, rows))
 
     def test_non_finite_entry_located(self):
         rows = zeros_matrix(4)
@@ -262,7 +262,7 @@ class TestErrors:
         rows[3][0] = [1.0, 1e999]  # serializes as Infinity in JSON
         text = doc(2, rows).replace("1e+999", "Infinity")
         with pytest.raises(ValueError, match="row 3, column 0"):
-            parse_operator_file(text)
+            read_operator_file(text)
 
     def test_nan_entry_rejected(self):
         rows = zeros_matrix(4)
@@ -270,4 +270,4 @@ class TestErrors:
         rows[0][0] = [1.0, 1.0]
         text = doc(2, rows).replace("[1.0, 1.0]", "[NaN, 0.0]")
         with pytest.raises(ValueError, match="non-finite|row 0"):
-            parse_operator_file(text)
+            read_operator_file(text)

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from entpow.densemat import frobenius_norm_sq
-from entpow.operators import haar_unitary, identity_op, max_entangled_projector, swap_op
+from entpow.operators import haar_unitary, max_entangled_projector, swap_op
 from entpow.rearrange import (
     BipartiteOperator,
-    composite_index,
     partial_transpose_first,
     partial_transpose_second,
     realign,
@@ -34,27 +33,6 @@ def haar_op(d, seed):
     return BipartiteOperator(d, haar_unitary(d * d, seed))
 
 
-class TestCompositeIndex:
-    def test_examples(self):
-        assert composite_index(0, 0, 3) == 0
-        assert composite_index(0, 1, 2) == 1
-        assert composite_index(1, 0, 2) == 2
-        assert composite_index(1, 2, 3) == 5
-        assert composite_index(2, 1, 3) == 7
-        assert composite_index(2, 2, 3) == 8
-
-    def test_enumerates_all_pairs(self):
-        d = 4
-        seen = [composite_index(i, j, d) for i in range(d) for j in range(d)]
-        assert seen == list(range(d * d))
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            composite_index(2, 0, 2)
-        with pytest.raises(ValueError):
-            composite_index(0, -1, 2)
-
-
 class TestBipartiteOperator:
     def test_wrong_shape_raises(self):
         with pytest.raises(ValueError, match="4x4"):
@@ -65,7 +43,7 @@ class TestBipartiteOperator:
             BipartiteOperator(1, np.eye(1, dtype=complex))
 
     def test_matrix_is_read_only(self):
-        op = identity_op(2)
+        op = BipartiteOperator(2, np.eye(4))
         with pytest.raises(ValueError):
             op.mat[0, 0] = 5.0
 
@@ -76,15 +54,16 @@ class TestBipartiteOperator:
         assert op.mat[0, 0] == 1.0
 
     def test_entry_layout(self):
-        # mat[composite(i,j), composite(k,l)] is the <ij|U|kl> amplitude
+        # mat[i*d + j, k*d + l] is the <ij|U|kl> amplitude, |ij> = |i> (x) |j>
         d = 3
         rng = np.random.default_rng(21)
         u = random_op(d, 22)
+        basis = np.eye(d)
         for _ in range(10):
             i, j, k, l = rng.integers(0, d, size=4)
-            row = composite_index(i, j, d)
-            col = composite_index(k, l, d)
-            assert u.mat[row, col] == u.mat[i * d + j, k * d + l]
+            bra = np.kron(basis[i], basis[j])
+            ket = np.kron(basis[k], basis[l])
+            assert u.mat[i * d + j, k * d + l] == bra @ u.mat @ ket
 
 
 class TestRealign:
@@ -96,7 +75,7 @@ class TestRealign:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_identity_realigns_to_projector(self, d):
         expected = d * max_entangled_projector(d).mat
-        assert np.array_equal(realign(identity_op(d)).mat, expected)
+        assert np.array_equal(realign(BipartiteOperator(d, np.eye(d * d))).mat, expected)
 
     def test_entry_rule(self):
         # (U^R)_{ij,kl} = U_{ik,jl}
@@ -123,7 +102,7 @@ class TestRealign:
 class TestPartialTransposes:
     @pytest.mark.parametrize("d", [2, 3])
     def test_identity_is_fixed_point(self, d):
-        eye = identity_op(d)
+        eye = BipartiteOperator(d, np.eye(d * d))
         assert np.array_equal(partial_transpose_first(eye).mat, eye.mat)
         assert np.array_equal(partial_transpose_second(eye).mat, eye.mat)
 
@@ -169,19 +148,19 @@ class TestPartialTransposes:
 class TestSwapConjugations:
     def test_swap_left_of_swap_is_identity(self):
         d = 3
-        assert np.array_equal(swap_left(swap_op(d)).mat, identity_op(d).mat)
+        assert np.array_equal(swap_left(swap_op(d)).mat, BipartiteOperator(d, np.eye(d * d)).mat)
 
     def test_swap_left_of_identity_is_swap(self):
         d = 3
-        assert np.array_equal(swap_left(identity_op(d)).mat, swap_op(d).mat)
+        assert np.array_equal(swap_left(BipartiteOperator(d, np.eye(d * d))).mat, swap_op(d).mat)
 
     def test_swap_right_of_swap_is_identity(self):
         d = 3
-        assert np.array_equal(swap_right(swap_op(d)).mat, identity_op(d).mat)
+        assert np.array_equal(swap_right(swap_op(d)).mat, BipartiteOperator(d, np.eye(d * d)).mat)
 
     def test_swap_right_of_identity_is_swap(self):
         d = 3
-        assert np.array_equal(swap_right(identity_op(d)).mat, swap_op(d).mat)
+        assert np.array_equal(swap_right(BipartiteOperator(d, np.eye(d * d))).mat, swap_op(d).mat)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_swap_left_matches_matrix_product(self, d):
