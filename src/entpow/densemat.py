@@ -9,6 +9,7 @@ Sizes stay small (at most 256 x 256), so no blocking or sparsity is needed.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -70,11 +71,16 @@ def _unitarity_defects(stack: np.ndarray) -> np.ndarray:
     return np.abs(g).max(axis=(1, 2))
 
 
+def _is_finite(x) -> bool:
+    """Whether ``x`` is a finite real number; a string or None is not one."""
+    return isinstance(x, numbers.Real) and math.isfinite(x)
+
+
 def _check_tolerance(tol: float) -> None:
     """Reject a unitarity tolerance that is not a finite number >= 0.
 
     ``defect > tol`` is false for a NaN tol, and an infinite one admits
     every operator, so either would let any input past a gate.
     """
-    if not (math.isfinite(tol) and tol >= 0):
+    if not (_is_finite(tol) and tol >= 0):
         raise ValueError(f"unitarity tolerance must be finite and nonnegative, got {tol}")

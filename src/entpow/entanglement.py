@@ -39,9 +39,8 @@ A definition-level Monte-Carlo estimate of the entangling power is provided
 as an independent cross-check of the closed formula: it averages the linear
 entropy of U applied to seeded Haar-random product states.  The samples
 stream through fixed-size chunks -- one draw, one GEMM and one purity
-reduction per chunk -- so its memory is 8 bytes per sample (16 while the
-standard deviation is taken) plus one chunk, and the sample count is capped
-at ``MAX_MC_SAMPLES``.
+reduction per chunk -- so its memory is 8 bytes per sample plus one chunk,
+and the sample count is capped at ``MAX_MC_SAMPLES``.
 """
 
 from __future__ import annotations
@@ -236,8 +235,8 @@ def entangling_power_mc(
     an oracle for :func:`entangling_power`.
 
     Samples stream through fixed-size chunks of about 256 KiB of states, so
-    memory is 8 bytes per sample for the entropies (16 while their standard
-    deviation is taken) plus one chunk.
+    memory is 8 bytes per sample for the entropies, whose spread is taken in
+    place, plus one chunk.
 
     Raises
     ------
@@ -254,11 +253,15 @@ def entangling_power_mc(
     _gated(u, tol)
     rng = np.random.default_rng(seed)
     entropies = _sample_entropies(u, n_samples, rng)
-    # ddof=1: sample standard deviation
-    stderr = float(entropies.std(ddof=1)) / math.sqrt(n_samples)
+    mean = entropies.mean()
+    # the sample standard deviation (ddof=1), computed in place: the steps of
+    # entropies.std(ddof=1), and its bits, without its (n,) temporary
+    np.subtract(entropies, mean, out=entropies)
+    np.multiply(entropies, entropies, out=entropies)
+    std = math.sqrt(np.add.reduce(entropies) / (n_samples - 1))
     return McEstimate(
-        mean=float(entropies.mean()),
-        stderr=stderr,
+        mean=float(mean),
+        stderr=std / math.sqrt(n_samples),
         n_samples=int(n_samples),
         seed=int(seed),
     )

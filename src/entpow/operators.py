@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import _MAX_D, _unitarity_defects, as_complex_matrix
+from .densemat import _MAX_D, _is_finite, _unitarity_defects, as_complex_matrix
 from .rearrange import BipartiteOperator
 
 __all__ = [
@@ -143,10 +143,9 @@ def exp_swap(d: int, t: float) -> BipartiteOperator:
     at t = pi/2 it equals -i S12.
     """
     d = _check_local_dim(d)
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"parameter t must be finite, got {t}")
-    return BipartiteOperator(d, _exp_swap_stack(d, np.array([t]))[0])
+    if not _is_finite(t):
+        raise ValueError(f"parameter t must be finite, got {t!r}")
+    return BipartiteOperator(d, _exp_swap_stack(d, np.array([float(t)]))[0])
 
 
 def controlled_u(spec: ControlledUSpec) -> BipartiteOperator:
@@ -207,6 +206,14 @@ def _check_blocks(blocks: np.ndarray) -> None:
             f"block {k % d} is not unitary: defect {defects[k]:.3e} exceeds "
             f"{BLOCK_UNITARITY_TOL:.1e}"
         )
+
+
+def _random_controlled_u_stack(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n controlled-U gates at local dimension d whose d blocks each are Haar
+    unitaries drawn from ``rng``, gate by gate; the blocks pass ``_check_blocks``."""
+    blocks = _haar_stack(d, n * d, rng).reshape(n, d, d, d)
+    _check_blocks(blocks)
+    return _controlled_u_stack(blocks)
 
 
 def _haar_stack(m: int, n: int, rng: np.random.Generator) -> np.ndarray:

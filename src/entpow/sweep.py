@@ -17,22 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import math
-
 import numpy as np
 
-from .densemat import _MAX_D
+from .densemat import _MAX_D, _is_finite
 from .entanglement import UNITARITY_TOL, _entanglement, _gate, _power, _purities
 # Not called here: perfbench's tracing test checks that it wraps and restores
 # this binding.
 from .entanglement import operator_entanglement  # noqa: F401
-from .operators import (
-    _check_blocks,
-    _check_seed,
-    _controlled_u_stack,
-    _exp_swap_stack,
-    _haar_stack,
-)
+from .operators import _check_seed, _exp_swap_stack, _haar_stack, _random_controlled_u_stack
 
 __all__ = ["FAMILIES", "SweepSpec", "sweep_rows", "render_csv"]
 
@@ -40,7 +32,8 @@ FAMILIES = ("exp_swap", "controlled_u_random", "haar")
 
 CSV_HEADER = "param,e_op,e_op_swapped,e_power"
 
-# Bytes of operator entries per chunk: 256 rows at d=2, 16 at d=4, 1 from d=8.
+# Bytes of operator entries per stack, in sweeps and in verify's criteria:
+# 256 operators at d=2, 16 at d=4, 1 from d=8.
 _CHUNK_BYTES = 64 * 1024
 
 # Largest accepted step count, so that no flag makes time unbounded; d is
@@ -80,8 +73,10 @@ class SweepSpec:
             or not 1 <= self.steps <= _MAX_STEPS
         ):
             raise ValueError(f"steps must be from 1 to {_MAX_STEPS}, got {self.steps}")
-        if not (math.isfinite(self.param_start) and math.isfinite(self.param_end)):
-            raise ValueError("parameter range must be finite")
+        if not (_is_finite(self.param_start) and _is_finite(self.param_end)):
+            raise ValueError(
+                f"parameter range must be finite, got {self.param_start!r} to {self.param_end!r}"
+            )
         if self.param_start > self.param_end:
             raise ValueError(
                 f"param_start {self.param_start} exceeds param_end {self.param_end}"
@@ -95,10 +90,8 @@ def sweep_rows(spec: SweepSpec) -> list[tuple[float, float, float, float]]:
     params = np.linspace(spec.param_start, spec.param_end, spec.steps)
     # drawn from only by the random families; exp_swap builds none
     rng = None if spec.family == "exp_swap" else np.random.default_rng(spec.seed)
-    chunk = max(1, _CHUNK_BYTES // (16 * d**4))
     rows = []
-    for lo in range(0, spec.steps, chunk):
-        hi = min(lo + chunk, spec.steps)
+    for lo, hi in _chunks(d, spec.steps):
         stack = _stack(spec, params, rng, lo, hi)
         _gate(stack, UNITARITY_TOL)
         tr_r, tr_t = _purities(stack, d)
@@ -119,6 +112,13 @@ def render_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _chunks(d: int, n: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds that split n operators at local dimension d into stacks
+    of at most ``_CHUNK_BYTES`` of entries, at least one operator each."""
+    step = max(1, _CHUNK_BYTES // (16 * d**4))
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 def _stack(
     spec: SweepSpec, params: np.ndarray, rng: np.random.Generator | None, lo: int, hi: int
 ) -> np.ndarray:
@@ -130,6 +130,4 @@ def _stack(
         return _exp_swap_stack(d, params[lo:hi])
     if spec.family == "haar":
         return _haar_stack(d * d, hi - lo, rng)
-    blocks = _haar_stack(d, (hi - lo) * d, rng).reshape(hi - lo, d, d, d)
-    _check_blocks(blocks)
-    return _controlled_u_stack(blocks)
+    return _random_controlled_u_stack(d, hi - lo, rng)

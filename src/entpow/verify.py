@@ -6,6 +6,10 @@ and returns a single number -- a max deviation, a mismatch count, or the MC
 deviation in units of its allowance -- and the criterion holds iff that
 number is at most ``bound``.  ``run_acceptance`` (behind ``entpow verify``)
 and the tier-1 test ``tests/test_acceptance.py`` both iterate this table.
+The four criteria over many random operators draw them from one generator each,
+sample-major, in stacks of at most ``sweep._CHUNK_BYTES`` of entries, so their
+values do not depend on where stacks split; each puts its last one through the
+scalar public API.
 """
 
 from __future__ import annotations
@@ -15,25 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densemat import _MAX_D, frobenius_norm_sq, unitarity_defect
-from .entanglement import (
-    _check_mc_samples,
-    entangling_power,
-    entangling_power_mc,
-    operator_entanglement,
-    swap_entanglement,
-    swapped_operator_entanglement,
-)
+from .densemat import _MAX_D, _unitarity_defects
+from .entanglement import UNITARITY_TOL, _check_mc_samples, _entanglement, _gate, _power, _purities
+from .entanglement import entangling_power, entangling_power_mc, operator_entanglement
+from .entanglement import swap_entanglement
 from .operators import ControlledUSpec, controlled_u, exp_swap, haar_unitary, swap_op
-from .rearrange import (
-    BipartiteOperator,
-    partial_transpose_first,
-    partial_transpose_second,
-    realign,
-    swap_left,
-    swap_right,
-)
-from .sweep import SweepSpec, render_csv, sweep_rows
+from .operators import _haar_stack, _random_controlled_u_stack
+from .rearrange import _AXES, BipartiteOperator, _rearrange
+from .rearrange import partial_transpose_first, realign, swap_left
+from .sweep import SweepSpec, _chunks, render_csv, sweep_rows
 
 __all__ = ["CRITERIA", "CheckResult", "run_acceptance"]
 
@@ -60,8 +54,7 @@ class _Run:
     def grid(self, d: int) -> np.ndarray:
         """Columns (t, E, E(S12 U), e_p) of exp_swap on a 50-point grid over [0, pi]."""
         if d not in self.grids:
-            spec = SweepSpec("exp_swap", d, 0.0, math.pi, 50)
-            self.grids[d] = np.array(sweep_rows(spec)).T
+            self.grids[d] = np.array(sweep_rows(SweepSpec("exp_swap", d, 0.0, math.pi, 50))).T
         return self.grids[d]
 
 
@@ -120,12 +113,9 @@ def _max_abs(*devs) -> float:
     return float(np.max(np.abs(np.hstack(devs))))
 
 
-def _haar_op(d: int, seed: int) -> BipartiteOperator:
-    return BipartiteOperator(d, haar_unitary(d * d, seed))
-
-
-def _children(entropy: int, n: int) -> list[int]:
-    return np.random.SeedSequence(entropy).generate_state(n, dtype=np.uint64).tolist()
+def _sorted_sq(stack: np.ndarray) -> np.ndarray:
+    """Each matrix's |entry|^2, sorted: equal rows give equal ``frobenius_norm_sq``."""
+    return np.sort((stack.real**2 + stack.imag**2).reshape(len(stack), -1))
 
 
 def _swap_values(run: _Run) -> float:
@@ -162,17 +152,19 @@ def _sqrt_swap(run: _Run) -> float:
 
 
 def _controlled_u(run: _Run, n_instances: int = 20) -> float:
-    seeds = iter(_children(20240 + max(run.gate_dims), n_instances * len(run.gate_dims)))
+    rng = np.random.default_rng(20240 + max(run.gate_dims))
     devs = []
     for d in run.gate_dims:
-        for _ in range(n_instances):
-            seed = next(seeds)
-            gate = controlled_u(ControlledUSpec(d, tuple(haar_unitary(d, seed + n) for n in range(d))))
-            devs += [entangling_power(gate) - (d / (d + 1)) ** 2 * operator_entanglement(gate),
-                     swapped_operator_entanglement(gate) - (1 - 1 / d**2),
+        for lo, hi in _chunks(d, n_instances):
+            gates = _random_controlled_u_stack(d, hi - lo, rng)
+            _gate(gates, UNITARITY_TOL)
+            tr_r, tr_t = _purities(gates, d)
+            devs += [_power(tr_r, tr_t, d) - (d / (d + 1)) ** 2 * _entanglement(tr_r, d),
+                     _entanglement(tr_t, d) - (1 - 1 / d**2),
                      # the partial transpose of a controlled-U is again unitary
-                     unitarity_defect(partial_transpose_first(gate).mat)]
-    return _max_abs(devs)
+                     _unitarity_defects(_rearrange(gates, d, "partial_transpose_first"))]
+    devs.append(entangling_power(BipartiteOperator(d, gates[-1])) - _power(tr_r, tr_t, d)[-1])
+    return _max_abs(*devs)
 
 
 def _cnot(run: _Run) -> float:
@@ -182,59 +174,66 @@ def _cnot(run: _Run) -> float:
 
 
 def _fan_identity(run: _Run, n_instances: int = 100) -> float:
-    seeds = iter(_children(31337, n_instances * len(run.family_dims)))
+    rng = np.random.default_rng(31337)
     mismatches = 0
     for d in run.family_dims:
-        for _ in range(n_instances):
-            u = _haar_op(d, next(seeds))
-            lhs = swap_left(realign(swap_left(u))).mat
-            mismatches += lhs.tobytes() != partial_transpose_first(u).mat.tobytes()
-    return float(mismatches)
+        for lo, hi in _chunks(d, n_instances):
+            u = _haar_stack(d * d, hi - lo, rng)
+            lhs = _rearrange(_rearrange(u, d, "swap_left"), d, "realign")  # (S12 U)^R = S12 U^T1
+            rhs = _rearrange(_rearrange(u, d, "partial_transpose_first"), d, "swap_left")
+            mismatches += sum(x.tobytes() != y.tobytes() for x, y in zip(lhs, rhs))
+    u = BipartiteOperator(d, u[-1])
+    lhs = swap_left(realign(swap_left(u))).mat
+    return float(mismatches + (lhs.tobytes() != partial_transpose_first(u).mat.tobytes()))
 
 
 def _structural(run: _Run, n_instances: int = 100) -> float:
-    moves = (realign, partial_transpose_first, partial_transpose_second, swap_left, swap_right)
     rng = np.random.default_rng(90210)
     mismatches = 0
     for d in run.family_dims:
-        for _ in range(n_instances):
-            m = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
-            u = BipartiteOperator(d, m)
-            norm = frobenius_norm_sq(u.mat)
-            mismatches += not all(
-                move(move(u)).mat.tobytes() == u.mat.tobytes()
-                and frobenius_norm_sq(move(u).mat) == norm
-                for move in moves
-            )
-    return float(mismatches)
+        for lo, hi in _chunks(d, n_instances):
+            m = rng.standard_normal((hi - lo, d * d, d * d, 2)).view(np.complex128)[..., 0]
+            m[:, 0] = -0.0  # signed zeros, which any arithmetic (even + 0.0) would turn into 0.0
+            sq, bad = _sorted_sq(m), np.zeros(hi - lo, dtype=bool)
+            for move in _AXES:
+                moved = _rearrange(m, d, move)
+                bad |= [x.tobytes() != y.tobytes() for x, y in zip(_rearrange(moved, d, move), m)]
+                bad |= np.any(_sorted_sq(moved) != sq, axis=1)
+            mismatches += int(bad.sum())
+    u = BipartiteOperator(d, m[-1])
+    return float(mismatches + (realign(realign(u)).mat.tobytes() != u.mat.tobytes()))
 
 
 def _mc_oracle(run: _Run) -> float:
+    rng = np.random.default_rng(run.seed)
     ops = [exp_swap(2, math.pi / 4)]
-    ops += [_haar_op(d, s) for d, s in zip([2] * 5 + [3] * 5, _children(run.seed, 10))]
-    ratios = []
-    for k, u in enumerate(ops):
-        est = entangling_power_mc(u, run.mc_samples, run.seed + k)
-        ratios.append(abs(est.mean - entangling_power(u)) / max(5 * est.stderr, 0.01))
-    return _max_abs(ratios)
+    ops += [BipartiteOperator(d, m) for d in (2, 3) for m in _haar_stack(d * d, 5, rng)]
+    ests = [entangling_power_mc(u, run.mc_samples, run.seed + k) for k, u in enumerate(ops)]
+    return _max_abs([abs(e.mean - entangling_power(u)) / max(5 * e.stderr, 0.01)
+                     for e, u in zip(ests, ops)])
 
 
 def _local_invariance(run: _Run, n_instances: int = 50) -> float:
-    seeds = iter(_children(777, 5 * n_instances * len(run.gate_dims)))
+    rng = np.random.default_rng(777)
     devs = []
     for d in run.gate_dims:
-        for _ in range(n_instances):
-            u = _haar_op(d, next(seeds))
-            a, b, c, e = (haar_unitary(d, next(seeds)) for _ in range(4))
-            rotated = BipartiteOperator(d, np.kron(a, b) @ u.mat @ np.kron(c, e))
-            devs += [operator_entanglement(rotated) - operator_entanglement(u),
-                     entangling_power(rotated) - entangling_power(u)]
-    return _max_abs(devs)
+        # the factors (A, B, C, D) of all n tuples first, then the n operators U
+        local = _haar_stack(d, 4 * n_instances, rng).reshape(n_instances, 4, d, d)
+        for lo, hi in _chunks(d, n_instances):
+            u = _haar_stack(d * d, hi - lo, rng)
+            ab, cd = np.einsum("nkij,nkab->kniajb", local[lo:hi, ::2], local[lo:hi, 1::2])
+            rotated = ab.reshape(u.shape) @ u @ cd.reshape(u.shape)  # (A (x) B) U (C (x) D)
+            _gate(u, UNITARITY_TOL), _gate(rotated, UNITARITY_TOL)
+            (tr_r, tr_t), (rot_r, rot_t) = _purities(u, d), _purities(rotated, d)
+            devs += [_entanglement(rot_r, d) - _entanglement(tr_r, d),
+                     _power(rot_r, rot_t, d) - _power(tr_r, tr_t, d)]
+    devs.append(entangling_power(BipartiteOperator(d, rotated[-1])) - _power(tr_r, tr_t, d)[-1])
+    return _max_abs(*devs)
 
 
 def _determinism(run: _Run) -> float:
     spec = SweepSpec("controlled_u_random", 2, 0.0, 1.0, 6, run.seed)
-    u = _haar_op(3, run.seed)
+    u = BipartiteOperator(3, haar_unitary(9, run.seed))
     csv_differs = render_csv(sweep_rows(spec)) != render_csv(sweep_rows(spec))
     mc_differs = entangling_power_mc(u, 10000, run.seed) != entangling_power_mc(u, 10000, run.seed)
     return float(csv_differs + mc_differs)

@@ -415,8 +415,9 @@ class TestNoCommand:
 
 # Tokens for the argv property test.  No token is a prefix of --out (argparse
 # accepts abbreviations), so no drawn argv writes a file; accepted --steps
-# stay within 1..8 and accepted --mc-samples within 100..300, and the eval
-# files are d=2, so no drawn argv starts a large computation.
+# stay within 1..8 and accepted --mc-samples within 100..300, the eval
+# files are d=2 and verify runs with every criterion replaced by a constant,
+# so no drawn argv starts a large computation.
 JUNK = st.sampled_from(
     ["", "-", "--", "-x", "--bogus", "abc", "nan", "inf", "1e9", "0x10", "3.5", "é"]
 )
@@ -439,6 +440,13 @@ SWEEP_FLAGS = [
     _flag("--steps", [str(n) for n in range(1, 9)], ["0", "-3", "1000001", str(10**12)]),
     _flag("--start", ["0", "-1", "0.5"], ["2.5", "nan", "inf", "-inf"]),
     _flag("--end", ["1", "3.14", "1e308"], ["nan", "inf", "-1e308"]),
+    SEED,
+]
+
+VERIFY_FLAGS = [
+    (st.just(["--mc"]), st.just([])),
+    _flag("--d", ["2", "5", "16"], ["0", "1", "-1", "17", "100"]),
+    _flag("--mc-samples", ["100", "50000", "10000000"], ["99", "0", "-5", "10000001"]),
     SEED,
 ]
 
@@ -504,3 +512,14 @@ class TestExitCodeProperty:
         ]
         argv = data.draw(_argv("eval", fields))
         assert _exit_status(argv) in (EXIT_OK, EXIT_VALIDATION, EXIT_CHECK_FAILURE)
+
+    @settings(max_examples=200, deadline=5000)
+    @given(_argv("verify", VERIFY_FLAGS), st.sampled_from([0.0, 0.5, 2.0]))
+    def test_verify(self, argv, worst):
+        # every criterion returns ``worst`` (some pass, some fail at 0.5 and
+        # 2.0), so only the argv handling runs
+        table = tuple((key, title, bound, lambda run: worst)
+                      for key, title, bound, _ in entpow.verify.CRITERIA)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(entpow.verify, "CRITERIA", table)
+            assert _exit_status(argv) in (EXIT_OK, EXIT_VALIDATION, EXIT_CHECK_FAILURE)

@@ -323,6 +323,18 @@ def fail_if_called(*args, **kwargs):
     raise AssertionError("drew samples past validation")
 
 
+def mc_peak_bytes(u, n):
+    """Traced peak of one n-sample estimate, after a warm-up call, so that
+    first-call allocations fall outside the window."""
+    entangling_power_mc(u, 1000, seed=1)
+    tracemalloc.start()
+    try:
+        entangling_power_mc(u, n, seed=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMonteCarloChunks:
     """The estimator streams its samples through chunks of _MC_CHUNK_BYTES."""
 
@@ -342,16 +354,13 @@ class TestMonteCarloChunks:
         assert entangling_power_mc(u, 2000, seed=6) == entangling_power_mc(u, 2000, seed=6)
 
     def test_peak_memory_is_the_entropies_plus_one_chunk(self):
-        u = haar_op(5, 47)
         n = 200_000
-        entangling_power_mc(u, 1000, seed=1)  # first-call allocations outside the window
-        tracemalloc.start()
-        try:
-            entangling_power_mc(u, n, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * n + 4 * 2**20
+        assert mc_peak_bytes(haar_op(5, 47), n) <= 8 * n + 4 * 2**20
+
+    def test_spread_is_taken_in_place(self):
+        # a second (n,) array for the standard deviation would add 8 n bytes
+        n = 1_000_000
+        assert mc_peak_bytes(exp_swap(2, 0.7), n) <= 8 * n + 2 * 2**20
 
     @pytest.mark.parametrize("n", [MAX_MC_SAMPLES + 1, 10**12])
     def test_sample_cap(self, monkeypatch, n):

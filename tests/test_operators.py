@@ -126,6 +126,11 @@ class TestExpSwap:
         with pytest.raises(ValueError, match="finite"):
             exp_swap(2, math.inf)
 
+    @pytest.mark.parametrize("t", [None, "0.5", [0.5]])
+    def test_rejects_non_numeric_parameter(self, t):
+        with pytest.raises(ValueError, match="parameter t must be finite"):
+            exp_swap(2, t)
+
 
 class TestControlledU:
     def test_cnot_matrix(self):
