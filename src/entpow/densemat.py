@@ -19,10 +19,17 @@ __all__ = [
     "unitarity_defect",
 ]
 
-# Largest local dimension accepted anywhere input arrives (sweeps, operator
-# files, extra verify dimensions): d = 16 gives the 256 x 256 operators this
-# kernel is sized for (1 MiB each).
+# Largest local dimension accepted anywhere input arrives (operators, their
+# constructors, sweeps, operator files, extra verify dimensions): d = 16 gives
+# the 256 x 256 operators this kernel is sized for (1 MiB each).
 _MAX_D = 16
+
+
+def _check_local_dim(d) -> int:
+    """``d`` as an int, if a non-bool Python or NumPy integer from 2 to ``_MAX_D``."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or not 2 <= d <= _MAX_D:
+        raise ValueError(f"local dimension must be an integer from 2 to {_MAX_D}, got {d!r}")
+    return int(d)
 
 
 def as_complex_matrix(a) -> np.ndarray:

@@ -30,10 +30,11 @@ Tr[(U^T1 U^T1^dag)^2], computed by one batched core over an (n, d^2, d^2)
 stack of operators: the stack is rearranged with reshape/transpose, the
 Gram products M M^dag are formed in one batched product, and each
 Tr[(M M^dag)^2] is the sum of |g|^2 over the Hermitian Gram matrix, taken
-with a vectorised reduction.  The scalar functions are a batch of one, and
-sweeps pass whole stacks.  Exact, permutation-invariant ``fsum`` sums stay
-in ``densemat.frobenius_norm_sq``, where that invariance is the contract;
-here the purities only need to be accurate to rounding.
+with a vectorised reduction.  ``_measures`` is the one gated call from a
+stack to (E(U), E(S12 U), e_p), for sweeps, ``verify`` and
+``entangling_power`` (a stack of one).  Exact, permutation-invariant
+``fsum`` sums stay in ``densemat.frobenius_norm_sq``, where that invariance
+is the contract; here the purities only need to be accurate to rounding.
 
 A definition-level Monte-Carlo estimate of the entangling power is provided
 as an independent cross-check of the closed formula: it averages the linear
@@ -179,7 +180,8 @@ def operator_entanglement(u: BipartiteOperator, tol: float = UNITARITY_TOL) -> f
     ValueError
         If ``tol`` is not a finite number >= 0.
     """
-    stack = _gated(u, tol)
+    stack = u.mat[None]
+    _gate(stack, tol)
     return float(_entanglement(_purity(stack, u.d, "realign"), u.d)[0])
 
 
@@ -189,7 +191,8 @@ def swapped_operator_entanglement(u: BipartiteOperator, tol: float = UNITARITY_T
     Equals ``operator_entanglement(swap_left(u))``: two routes to the same
     number, via S12 (S12 U)^R = U^T1.
     """
-    stack = _gated(u, tol)
+    stack = u.mat[None]
+    _gate(stack, tol)
     return float(_entanglement(_purity(stack, u.d, "partial_transpose_first"), u.d)[0])
 
 
@@ -215,8 +218,7 @@ def entangling_power(u: BipartiteOperator, tol: float = UNITARITY_TOL) -> float:
     ValueError
         If ``tol`` is not a finite number >= 0.
     """
-    stack = _gated(u, tol)
-    return float(_power(*_purities(stack, u.d), u.d)[0])
+    return float(_measures(u.mat[None], u.d, tol)[2][0])
 
 
 def entangling_power_mc(
@@ -250,7 +252,7 @@ def entangling_power_mc(
     """
     _check_mc_samples(n_samples)
     _check_seed(seed)
-    _gated(u, tol)
+    _gate(u.mat[None], tol)
     rng = np.random.default_rng(seed)
     entropies = _sample_entropies(u, n_samples, rng)
     mean = entropies.mean()
@@ -314,6 +316,14 @@ def _gate(stack: np.ndarray, tol: float) -> np.ndarray:
     return defects
 
 
+def _measures(stack: np.ndarray, d: int, tol: float = UNITARITY_TOL) -> tuple[np.ndarray, ...]:
+    """(E(U), E(S12 U), e_p) for each U of an (n, d^2, d^2) stack, which
+    passes ``_gate`` first and raises as the gate does."""
+    _gate(stack, tol)
+    tr_r, tr_t = _purities(stack, d)
+    return _entanglement(tr_r, d), _entanglement(tr_t, d), _power(tr_r, tr_t, d)
+
+
 def _check_mc_samples(n_samples: int) -> None:
     """Raise ValueError unless ``n_samples`` is an integer within the MC limits."""
     if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
@@ -322,13 +332,6 @@ def _check_mc_samples(n_samples: int) -> None:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {n_samples}")
     if n_samples > MAX_MC_SAMPLES:
         raise ValueError(f"at most {MAX_MC_SAMPLES} samples are allowed, got {n_samples}")
-
-
-def _gated(u: BipartiteOperator, tol: float) -> np.ndarray:
-    """``u`` as a stack of one, after it has passed the gate."""
-    stack = u.mat[None]
-    _gate(stack, tol)
-    return stack
 
 
 def _purity(stack: np.ndarray, d: int, move: str) -> np.ndarray:

@@ -3,6 +3,9 @@
 Covers the swap operator, the maximally entangled projector, the
 one-parameter family exp(-i*t*S12) generated by the swap, general
 controlled-U gates, Haar-random unitaries, and Haar-random product states.
+Every constructor checks that d is from 2 to 16 before building anything.
+Stacked random controlled-U gates are checked once, as whole operators, by
+the gate of ``entanglement._measures``, not block by block.
 
 Random sampling is deterministic.  The public samplers take a
 nonnegative integer seed, checked before anything is drawn, and seed a
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import _MAX_D, _is_finite, _unitarity_defects, as_complex_matrix
+from .densemat import _MAX_D, _check_local_dim, _is_finite, _unitarity_defects, as_complex_matrix
 from .rearrange import BipartiteOperator
 
 __all__ = [
@@ -37,12 +40,6 @@ __all__ = [
 
 BLOCK_UNITARITY_TOL = 1e-9
 STATE_NORM_TOL = 1e-9
-
-
-def _check_local_dim(d: int) -> int:
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise ValueError(f"local dimension must be an integer >= 2, got {d!r}")
-    return int(d)
 
 
 def _check_seed(seed, bits: int | None = None) -> None:
@@ -81,7 +78,7 @@ class ControlledUSpec:
                 raise ValueError(
                     f"block {n} must be {d}x{d}, got {b.shape[0]}x{b.shape[1]}"
                 )
-        _check_blocks(np.stack(blocks)[None])
+        _check_blocks(np.stack(blocks))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "blocks", blocks)
 
@@ -195,25 +192,23 @@ def _controlled_u_stack(blocks: np.ndarray) -> np.ndarray:
 
 
 def _check_blocks(blocks: np.ndarray) -> None:
-    """Raise ValueError naming the first block of an (n, d, d, d) array that
+    """Raise ValueError naming the first block of a (d, d, d) array that
     fails the block unitarity tolerance."""
-    n, d = blocks.shape[:2]
-    defects = _unitarity_defects(blocks.reshape(n * d, d, d))
+    defects = _unitarity_defects(blocks)
     bad = np.flatnonzero(~(defects <= BLOCK_UNITARITY_TOL))
     if bad.size:
         k = int(bad[0])
         raise ValueError(
-            f"block {k % d} is not unitary: defect {defects[k]:.3e} exceeds "
+            f"block {k} is not unitary: defect {defects[k]:.3e} exceeds "
             f"{BLOCK_UNITARITY_TOL:.1e}"
         )
 
 
 def _random_controlled_u_stack(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """n controlled-U gates at local dimension d whose d blocks each are Haar
-    unitaries drawn from ``rng``, gate by gate; the blocks pass ``_check_blocks``."""
-    blocks = _haar_stack(d, n * d, rng).reshape(n, d, d, d)
-    _check_blocks(blocks)
-    return _controlled_u_stack(blocks)
+    unitaries drawn from ``rng``, gate by gate.  Callers gate the stack at
+    ``UNITARITY_TOL`` (= ``BLOCK_UNITARITY_TOL``): a gate's defect is its worst block's."""
+    return _controlled_u_stack(_haar_stack(d, n * d, rng).reshape(n, d, d, d))
 
 
 def _haar_stack(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -254,8 +249,6 @@ def random_product_state(d: int, seed: int) -> PureStateVector:
     from 2 to 16 and ``seed`` a nonnegative integer.
     """
     d = _check_local_dim(d)
-    if d > _MAX_D:
-        raise ValueError(f"local dimension must be at most {_MAX_D}, got {d}")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     return PureStateVector(d, product_state_batch(rng, 1, d)[0])

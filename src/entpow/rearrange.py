@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import as_complex_matrix
+from .densemat import _check_local_dim, as_complex_matrix
 
 __all__ = [
     "BipartiteOperator",
@@ -32,26 +32,26 @@ __all__ = [
 class BipartiteOperator:
     """A dense d^2 x d^2 operator on two qudits of local dimension d.
 
-    The matrix is stored as a read-only complex128 copy in row-major order,
-    with basis ket |i>|j> at flat index i*d + j.  Instances are immutable
-    and safe to share across threads.
+    The local dimension d is an integer from 2 to 16.  The matrix is stored
+    as a read-only complex128 copy in row-major order, with basis ket |i>|j>
+    at flat index i*d + j.  Instances are immutable and safe to share across
+    threads.
     """
 
     d: int
     mat: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.d, (int, np.integer)) or self.d < 2:
-            raise ValueError(f"local dimension must be an integer >= 2, got {self.d!r}")
-        n = int(self.d) ** 2
+        d = _check_local_dim(self.d)
+        n = d * d
         m = as_complex_matrix(self.mat).copy()
         if m.shape != (n, n):
             raise ValueError(
-                f"operator at local dimension {self.d} must be {n}x{n}, "
+                f"operator at local dimension {d} must be {n}x{n}, "
                 f"got {m.shape[0]}x{m.shape[1]}"
             )
         m.flags.writeable = False
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "mat", m)
 
 

@@ -1,12 +1,12 @@
 """Parameter sweeps over built-in operator families, rendered as CSV.
 
 Rows are evaluated in chunks: each chunk of operators is built as one
-(n, d^2, d^2) stack, passes the unitarity gate once and goes through the
-batched purity core once.  A chunk holds at most ``_CHUNK_BYTES`` of
-operator entries, which bounds memory whatever ``steps`` is.  The random
-families draw every instance from one generator seeded with ``seed``, in
-row order, sample-major, so the rows do not depend on where the chunks
-split.
+(n, d^2, d^2) stack and goes once through ``entanglement._measures``, which
+gates the stack and returns its three measures.  A chunk holds at most
+``_CHUNK_BYTES`` of operator entries, which bounds memory whatever
+``steps`` is.  The random families draw every instance from one generator
+seeded with ``seed``, in row order, sample-major, so the rows do not depend
+on where the chunks split.
 
 Output is locale-independent by construction: '.' decimal separator, LF
 line endings, floats at 17 significant digits.  A fixed spec always
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import _MAX_D, _is_finite
-from .entanglement import UNITARITY_TOL, _entanglement, _gate, _power, _purities
+from .densemat import _check_local_dim, _is_finite
+from .entanglement import _measures
 # Not called here: perfbench's tracing test checks that it wraps and restores
 # this binding.
 from .entanglement import operator_entanglement  # noqa: F401
@@ -37,7 +37,7 @@ CSV_HEADER = "param,e_op,e_op_swapped,e_power"
 _CHUNK_BYTES = 64 * 1024
 
 # Largest accepted step count, so that no flag makes time unbounded; d is
-# capped at densemat._MAX_D.
+# capped by densemat._check_local_dim.
 _MAX_STEPS = 1_000_000
 
 
@@ -63,10 +63,7 @@ class SweepSpec:
             raise ValueError(
                 f"unknown family {self.family!r}; valid families: {', '.join(FAMILIES)}"
             )
-        if not isinstance(self.d, int) or not 2 <= self.d <= _MAX_D:
-            raise ValueError(
-                f"local dimension must be an integer from 2 to {_MAX_D}, got {self.d!r}"
-            )
+        object.__setattr__(self, "d", _check_local_dim(self.d))
         if (
             isinstance(self.steps, bool)
             or not isinstance(self.steps, (int, np.integer))
@@ -92,15 +89,8 @@ def sweep_rows(spec: SweepSpec) -> list[tuple[float, float, float, float]]:
     rng = None if spec.family == "exp_swap" else np.random.default_rng(spec.seed)
     rows = []
     for lo, hi in _chunks(d, spec.steps):
-        stack = _stack(spec, params, rng, lo, hi)
-        _gate(stack, UNITARITY_TOL)
-        tr_r, tr_t = _purities(stack, d)
-        rows += zip(
-            params[lo:hi].tolist(),
-            _entanglement(tr_r, d).tolist(),
-            _entanglement(tr_t, d).tolist(),
-            _power(tr_r, tr_t, d).tolist(),
-        )
+        e, e_swapped, e_p = _measures(_stack(spec, params, rng, lo, hi), d)
+        rows += zip(params[lo:hi].tolist(), e.tolist(), e_swapped.tolist(), e_p.tolist())
     return rows
 
 

@@ -9,7 +9,9 @@ and the tier-1 test ``tests/test_acceptance.py`` both iterate this table.
 The four criteria over many random operators draw them from one generator each,
 sample-major, in stacks of at most ``sweep._CHUNK_BYTES`` of entries, so their
 values do not depend on where stacks split; each puts its last one through the
-scalar public API.
+scalar public API.  The two that evaluate measures on their stacks
+(controlled-U and local invariance) get them from ``entanglement._measures``,
+the one gated call that sweeps use too.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densemat import _MAX_D, _unitarity_defects
-from .entanglement import UNITARITY_TOL, _check_mc_samples, _entanglement, _gate, _power, _purities
+from .entanglement import _check_mc_samples, _measures
 from .entanglement import entangling_power, entangling_power_mc, operator_entanglement
 from .entanglement import swap_entanglement
 from .operators import ControlledUSpec, controlled_u, exp_swap, haar_unitary, swap_op
-from .operators import _haar_stack, _random_controlled_u_stack
+from .operators import _check_seed, _haar_stack, _random_controlled_u_stack
 from .rearrange import _AXES, BipartiteOperator, _rearrange
 from .rearrange import partial_transpose_first, realign, swap_left
 from .sweep import SweepSpec, _chunks, render_csv, sweep_rows
@@ -77,12 +79,14 @@ def run_acceptance(
 
     ``extra_d`` repeats the dimension-dependent checks at one more local
     dimension, from 2 to 16; any other value raises ``ValueError`` before
-    anything is built, as does an ``mc_samples`` outside the limits of
-    ``entangling_power_mc`` when ``include_mc`` is set.
+    anything is built, as do a ``seed`` that is not a nonnegative 64-bit
+    integer and, when ``include_mc`` is set, an ``mc_samples`` outside the
+    limits of ``entangling_power_mc``.
     """
     _check_extra_d(extra_d)
     if include_mc:
         _check_mc_samples(mc_samples)
+    _check_seed(seed, bits=64)
     run = _new_run(extra_d, mc_samples, seed)
     results = []
     for key, title, bound, worst in CRITERIA:
@@ -157,13 +161,11 @@ def _controlled_u(run: _Run, n_instances: int = 20) -> float:
     for d in run.gate_dims:
         for lo, hi in _chunks(d, n_instances):
             gates = _random_controlled_u_stack(d, hi - lo, rng)
-            _gate(gates, UNITARITY_TOL)
-            tr_r, tr_t = _purities(gates, d)
-            devs += [_power(tr_r, tr_t, d) - (d / (d + 1)) ** 2 * _entanglement(tr_r, d),
-                     _entanglement(tr_t, d) - (1 - 1 / d**2),
+            e, e_swapped, e_p = _measures(gates, d)
+            devs += [e_p - (d / (d + 1)) ** 2 * e, e_swapped - (1 - 1 / d**2),
                      # the partial transpose of a controlled-U is again unitary
                      _unitarity_defects(_rearrange(gates, d, "partial_transpose_first"))]
-    devs.append(entangling_power(BipartiteOperator(d, gates[-1])) - _power(tr_r, tr_t, d)[-1])
+    devs.append(entangling_power(BipartiteOperator(d, gates[-1])) - e_p[-1])
     return _max_abs(*devs)
 
 
@@ -223,11 +225,9 @@ def _local_invariance(run: _Run, n_instances: int = 50) -> float:
             u = _haar_stack(d * d, hi - lo, rng)
             ab, cd = np.einsum("nkij,nkab->kniajb", local[lo:hi, ::2], local[lo:hi, 1::2])
             rotated = ab.reshape(u.shape) @ u @ cd.reshape(u.shape)  # (A (x) B) U (C (x) D)
-            _gate(u, UNITARITY_TOL), _gate(rotated, UNITARITY_TOL)
-            (tr_r, tr_t), (rot_r, rot_t) = _purities(u, d), _purities(rotated, d)
-            devs += [_entanglement(rot_r, d) - _entanglement(tr_r, d),
-                     _power(rot_r, rot_t, d) - _power(tr_r, tr_t, d)]
-    devs.append(entangling_power(BipartiteOperator(d, rotated[-1])) - _power(tr_r, tr_t, d)[-1])
+            (e, _, e_p), (rot_e, _, rot_p) = _measures(u, d), _measures(rotated, d)
+            devs += [rot_e - e, rot_p - e_p]
+    devs.append(entangling_power(BipartiteOperator(d, rotated[-1])) - e_p[-1])
     return _max_abs(*devs)
 
 

@@ -359,6 +359,16 @@ class TestVerify:
             assert code == EXIT_VALIDATION
             assert err == f"entpow: error: --d must be from 2 to 16, got {d}\n"
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_rejected_before_any_criterion(self, capsys, monkeypatch, seed):
+        table = [(key, title, bound, fail_if_called)
+                 for key, title, bound, _ in entpow.verify.CRITERIA]
+        monkeypatch.setattr(entpow.verify, "CRITERIA", tuple(table))
+        for mc in ([], ["--mc"]):
+            code, out, err = run(capsys, "verify", *mc, "--seed", seed)
+            assert code == EXIT_VALIDATION and out == ""
+            assert err == f"entpow: error: seed must be a nonnegative 64-bit integer, got {seed}\n"
+
     @pytest.mark.parametrize("extra_d", [1, 17, 200, 3.5])
     def test_library_rejects_extra_d_before_building(self, monkeypatch, extra_d):
         monkeypatch.setattr(entpow.verify, "swap_op", fail_if_called)

@@ -6,7 +6,11 @@ import math
 import numpy as np
 import pytest
 
+import entpow.densemat
+import entpow.entanglement
+import entpow.operators
 import entpow.sweep
+from entpow.densemat import _MAX_D
 from entpow.entanglement import (
     UnitarityError,
     _gate,
@@ -23,7 +27,7 @@ from entpow.operators import (
     haar_unitary,
 )
 from entpow.rearrange import BipartiteOperator
-from entpow.sweep import _MAX_D, _MAX_STEPS, FAMILIES, SweepSpec, sweep_rows
+from entpow.sweep import _MAX_STEPS, FAMILIES, SweepSpec, sweep_rows
 
 DIMS = [1, 2, 3, 4, 9, 16]
 SEEDS = [0, 1, 7, 20070209, 2**64 - 1]
@@ -140,6 +144,22 @@ class TestChunkedSweep:
             monkeypatch.setattr(entpow.sweep, "_CHUNK_BYTES", budget)
             assert sweep_rows(spec) == reference
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_gate_per_random_controlled_u_stack(self, monkeypatch, d):
+        shapes = []
+        defects = entpow.densemat._unitarity_defects
+
+        def counting(stack):
+            shapes.append(stack.shape)
+            return defects(stack)
+
+        for module in (entpow.entanglement, entpow.operators):
+            monkeypatch.setattr(module, "_unitarity_defects", counting)
+        steps = 2 * chunk_rows(d) + 3  # three chunks, the last one partial
+        sweep_rows(SweepSpec("controlled_u_random", d, 0.0, 1.0, steps))
+        # one defect pass per chunk, over the assembled operators, none over blocks
+        assert shapes == [(n, d * d, d * d) for n in (chunk_rows(d), chunk_rows(d), 3)]
+
     def test_default_chunk_sizes(self):
         assert [chunk_rows(d) for d in (2, 3, 4, 8, 16)] == [256, 50, 16, 1, 1]
 
@@ -166,6 +186,17 @@ class TestSweepSizeBounds:
         assert SweepSpec("haar", _MAX_D, 0.0, 1.0, 3).d == 16
         with pytest.raises(ValueError, match="from 2 to 16"):
             SweepSpec("haar", _MAX_D + 1, 0.0, 1.0, 3)
+
+    @pytest.mark.parametrize("d", [np.int64(3), np.int32(3)])
+    def test_numpy_integer_dimension_accepted(self, d):
+        spec = SweepSpec("haar", d, 0.0, 1.0, 3)
+        assert spec.d == 3 and type(spec.d) is int
+        assert sweep_rows(spec) == sweep_rows(SweepSpec("haar", 3, 0.0, 1.0, 3))
+
+    @pytest.mark.parametrize("d", [1, True, 3.0, "3", None])
+    def test_dimension_must_be_an_integer(self, d):
+        with pytest.raises(ValueError, match="from 2 to 16"):
+            SweepSpec("haar", d, 0.0, 1.0, 3)
 
     def test_steps_cap(self):
         assert SweepSpec("haar", 2, 0.0, 1.0, _MAX_STEPS).steps == 1_000_000

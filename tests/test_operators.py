@@ -246,7 +246,7 @@ class TestProductStates:
     @pytest.mark.parametrize("d", [17, 10**5])
     def test_dimension_cap(self, monkeypatch, d):
         monkeypatch.setattr(np.random, "default_rng", fail_if_called)
-        with pytest.raises(ValueError, match="at most 16"):
+        with pytest.raises(ValueError, match="from 2 to 16"):
             random_product_state(d, seed=1)
 
     def test_deterministic_in_seed(self):
@@ -297,3 +297,31 @@ class TestPureStateVector:
         psi = random_product_state(2, seed=3)
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
+
+
+class TestLocalDimensionCap:
+    # every public builder of a two-qudit object, at local dimension d
+    BUILDERS = {
+        "BipartiteOperator": lambda d: BipartiteOperator(d, np.eye(4)),
+        "swap_op": swap_op,
+        "max_entangled_projector": max_entangled_projector,
+        "exp_swap": lambda d: exp_swap(d, 0.5),
+        "ControlledUSpec": lambda d: ControlledUSpec(d, (np.eye(2),) * 2),
+        "PureStateVector": lambda d: PureStateVector(d, np.eye(4)[0]),
+        "random_product_state": lambda d: random_product_state(d, seed=1),
+    }
+
+    @pytest.mark.parametrize("d", [17, 10**5, np.int64(17), 1, True, 2.0, "2"])
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_out_of_range_rejected(self, name, d):
+        with pytest.raises(ValueError, match="local dimension must be an integer from 2 to 16"):
+            self.BUILDERS[name](d)
+
+    @pytest.mark.parametrize("d", [2, np.int64(2), np.uint8(2)])
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_integer_types_accepted(self, name, d):
+        built = self.BUILDERS[name](d)
+        assert built.d == 2 and type(built.d) is int
+
+    def test_largest_dimension_accepted(self):
+        assert swap_op(16).mat.shape == (256, 256)

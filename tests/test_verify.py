@@ -7,13 +7,7 @@ import pytest
 
 import entpow.sweep
 import entpow.verify
-from entpow.entanglement import (
-    UnitarityError,
-    _entanglement,
-    _power,
-    entangling_power,
-    operator_entanglement,
-)
+from entpow.entanglement import UnitarityError, entangling_power, operator_entanglement
 from entpow.rearrange import BipartiteOperator
 from entpow.verify import _new_run
 
@@ -42,20 +36,20 @@ def test_worst_does_not_depend_on_stack_size(monkeypatch, run, key):
 
 @pytest.mark.parametrize("key", ["controlled_u_theorem", "local_unitary_invariance"])
 def test_batched_measures_equal_the_scalar_api(monkeypatch, run, key):
-    # record every stack a criterion evaluates, with the purities it got
+    # record every stack a criterion evaluates, with the measures it got
     seen = []
-    purities = entpow.verify._purities
+    measures = entpow.verify._measures
 
     def recording(stack, d):
-        tr_r, tr_t = purities(stack, d)
-        seen.append((stack.copy(), d, tr_r, tr_t))
-        return tr_r, tr_t
+        e, e_swapped, e_p = measures(stack, d)
+        seen.append((stack.copy(), d, e, e_p))
+        return e, e_swapped, e_p
 
-    monkeypatch.setattr(entpow.verify, "_purities", recording)
+    monkeypatch.setattr(entpow.verify, "_measures", recording)
     BATCHED[key](run)
     assert {d for _, d, _, _ in seen} == {2, 3, 5}
-    for stack, d, tr_r, tr_t in seen:
-        for m, e, e_p in zip(stack, _entanglement(tr_r, d), _power(tr_r, tr_t, d)):
+    for stack, d, es, e_ps in seen:
+        for m, e, e_p in zip(stack, es, e_ps):
             u = BipartiteOperator(d, m)
             assert abs(e - operator_entanglement(u)) <= 1e-15
             assert abs(e_p - entangling_power(u)) <= 1e-15
