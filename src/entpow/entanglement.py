@@ -38,10 +38,14 @@ is the contract; here the purities only need to be accurate to rounding.
 
 A definition-level Monte-Carlo estimate of the entangling power is provided
 as an independent cross-check of the closed formula: it averages the linear
-entropy of U applied to seeded Haar-random product states.  The samples
-stream through fixed-size chunks -- one draw, one GEMM and one purity
-reduction per chunk -- so its memory is 8 bytes per sample plus one chunk,
+entropy of U applied to seeded Haar-random product states.  One private
+kernel estimates a (k, d^2, d^2) stack of operators on one shared stream of
+states: the samples stream through chunks of about 256 KiB of coefficients
+-- one draw, one GEMM for all k operators and one purity reduction per
+chunk -- so its memory is 8 bytes per sample per operator plus one chunk,
 and the sample count is capped at ``MAX_MC_SAMPLES``.
+``entangling_power_mc`` is that kernel on a stack of one, and ``verify``
+runs it on each dimension's stack of oracle operators.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import _check_tolerance, _unitarity_defects, as_complex_matrix, frobenius_norm_sq
+from .densemat import _check_local_dim, _check_tolerance, _unitarity_defects
+from .densemat import as_complex_matrix, frobenius_norm_sq
 from .operators import _check_seed, product_state_batch
 from .rearrange import BipartiteOperator, _rearrange
 
@@ -78,7 +83,8 @@ UNITARITY_TOL = 1e-9
 MIN_MC_SAMPLES = 100
 MAX_MC_SAMPLES = 10_000_000
 
-# States per Monte-Carlo chunk, in bytes: 16384 / d^2 samples, at least one.
+# Coefficients per Monte-Carlo chunk, in bytes: 16384 / (k d^2) samples for a
+# stack of k operators, at least one.
 _MC_CHUNK_BYTES = 256 * 1024
 
 
@@ -197,9 +203,12 @@ def swapped_operator_entanglement(u: BipartiteOperator, tol: float = UNITARITY_T
 
 
 def swap_entanglement(d: int) -> float:
-    """Operator entanglement of the swap itself: exactly 1 - 1/d^2."""
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
+    """Operator entanglement of the swap itself: exactly 1 - 1/d^2.
+
+    Raises ValueError unless ``d`` is a non-bool Python or NumPy integer from
+    2 to 16, the range of every operator constructor.
+    """
+    d = _check_local_dim(d)
     return 1.0 - 1.0 / (d * d)
 
 
@@ -250,23 +259,7 @@ def entangling_power_mc(
     UnitarityError
         If the unitarity defect of ``u`` exceeds ``tol``.
     """
-    _check_mc_samples(n_samples)
-    _check_seed(seed)
-    _gate(u.mat[None], tol)
-    rng = np.random.default_rng(seed)
-    entropies = _sample_entropies(u, n_samples, rng)
-    mean = entropies.mean()
-    # the sample standard deviation (ddof=1), computed in place: the steps of
-    # entropies.std(ddof=1), and its bits, without its (n,) temporary
-    np.subtract(entropies, mean, out=entropies)
-    np.multiply(entropies, entropies, out=entropies)
-    std = math.sqrt(np.add.reduce(entropies) / (n_samples - 1))
-    return McEstimate(
-        mean=float(mean),
-        stderr=std / math.sqrt(n_samples),
-        n_samples=int(n_samples),
-        seed=int(seed),
-    )
+    return _mc_estimates(u.mat[None], u.d, n_samples, seed, tol)[0]
 
 
 def entanglement_report(u: BipartiteOperator, tol: float = UNITARITY_TOL) -> EntanglementReport:
@@ -362,27 +355,63 @@ def _power(tr_r: np.ndarray, tr_t: np.ndarray, d: int) -> np.ndarray:
     return scale * (2.0 - swap_entanglement(d)) - (tr_r + tr_t) / ((d + 1.0) ** 2 * d * d)
 
 
-def _sample_entropies(u: BipartiteOperator, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Linear entropies of U applied to n sampled product states.
+def _mc_estimates(
+    stack: np.ndarray, d: int, n_samples: int, seed: int, tol: float = UNITARITY_TOL
+) -> list[McEstimate]:
+    """One ``McEstimate`` for each U of an (k, d^2, d^2) stack, all from the
+    same ``n_samples`` product states of one generator seeded with ``seed``.
+
+    Checks the sample count, the seed and then the stack's gate, in that
+    order, before anything is drawn, and raises as ``entangling_power_mc``
+    does.  Each estimate is its own row's n-sample mean and standard error.
+    """
+    _check_mc_samples(n_samples)
+    _check_seed(seed)
+    _gate(stack, tol)
+    entropies = _sample_entropies(stack, d, n_samples, np.random.default_rng(seed))
+    estimates = []
+    for row in entropies:
+        mean = row.mean()
+        # the sample standard deviation (ddof=1), computed in place: the steps
+        # of row.std(ddof=1), and its bits, without its (n,) temporary
+        np.subtract(row, mean, out=row)
+        np.multiply(row, row, out=row)
+        std = math.sqrt(np.add.reduce(row) / (n_samples - 1))
+        estimates.append(McEstimate(
+            mean=float(mean),
+            stderr=std / math.sqrt(n_samples),
+            n_samples=int(n_samples),
+            seed=int(seed),
+        ))
+    return estimates
+
+
+def _sample_entropies(stack: np.ndarray, d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Linear entropies of each U of an (k, d^2, d^2) stack applied to the
+    same n sampled product states, as a (k, n) array.
 
     Samples are drawn and evaluated in chunks of at most ``_MC_CHUNK_BYTES``
-    of states; the sampler's draw order makes the states those of one call.
-    One GEMM per chunk gives the coefficients C[i, j, s] of U|psi_s> with the
-    sample axis last, so the reduced state rho = C C^dag of every sample is
-    accumulated over j with elementwise products, and its purity is the sum
-    of |rho|^2 over the float view.
+    of coefficients, 16384 / (k d^2) samples for k operators; the sampler's
+    draw order makes the states those of one call.  One GEMM per chunk, of
+    the (k d^2, d^2) stacked operators with the states, gives the
+    coefficients C[u, i, j, s] of U|psi_s> with the sample axis last, so the
+    reduced state rho = C C^dag of every operator and sample is accumulated
+    over j with elementwise products, and its purity is the sum of |rho|^2
+    over the float view.  A stack of one takes the steps, and the bits, of a
+    single operator.
     """
-    d = u.d
-    step = max(1, _MC_CHUNK_BYTES // (16 * d * d))
-    entropies = np.empty(n)
+    k = len(stack)
+    step = max(1, _MC_CHUNK_BYTES // (16 * d * d * k))
+    ops = stack.reshape(k * d * d, d * d)
+    entropies = np.empty((k, n))
     for lo in range(0, n, step):
         m = min(step, n - lo)
-        coeff = (u.mat @ product_state_batch(rng, m, d).T).reshape(d, d, m)
+        coeff = (ops @ product_state_batch(rng, m, d).T).reshape(k, d, d, m)
         conj = coeff.conj()
-        rho = coeff[:, None, 0] * conj[None, :, 0]
+        rho = coeff[:, :, None, 0] * conj[:, None, :, 0]
         for j in range(1, d):
-            rho += coeff[:, None, j] * conj[None, :, j]
-        x = rho.view(np.float64).reshape(d * d, 2 * m)
-        sq = np.einsum("ks,ks->s", x, x)  # re^2 and im^2 of each sample, interleaved
-        entropies[lo:lo + m] = 1.0 - (sq[0::2] + sq[1::2])
+            rho += coeff[:, :, None, j] * conj[:, None, :, j]
+        x = rho.view(np.float64).reshape(k, d * d, 2 * m)
+        sq = np.einsum("kis,kis->ks", x, x)  # re^2 and im^2 of each sample, interleaved
+        entropies[:, lo:lo + m] = 1.0 - (sq[:, 0::2] + sq[:, 1::2])
     return entropies

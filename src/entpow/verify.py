@@ -11,7 +11,13 @@ sample-major, in stacks of at most ``sweep._CHUNK_BYTES`` of entries, so their
 values do not depend on where stacks split; each puts its last one through the
 scalar public API.  The two that evaluate measures on their stacks
 (controlled-U and local invariance) get them from ``entanglement._measures``,
-the one gated call that sweeps use too.
+the one gated call that sweeps use too.  The Monte-Carlo oracle stacks its
+operators by local dimension (the sqrt-swap and 5 Haar unitaries at d = 2, 5
+Haar unitaries at d = 3) and estimates each stack at once with
+``entanglement._mc_estimates``, on one generator per dimension seeded
+``seed + 0`` and ``seed + 1``, against closed forms from ``_measures`` on the
+same stack; the determinism criterion repeats that estimator on a stack of
+one.  Every operator still gets its own n-sample mean and standard error.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densemat import _MAX_D, _unitarity_defects
-from .entanglement import _check_mc_samples, _measures
-from .entanglement import entangling_power, entangling_power_mc, operator_entanglement
+from .entanglement import _check_mc_samples, _mc_estimates, _measures
+from .entanglement import entangling_power, operator_entanglement
 from .entanglement import swap_entanglement
 from .operators import ControlledUSpec, controlled_u, exp_swap, haar_unitary, swap_op
 from .operators import _check_seed, _haar_stack, _random_controlled_u_stack
@@ -83,7 +89,7 @@ def run_acceptance(
     integer and, when ``include_mc`` is set, an ``mc_samples`` outside the
     limits of ``entangling_power_mc``.
     """
-    _check_extra_d(extra_d)
+    extra_d = _check_extra_d(extra_d)
     if include_mc:
         _check_mc_samples(mc_samples)
     _check_seed(seed, bits=64)
@@ -98,9 +104,18 @@ def run_acceptance(
     return results
 
 
-def _check_extra_d(extra_d: int | None, label: str = "extra_d") -> None:
-    if extra_d is not None and not (isinstance(extra_d, int) and 2 <= extra_d <= _MAX_D):
+def _check_extra_d(extra_d, label: str = "extra_d") -> int | None:
+    """``extra_d`` as an int, or None, if None or a non-bool Python or NumPy
+    integer from 2 to ``_MAX_D``."""
+    if extra_d is None:
+        return None
+    if (
+        isinstance(extra_d, bool)
+        or not isinstance(extra_d, (int, np.integer))
+        or not 2 <= extra_d <= _MAX_D
+    ):
         raise ValueError(f"{label} must be from 2 to {_MAX_D}, got {extra_d}")
+    return int(extra_d)
 
 
 def _detail(key: str, bound: float, value: float) -> tuple[str, str]:
@@ -207,12 +222,16 @@ def _structural(run: _Run, n_instances: int = 100) -> float:
 
 
 def _mc_oracle(run: _Run) -> float:
+    # the operators of one local dimension share one estimate's product states
     rng = np.random.default_rng(run.seed)
-    ops = [exp_swap(2, math.pi / 4)]
-    ops += [BipartiteOperator(d, m) for d in (2, 3) for m in _haar_stack(d * d, 5, rng)]
-    ests = [entangling_power_mc(u, run.mc_samples, run.seed + k) for k, u in enumerate(ops)]
-    return _max_abs([abs(e.mean - entangling_power(u)) / max(5 * e.stderr, 0.01)
-                     for e, u in zip(ests, ops)])
+    stacks = {2: np.concatenate([exp_swap(2, math.pi / 4).mat[None], _haar_stack(4, 5, rng)]),
+              3: _haar_stack(9, 5, rng)}
+    devs = []
+    for k, (d, stack) in enumerate(stacks.items()):
+        e_p = _measures(stack, d)[2]
+        ests = _mc_estimates(stack, d, run.mc_samples, run.seed + k)
+        devs += [abs(e.mean - p) / max(5 * e.stderr, 0.01) for e, p in zip(ests, e_p)]
+    return _max_abs(devs)
 
 
 def _local_invariance(run: _Run, n_instances: int = 50) -> float:
@@ -233,9 +252,9 @@ def _local_invariance(run: _Run, n_instances: int = 50) -> float:
 
 def _determinism(run: _Run) -> float:
     spec = SweepSpec("controlled_u_random", 2, 0.0, 1.0, 6, run.seed)
-    u = BipartiteOperator(3, haar_unitary(9, run.seed))
+    u = haar_unitary(9, run.seed)[None]
     csv_differs = render_csv(sweep_rows(spec)) != render_csv(sweep_rows(spec))
-    mc_differs = entangling_power_mc(u, 10000, run.seed) != entangling_power_mc(u, 10000, run.seed)
+    mc_differs = _mc_estimates(u, 3, 10000, run.seed) != _mc_estimates(u, 3, 10000, run.seed)
     return float(csv_differs + mc_differs)
 
 

@@ -369,12 +369,21 @@ class TestVerify:
             assert code == EXIT_VALIDATION and out == ""
             assert err == f"entpow: error: seed must be a nonnegative 64-bit integer, got {seed}\n"
 
-    @pytest.mark.parametrize("extra_d", [1, 17, 200, 3.5])
+    @pytest.mark.parametrize("extra_d", [1, 17, 200, 3.5, np.int64(17), True])
     def test_library_rejects_extra_d_before_building(self, monkeypatch, extra_d):
         monkeypatch.setattr(entpow.verify, "swap_op", fail_if_called)
         monkeypatch.setattr(entpow.verify, "_new_run", fail_if_called)
         with pytest.raises(ValueError, match=f"extra_d must be from 2 to 16, got {extra_d}"):
             entpow.verify.run_acceptance(extra_d=extra_d)
+
+    @pytest.mark.parametrize("extra_d", [3, 7])
+    def test_library_accepts_numpy_integer_extra_d(self, monkeypatch, extra_d):
+        table = [(key, title, bound, lambda run: 0.0)
+                 for key, title, bound, _ in entpow.verify.CRITERIA]
+        monkeypatch.setattr(entpow.verify, "CRITERIA", tuple(table))
+        got = entpow.verify.run_acceptance(extra_d=np.int64(extra_d))
+        # titles list the dimension as a plain int, "[2, 3, 4, 5, 7]"
+        assert got == entpow.verify.run_acceptance(extra_d=extra_d)
 
     def test_failed_criterion_exits_2(self, capsys, monkeypatch):
         table = list(entpow.verify.CRITERIA)

@@ -29,6 +29,7 @@ from entpow.entanglement import (
     McEstimate,
     NormalizationError,
     UnitarityError,
+    _mc_estimates,
     _sample_entropies,
     entangling_power,
     entangling_power_mc,
@@ -40,6 +41,7 @@ from entpow.entanglement import (
 )
 from entpow.operators import (
     ControlledUSpec,
+    _haar_stack,
     controlled_u,
     exp_swap,
     haar_unitary,
@@ -101,6 +103,14 @@ class TestOperatorEntanglement:
     def test_swap_reaches_maximum(self, d):
         assert operator_entanglement(swap_op(d)) == pytest.approx(1 - 1 / d**2, abs=1e-14)
         assert swap_entanglement(d) == 1 - 1 / d**2
+
+    @pytest.mark.parametrize("d", [2.5, 10**6, 17, 1, True])
+    def test_swap_entanglement_checks_the_dimension(self, d):
+        with pytest.raises(ValueError, match=f"must be an integer from 2 to 16, got {d!r}"):
+            swap_entanglement(d)
+
+    def test_swap_entanglement_accepts_numpy_integers(self):
+        assert swap_entanglement(np.int64(3)) == swap_entanglement(3) == 1 - 1 / 9
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_identity_is_zero(self, d):
@@ -290,14 +300,23 @@ class TestMonteCarlo:
         bad = BipartiteOperator(2, 2.0 * np.eye(4, dtype=complex))
         with pytest.raises(UnitarityError):
             entangling_power_mc(bad, 500, seed=1)
+        with pytest.raises(UnitarityError):  # one bad operator stops a whole stack
+            _mc_estimates(np.stack([CNOT.mat, bad.mat]), 2, 500, seed=1)
 
     def test_statistics_wiring(self):
         # mean and stderr must be exactly those of the sampled entropies
         u = exp_swap(2, 0.7)
         est = entangling_power_mc(u, 500, seed=123)
-        entropies = _sample_entropies(u, 500, np.random.default_rng(123))
+        entropies = _sample_entropies(u.mat[None], 2, 500, np.random.default_rng(123))[0]
         assert est.mean == float(entropies.mean())
         assert est.stderr == float(entropies.std(ddof=1)) / math.sqrt(500)
+        # and, for a stack, each operator's estimate is that of its own row
+        stack = np.stack([u.mat, CNOT.mat, haar_op(2, 9).mat])
+        rows = _sample_entropies(stack, 2, 500, np.random.default_rng(123))
+        for est, row in zip(_mc_estimates(stack, 2, 500, seed=123), rows, strict=True):
+            assert (est.n_samples, est.seed) == (500, 123)
+            assert est.mean == float(row.mean())
+            assert est.stderr == float(row.std(ddof=1)) / math.sqrt(500)
 
     @pytest.mark.parametrize("op", [BipartiteOperator(2, np.eye(4)), swap_op(3)])
     def test_local_gates_give_zero(self, op):
@@ -323,13 +342,14 @@ def fail_if_called(*args, **kwargs):
     raise AssertionError("drew samples past validation")
 
 
-def mc_peak_bytes(u, n):
-    """Traced peak of one n-sample estimate, after a warm-up call, so that
-    first-call allocations fall outside the window."""
-    entangling_power_mc(u, 1000, seed=1)
+def mc_peak_bytes(stack, d, n):
+    """Traced peak of one n-sample estimate of every operator of a stack,
+    after a warm-up call, so that first-call allocations fall outside the
+    window."""
+    _mc_estimates(stack, d, 1000, seed=1)
     tracemalloc.start()
     try:
-        entangling_power_mc(u, n, seed=1)
+        _mc_estimates(stack, d, n, seed=1)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -341,12 +361,28 @@ class TestMonteCarloChunks:
     @pytest.mark.parametrize("rows", [1, 7, None])
     def test_entropies_do_not_depend_on_chunk_size(self, monkeypatch, rows):
         d, n = 3, 4000  # three chunks at the default size
-        u = haar_op(d, 41)
-        ref = _sample_entropies(u, n, np.random.default_rng(8))
+        stack = np.stack([haar_op(d, 41 + k).mat for k in range(6)])
+        refs = [_sample_entropies(u[None], d, n, np.random.default_rng(8))[0] for u in stack]
         # rows=None: the whole run is one chunk
         monkeypatch.setattr(entpow.entanglement, "_MC_CHUNK_BYTES", 16 * d * d * (rows or n))
-        got = _sample_entropies(u, n, np.random.default_rng(8))
-        assert np.max(np.abs(got - ref)) <= 2e-15
+        got = _sample_entropies(stack[:1], d, n, np.random.default_rng(8))
+        assert np.max(np.abs(got[0] - refs[0])) <= 2e-15
+        # six operators share one stream in chunks of a sixth the samples,
+        # and each row is still its own operator's entropies
+        stacked = _sample_entropies(stack, d, n, np.random.default_rng(8))
+        assert np.max(np.abs(stacked - refs)) <= 2e-15
+
+    # (d, n, operator seed, sample seed, mean, stderr) of the single-operator
+    # estimate, recorded bit for bit before estimates were stacked; each n
+    # spans at least four chunks
+    @pytest.mark.parametrize("d, n, op_seed, seed, mean, stderr", [
+        (2, 20000, 61, 71, "0x1.b05657362187dp-3", "0x1.e1468680a459ap-11"),
+        (3, 6000, 62, 72, "0x1.9b93ef6a830d6p-2", "0x1.4e02f24baa622p-10"),
+        (5, 2500, 63, 73, "0x1.3ab91d6a4825ap-1", "0x1.0522437725884p-10"),
+    ])
+    def test_single_operator_estimate_is_bitwise_pinned(self, d, n, op_seed, seed, mean, stderr):
+        est = entangling_power_mc(haar_op(d, op_seed), n, seed)
+        assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
 
     def test_fixed_seed_and_count_span_chunks_identically(self):
         # d=5: 655 samples per chunk, so 2000 samples take four chunks
@@ -355,12 +391,19 @@ class TestMonteCarloChunks:
 
     def test_peak_memory_is_the_entropies_plus_one_chunk(self):
         n = 200_000
-        assert mc_peak_bytes(haar_op(5, 47), n) <= 8 * n + 4 * 2**20
+        assert mc_peak_bytes(haar_op(5, 47).mat[None], 5, n) <= 8 * n + 4 * 2**20
+
+    def test_stacked_peak_memory_is_the_entropies_plus_one_chunk(self):
+        # six operators, the largest stack of the verify oracle
+        k, n = 6, 200_000
+        haar = _haar_stack(4, k - 1, np.random.default_rng(3))
+        stack = np.concatenate([exp_swap(2, 0.7).mat[None], haar])
+        assert mc_peak_bytes(stack, 2, n) <= 8 * k * n + 4 * 2**20
 
     def test_spread_is_taken_in_place(self):
         # a second (n,) array for the standard deviation would add 8 n bytes
         n = 1_000_000
-        assert mc_peak_bytes(exp_swap(2, 0.7), n) <= 8 * n + 2 * 2**20
+        assert mc_peak_bytes(exp_swap(2, 0.7).mat[None], 2, n) <= 8 * n + 2 * 2**20
 
     @pytest.mark.parametrize("n", [MAX_MC_SAMPLES + 1, 10**12])
     def test_sample_cap(self, monkeypatch, n):

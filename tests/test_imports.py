@@ -1,11 +1,14 @@
-"""Every name a module of ``entpow`` imports is used there, and only
-``entanglement`` reaches its purity core and unitarity gate.
+"""Every name a module of ``entpow`` imports is used there, only
+``entanglement`` reaches its purity core and unitarity gate, and only
+``operators`` and ``entanglement`` reach the Monte-Carlo sampler.
 
 No linter ships with the project, so this parses each module with ``ast``.
 A name counts as used when the module reads it anywhere or lists it in
 ``__all__``; an import line marked ``# noqa: F401`` is a deliberate
 exception.  Every other module gets measures of a stack of operators from
-the one gated call ``entanglement._measures``.
+the one gated call ``entanglement._measures``, and ``verify`` gets every
+Monte-Carlo estimate from the stacked estimator ``entanglement._mc_estimates``,
+so it runs no per-operator estimate loop.
 """
 
 import ast
@@ -20,6 +23,11 @@ MODULES = sorted(Path(entpow.__file__).parent.glob("*.py"))
 # The purity core and its gate, private to ``entanglement``.
 CORE = {"_gate", "_purities", "_purity", "_entanglement", "_power"}
 
+# The product-state sampler and the kernel that runs it, private to the
+# module that draws the states and the one that estimates from them.
+MC_SAMPLER = {"product_state_batch", "_sample_entropies"}
+MC_SAMPLER_HOMES = {"operators.py", "entanglement.py"}
+
 
 def imported(tree: ast.AST) -> list[ast.alias]:
     """Every name an import statement of ``tree`` binds, ``__future__`` aside."""
@@ -32,12 +40,13 @@ def imported(tree: ast.AST) -> list[ast.alias]:
     ]
 
 
-def core_names_reached(source: str) -> set[str]:
-    """Names of ``CORE`` imported (under any alias) or read as an attribute."""
+def names_reached(source: str, names: set[str]) -> set[str]:
+    """Names of ``names`` imported (under any alias), read, or read as an attribute."""
     tree = ast.parse(source)
-    names = {alias.name for alias in imported(tree)}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    return names & CORE
+    found = {alias.name for alias in imported(tree)}
+    found |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    found |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return found & names
 
 
 def unused_imports(source: str) -> list[str]:
@@ -79,7 +88,7 @@ def test_the_guard_itself(source, found):
     "path", [p for p in MODULES if p.name != "entanglement.py"], ids=lambda p: p.name
 )
 def test_only_entanglement_reaches_the_purity_core(path):
-    assert core_names_reached(path.read_text(encoding="utf-8")) == set()
+    assert names_reached(path.read_text(encoding="utf-8"), CORE) == set()
 
 
 @pytest.mark.parametrize("source, found", [
@@ -89,4 +98,29 @@ def test_only_entanglement_reaches_the_purity_core(path):
     ("from . import entanglement\nentanglement._purity(s, 2, 'realign')\n", {"_purity"}),
 ])
 def test_the_core_guard_itself(source, found):
-    assert core_names_reached(source) == found
+    assert names_reached(source, CORE) == found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in MC_SAMPLER_HOMES], ids=lambda p: p.name
+)
+def test_only_operators_and_entanglement_reach_the_sampler(path):
+    assert names_reached(path.read_text(encoding="utf-8"), MC_SAMPLER) == set()
+
+
+def test_verify_estimates_only_through_the_stacked_estimator():
+    source = (Path(entpow.__file__).parent / "verify.py").read_text(encoding="utf-8")
+    assert names_reached(source, {"entangling_power_mc", "_mc_estimates"}) == {"_mc_estimates"}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .entanglement import _mc_estimates\n", set()),
+    ("from .operators import product_state_batch as draw  # noqa: F401\n",
+     {"product_state_batch"}),
+    ("from . import entanglement\nentanglement._sample_entropies(s, 2, 100, rng)\n",
+     {"_sample_entropies"}),
+    ("def _sample_entropies(stack, d, n, rng): pass\n_sample_entropies(s, 2, 100, rng)\n",
+     {"_sample_entropies"}),
+])
+def test_the_sampler_guard_itself(source, found):
+    assert names_reached(source, MC_SAMPLER) == found
