@@ -22,6 +22,7 @@ from .entanglement import (
     entangling_power_mc,
     entanglement_report,
 )
+from .operators import _check_seed
 from .opfile import _MAX_BYTES, read_operator_file
 from .sweep import FAMILIES, SweepSpec, render_csv, sweep_rows
 from .verify import _check_extra_d, run_acceptance
@@ -100,8 +101,9 @@ def main(argv=None) -> int:
 
 def cmd_eval(path: str, mc: bool, mc_samples: int, seed: int, tol: float) -> int:
     """Print every measure of the operator stored at ``path``."""
-    if mc:
-        _check_mc_samples(mc_samples)  # a bad flag prints no measures
+    if mc:  # a bad flag prints no measures
+        _check_mc_samples(mc_samples)
+        _check_seed(seed, bits=64)
     with open(path, "rb") as fh:
         # one byte past the cap is enough for the reader to reject the file
         op, name = read_operator_file(fh.read(_MAX_BYTES + 1))

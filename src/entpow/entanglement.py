@@ -42,8 +42,12 @@ entropy of U applied to seeded Haar-random product states.  One private
 kernel estimates a (k, d^2, d^2) stack of operators on one shared stream of
 states: the samples stream through chunks of about 256 KiB of coefficients
 -- one draw, one GEMM for all k operators and one purity reduction per
-chunk -- so its memory is 8 bytes per sample per operator plus one chunk,
-and the sample count is capped at ``MAX_MC_SAMPLES``.
+chunk -- so its memory is 8 bytes per sample per operator plus a few
+chunks, and the sample count is capped at ``MAX_MC_SAMPLES``.  Each
+estimate runs one worker thread beside the caller: the caller draws chunk
+i+1 while the worker evaluates chunk i, so one chunk is in flight beside
+the one being drawn, and the estimate is bitwise that of evaluating the
+chunks one after the other.
 ``entangling_power_mc`` is that kernel on a stack of one, and ``verify``
 runs it on each dimension's stack of oracle operators.
 """
@@ -84,7 +88,8 @@ MIN_MC_SAMPLES = 100
 MAX_MC_SAMPLES = 10_000_000
 
 # Coefficients per Monte-Carlo chunk, in bytes: 16384 / (k d^2) samples for a
-# stack of k operators, at least one.
+# stack of k operators, at least one.  One chunk is evaluated on the worker
+# thread of an estimate while the next is drawn.
 _MC_CHUNK_BYTES = 256 * 1024
 
 
@@ -247,7 +252,10 @@ def entangling_power_mc(
 
     Samples stream through fixed-size chunks of about 256 KiB of states, so
     memory is 8 bytes per sample for the entropies, whose spread is taken in
-    place, plus one chunk.
+    place, plus the kernel's buffers, the chunk being evaluated and the one
+    being drawn: under 2 MiB at d = 2.  One worker thread, started and
+    joined within the call, evaluates each chunk while the calling thread
+    draws the next; the estimate is bitwise that of a single thread.
 
     Raises
     ------
@@ -392,26 +400,72 @@ def _sample_entropies(stack: np.ndarray, d: int, n: int, rng: np.random.Generato
 
     Samples are drawn and evaluated in chunks of at most ``_MC_CHUNK_BYTES``
     of coefficients, 16384 / (k d^2) samples for k operators; the sampler's
-    draw order makes the states those of one call.  One GEMM per chunk, of
-    the (k d^2, d^2) stacked operators with the states, gives the
-    coefficients C[u, i, j, s] of U|psi_s> with the sample axis last, so the
-    reduced state rho = C C^dag of every operator and sample is accumulated
-    over j with elementwise products, and its purity is the sum of |rho|^2
-    over the float view.  A stack of one takes the steps, and the bits, of a
-    single operator.
+    draw order makes the states those of one call.  The calling thread draws
+    chunk i+1 while one worker thread, which lives for this call, runs the
+    entropy kernel on chunk i and writes that chunk's slice of the result.
+    Only the caller touches ``rng`` and only the kernel runs on the worker,
+    so the draws and each chunk's arithmetic, and with them the bits, are
+    those of drawing and evaluating the chunks one after the other.  An
+    exception in the kernel is raised here, after the worker has stopped.
     """
+    # imported here, not with the package: ``import entpow`` stays without it
+    from concurrent.futures import ThreadPoolExecutor
+
     k = len(stack)
     step = max(1, _MC_CHUNK_BYTES // (16 * d * d * k))
-    ops = stack.reshape(k * d * d, d * d)
     entropies = np.empty((k, n))
-    for lo in range(0, n, step):
-        m = min(step, n - lo)
-        coeff = (ops @ product_state_batch(rng, m, d).T).reshape(k, d, d, m)
-        conj = coeff.conj()
-        rho = coeff[:, :, None, 0] * conj[:, None, :, 0]
-        for j in range(1, d):
-            rho += coeff[:, :, None, j] * conj[:, None, :, j]
-        x = rho.view(np.float64).reshape(k, d * d, 2 * m)
-        sq = np.einsum("kis,kis->ks", x, x)  # re^2 and im^2 of each sample, interleaved
-        entropies[:, lo:lo + m] = 1.0 - (sq[:, 0::2] + sq[:, 1::2])
+    kernel = _entropy_kernel(stack, d, min(step, n))
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="entpow-mc") as worker:
+        done = None
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            # a one-item list: the kernel takes the states out of it, so that
+            # they are freed after its GEMM whatever the threads' timing
+            chunk = [product_state_batch(rng, hi - lo, d)]
+            if done is not None:
+                done.result()
+            done = worker.submit(kernel, chunk, entropies[:, lo:hi])
+        done.result()
     return entropies
+
+
+def _entropy_kernel(stack: np.ndarray, d: int, m: int):
+    """The entropy kernel for chunks of at most m states: ``kernel(chunk, out)``
+    pops an (s, d^2) array of states, s <= m, from the list ``chunk`` and
+    writes their (k, s) entropies to ``out``.
+
+    One GEMM, of the (k d^2, d^2) stacked operators with the states, gives
+    the coefficients C[u, i, j, s] of U|psi_s> with the sample axis last, so
+    the reduced state rho = C C^dag of every operator and sample is
+    accumulated over j with elementwise products, and its purity is the sum
+    of |rho|^2 over the float view.  A stack of one takes the steps, and the
+    bits, of a single operator.  Every step writes through ``out=`` into
+    buffers allocated once here, laid out as fresh arrays would be, so the
+    bits are those of the same steps on fresh arrays; the states are freed
+    as soon as the GEMM has read them.
+    """
+    k = len(stack)
+    ops = stack.reshape(k * d * d, d * d)
+    # conj holds one j-slice of C^*, and term, free once rho is summed, the squares
+    coeff, rho, term = (np.empty(k * d * d * m, dtype=np.complex128) for _ in range(3))
+    conj = np.empty(k * d * m, dtype=np.complex128)
+
+    def kernel(chunk: list, out: np.ndarray) -> None:
+        s = out.shape[1]
+        shape, size = (k, d, d, s), k * d * d * s
+        c = np.matmul(ops, chunk.pop().T, out=coeff[:size].reshape(k * d * d, s)).reshape(shape)
+        r, t = rho[:size].reshape(shape), term[:size].reshape(shape)
+        cc = conj[:k * d * s].reshape(k, 1, d, s)
+        np.conjugate(c[:, None, :, 0], out=cc)
+        np.multiply(c[:, :, None, 0], cc, out=r)
+        for j in range(1, d):
+            np.conjugate(c[:, None, :, j], out=cc)
+            np.multiply(c[:, :, None, j], cc, out=t)
+            np.add(r, t, out=r)
+        x = r.view(np.float64).reshape(k, d * d, 2 * s)
+        # re^2 and im^2 of each sample, interleaved
+        sq = np.einsum("kis,kis->ks", x, x, out=term[:k * s].view(np.float64).reshape(k, 2 * s))
+        np.add(sq[:, 0::2], sq[:, 1::2], out=out)
+        np.subtract(1.0, out, out=out)
+
+    return kernel

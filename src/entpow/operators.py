@@ -235,10 +235,20 @@ def product_state_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     then the imaginary parts of psi1, then those of psi2, before the next
     sample starts, so n samples drawn over several calls on one generator
     are bitwise the states of one call.
+
+    Each temporary is freed as soon as it is used, so at most two of its
+    arrays are alive at once; the norm takes the steps, and the bits, of
+    ``np.linalg.norm(z, axis=2)``.
     """
     g = rng.standard_normal((n, 2, 2, d))
-    z = g[:, :, 0] + 1j * g[:, :, 1]
-    z /= np.linalg.norm(z, axis=2, keepdims=True)
+    z = np.empty((n, 2, d), dtype=np.complex128)
+    z.real = g[:, :, 0]
+    z.imag = g[:, :, 1]
+    del g
+    sq = np.conjugate(z)
+    np.multiply(sq, z, out=sq)
+    z /= np.sqrt(np.add.reduce(sq.real, axis=2, keepdims=True))
+    del sq
     return (z[:, 0, :, None] * z[:, 1, None, :]).reshape(n, d * d)
 
 

@@ -166,6 +166,20 @@ class TestEval:
         assert out == ""
         assert err == "entpow: error: at most 10000000 samples are allowed, got 10000001\n"
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_mc_seed_outside_64_bits_prints_no_measures(self, capsys, cnot_file, monkeypatch, seed):
+        monkeypatch.setattr(entpow.cli, "read_operator_file", fail_if_called)
+        monkeypatch.setattr(entpow.cli, "entanglement_report", fail_if_called)
+        code, out, err = run(capsys, "eval", cnot_file, "--mc", "--seed", seed)
+        assert code == EXIT_VALIDATION and out == ""
+        assert err == f"entpow: error: seed must be a nonnegative 64-bit integer, got {seed}\n"
+
+    def test_mc_accepts_the_largest_64_bit_seed(self, capsys, cnot_file):
+        code, out, _ = run(capsys, "eval", cnot_file, "--mc", "--mc-samples", "200",
+                           "--seed", str(2**64 - 1))
+        assert code == EXIT_OK
+        assert f"(200 samples, seed {2**64 - 1})" in out
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "eval", str(tmp_path / "nope.json"))
         assert code == EXIT_VALIDATION
@@ -324,6 +338,21 @@ class TestSweep:
         text = render_csv(sweep_rows(spec))
         assert text.startswith(CSV_HEADER + "\n")
         assert text == render_csv(sweep_rows(spec))
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [(a, b, c, e)
+         for a in (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.8e308, -1.8e308, 0.1)
+         for b in (-0.0, 5e-324, math.inf, 1 / 3)
+         for c in (math.nan, -1.8e308)
+         for e in (0.0, -math.inf, 2.0**-1074 * 3)],
+        [tuple(x) for x in np.random.default_rng(0).standard_normal((500, 4))
+         * 10.0 ** np.random.default_rng(1).integers(-300, 300, (500, 4))],
+    ], ids=["empty", "edge", "random"])
+    def test_render_is_per_value_format(self, rows):
+        rows = [tuple(float(x) for x in row) for row in rows]
+        lines = [CSV_HEADER] + [",".join(format(x, ".17g") for x in row) for row in rows]
+        assert render_csv(rows) == "\n".join(lines) + "\n"
 
 
 class TestVerify:

@@ -15,7 +15,11 @@ Frozen expected values used here, all hand-derivable:
   - controlled-U: E(S12 C) = 1 - 1/d^2 and e_p = (d/(d+1))^2 E(C)
 """
 
+import itertools
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -46,6 +50,7 @@ from entpow.operators import (
     exp_swap,
     haar_unitary,
     max_entangled_projector,
+    product_state_batch,
     swap_op,
 )
 from entpow.rearrange import BipartiteOperator, realign, swap_left
@@ -431,6 +436,124 @@ class TestMonteCarloChunks:
     def test_numpy_integer_seed_accepted(self):
         est = entangling_power_mc(CNOT, 300, np.uint64(2**64 - 1))
         assert est == entangling_power_mc(CNOT, 300, 2**64 - 1)
+
+
+def sequential_entropies(stack, d, n, rng):
+    """The (k, n) entropies by the steps the estimator took on one thread,
+    with fresh arrays: each chunk drawn, then evaluated, before the next."""
+    k = len(stack)
+    step = max(1, entpow.entanglement._MC_CHUNK_BYTES // (16 * d * d * k))
+    ops = stack.reshape(k * d * d, d * d)
+    entropies = np.empty((k, n))
+    for lo in range(0, n, step):
+        m = min(step, n - lo)
+        coeff = (ops @ product_state_batch(rng, m, d).T).reshape(k, d, d, m)
+        conj = coeff.conj()
+        rho = coeff[:, :, None, 0] * conj[:, None, :, 0]
+        for j in range(1, d):
+            rho += coeff[:, :, None, j] * conj[:, None, :, j]
+        x = rho.view(np.float64).reshape(k, d * d, 2 * m)
+        sq = np.einsum("kis,kis->ks", x, x)
+        entropies[:, lo:lo + m] = 1.0 - (sq[:, 0::2] + sq[:, 1::2])
+    return entropies
+
+
+def before_each_chunk(monkeypatch, hook):
+    """Make every entropy kernel call ``hook()``, on its own thread, before
+    it evaluates a chunk."""
+    make = entpow.entanglement._entropy_kernel
+
+    def patched(*args):
+        kernel = make(*args)
+
+        def run(chunk, out):
+            hook()
+            kernel(chunk, out)
+
+        return run
+
+    monkeypatch.setattr(entpow.entanglement, "_entropy_kernel", patched)
+
+
+class KernelFault(Exception):
+    pass
+
+
+class TestMonteCarloPipeline:
+    """The caller draws chunk i+1 while one worker thread evaluates chunk i."""
+
+    @pytest.mark.parametrize("delay", [0.0, 0.002])
+    @pytest.mark.parametrize("k", [1, 6])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_entropies_are_the_sequential_bits(self, monkeypatch, d, k, delay):
+        # a delayed worker lets the caller finish drawing the next chunk first
+        before_each_chunk(monkeypatch, lambda: time.sleep(delay))
+        stack = _haar_stack(d * d, k, np.random.default_rng(10 * d + k))
+        n = 3 * max(1, 16384 // (d * d * k)) + 17  # three full chunks and a short one
+        got = _sample_entropies(stack, d, n, np.random.default_rng(4))
+        assert got.tobytes() == sequential_entropies(stack, d, n, np.random.default_rng(4)).tobytes()
+
+    @pytest.mark.parametrize("fail_at", [1, 3, 5])
+    def test_kernel_error_reaches_the_caller_and_the_worker_is_joined(self, monkeypatch, fail_at):
+        calls = itertools.count(1)
+
+        def hook():
+            if next(calls) == fail_at:
+                raise KernelFault(f"chunk {fail_at}")
+
+        before_each_chunk(monkeypatch, hook)
+        baseline = threading.active_count()
+        # d=2: 4096 samples per chunk, so 20,000 samples take five chunks
+        with pytest.raises(KernelFault, match=f"^chunk {fail_at}$"):
+            entangling_power_mc(haar_op(2, 5), 20_000, seed=1)
+        assert threading.active_count() == baseline
+
+    def test_sampler_runs_only_on_the_calling_thread(self, monkeypatch):
+        drawn_on, evaluated_on = [], []
+        draw = entpow.entanglement.product_state_batch
+
+        def spy(*args):
+            drawn_on.append(threading.get_ident())
+            return draw(*args)
+
+        monkeypatch.setattr(entpow.entanglement, "product_state_batch", spy)
+        before_each_chunk(monkeypatch, lambda: evaluated_on.append(threading.get_ident()))
+        baseline = threading.active_count()
+        entangling_power_mc(haar_op(3, 2), 5000, seed=3)  # three chunks at d=3
+        assert drawn_on == [threading.get_ident()] * 3
+        assert len(evaluated_on) == 3 and len(set(evaluated_on)) == 1
+        assert evaluated_on[0] != threading.get_ident()
+        assert threading.active_count() == baseline
+
+    def test_concurrent_estimates_share_nothing(self):
+        # more callers than cores, each with its own worker, switching threads
+        # as often as the interpreter allows: each estimate keeps its own bits
+        stack = _haar_stack(9, 2, np.random.default_rng(8))
+        refs = [sequential_entropies(stack, 3, 5000, np.random.default_rng(s)) for s in range(4)]
+        got = [None] * 4
+
+        def estimate(s):
+            got[s] = _sample_entropies(stack, 3, 5000, np.random.default_rng(s))
+
+        callers = [threading.Thread(target=estimate, args=(s,)) for s in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert [g.tobytes() for g in got] == [r.tobytes() for r in refs]
+
+    def test_spread_is_taken_in_place_with_a_delayed_worker(self, monkeypatch):
+        # the worker holds chunk i while the caller draws chunk i+1: the
+        # bound of the undelayed test still holds
+        before_each_chunk(monkeypatch, lambda: time.sleep(0.001))
+        n = 1_000_000
+        assert mc_peak_bytes(exp_swap(2, 0.7).mat[None], 2, n) <= 8 * n + 2 * 2**20
 
 
 class TestEntanglementReport:

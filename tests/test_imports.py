@@ -9,9 +9,17 @@ exception.  Every other module gets measures of a stack of operators from
 the one gated call ``entanglement._measures``, and ``verify`` gets every
 Monte-Carlo estimate from the stacked estimator ``entanglement._mc_estimates``,
 so it runs no per-operator estimate loop.
+
+Only ``entanglement`` imports ``threading`` or ``concurrent.futures``: the
+Monte-Carlo estimator's worker thread is the package's only thread.  It
+loads ``concurrent.futures`` on first use, so ``import entpow`` does not pay
+for it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +35,9 @@ CORE = {"_gate", "_purities", "_purity", "_entanglement", "_power"}
 # module that draws the states and the one that estimates from them.
 MC_SAMPLER = {"product_state_batch", "_sample_entropies"}
 MC_SAMPLER_HOMES = {"operators.py", "entanglement.py"}
+
+# Top-level packages that start threads, imported only by ``entanglement``.
+THREADS = {"threading", "concurrent"}
 
 
 def imported(tree: ast.AST) -> list[ast.alias]:
@@ -47,6 +58,17 @@ def names_reached(source: str, names: set[str]) -> set[str]:
     found |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     found |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return found & names
+
+
+def packages_imported(source: str) -> set[str]:
+    """Top-level package of every absolute import in ``source``, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
 
 
 def unused_imports(source: str) -> list[str]:
@@ -124,3 +146,33 @@ def test_verify_estimates_only_through_the_stacked_estimator():
 ])
 def test_the_sampler_guard_itself(source, found):
     assert names_reached(source, MC_SAMPLER) == found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "entanglement.py"], ids=lambda p: p.name
+)
+def test_only_entanglement_imports_threads(path):
+    assert packages_imported(path.read_text(encoding="utf-8")) & THREADS == set()
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import threading\n", {"threading"}),
+    ("from concurrent.futures import ThreadPoolExecutor\n", {"concurrent"}),
+    ("from concurrent import futures as f  # noqa: F401\n", {"concurrent"}),
+    ("def run():\n    import concurrent.futures\n", {"concurrent"}),
+    ("from .threading import start\n", set()),
+    ("import numpy as np\nfrom .operators import _check_seed\n", set()),
+])
+def test_the_thread_guard_itself(source, found):
+    assert packages_imported(source) & THREADS == found
+
+
+def test_importing_entpow_does_not_load_the_executor():
+    src = str(Path(entpow.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, entpow; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out == "[]\n"
