@@ -28,12 +28,10 @@ from .entanglement import (
 from .opfile import read_operator_file, serialize_operator
 from .operators import (
     ControlledUSpec,
-    PureStateVector,
     controlled_u,
     exp_swap,
     haar_unitary,
     max_entangled_projector,
-    random_product_state,
     swap_op,
 )
 from .rearrange import (
@@ -76,13 +74,11 @@ __all__ = [
     "entanglement_report",
     # operator constructors and samplers
     "ControlledUSpec",
-    "PureStateVector",
     "swap_op",
     "max_entangled_projector",
     "exp_swap",
     "controlled_u",
     "haar_unitary",
-    "random_product_state",
     # file format and sweeps
     "read_operator_file",
     "serialize_operator",

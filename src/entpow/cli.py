@@ -25,7 +25,7 @@ from .entanglement import (
 from .operators import _check_seed
 from .opfile import _MAX_BYTES, read_operator_file
 from .sweep import FAMILIES, SweepSpec, render_csv, sweep_rows
-from .verify import _check_extra_d, run_acceptance
+from .verify import run_acceptance
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -153,7 +153,6 @@ def cmd_sweep(spec: SweepSpec, out: str) -> int:
 
 def cmd_verify(include_mc: bool, extra_d: int | None, mc_samples: int, seed: int) -> int:
     """Run the verification suite, one line per check."""
-    _check_extra_d(extra_d, "--d")
     results = run_acceptance(
         include_mc=include_mc, extra_d=extra_d, mc_samples=mc_samples, seed=seed
     )

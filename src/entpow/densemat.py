@@ -19,6 +19,12 @@ __all__ = [
     "unitarity_defect",
 ]
 
+# Max-abs entry of U^dag U - I tolerated before an operator, or a block of a
+# controlled-U gate, is rejected.  Loose enough for matrices read back from
+# ~12-digit text, tight enough to protect the U/d normalization the measures
+# rely on.
+UNITARITY_TOL = 1e-9
+
 # Largest local dimension accepted anywhere input arrives (operators, their
 # constructors, sweeps, operator files, extra verify dimensions): d = 16 gives
 # the 256 x 256 operators this kernel is sized for (1 MiB each).
@@ -79,8 +85,8 @@ def _unitarity_defects(stack: np.ndarray) -> np.ndarray:
 
 
 def _is_finite(x) -> bool:
-    """Whether ``x`` is a finite real number; a string or None is not one."""
-    return isinstance(x, numbers.Real) and math.isfinite(x)
+    """Whether ``x`` is a finite real number; a bool, a string or None is not one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _check_tolerance(tol: float) -> None:

@@ -31,8 +31,11 @@ stack of operators: the stack is rearranged with reshape/transpose, the
 Gram products M M^dag are formed in one batched product, and each
 Tr[(M M^dag)^2] is the sum of |g|^2 over the Hermitian Gram matrix, taken
 with a vectorised reduction.  ``_measures`` is the one gated call from a
-stack to (E(U), E(S12 U), e_p), for sweeps, ``verify`` and
-``entangling_power`` (a stack of one).  Exact, permutation-invariant
+stack to (E(U), E(S12 U), e_p), for sweeps, ``verify`` and the three scalar
+measures, each a stack of one; only ``entanglement_report``, which records
+a failed gate instead of raising, takes the purities without it.  The
+unitarity tolerance ``UNITARITY_TOL`` is defined in ``densemat``, beside the
+defect, and re-exported here.  Exact, permutation-invariant
 ``fsum`` sums stay in ``densemat.frobenius_norm_sq``, where that invariance
 is the contract; here the purities only need to be accurate to rounding.
 
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import _check_local_dim, _check_tolerance, _unitarity_defects
+from .densemat import UNITARITY_TOL, _check_local_dim, _check_tolerance, _unitarity_defects
 from .densemat import as_complex_matrix, frobenius_norm_sq
 from .operators import _check_seed, product_state_batch
 from .rearrange import BipartiteOperator, _rearrange
@@ -78,11 +81,6 @@ __all__ = [
     "entangling_power_mc",
     "entanglement_report",
 ]
-
-# Max-abs entry of U^dag U - I tolerated before an operator is rejected.
-# Loose enough for matrices read back from ~12-digit text, tight enough to
-# protect the U/d normalization the measures rely on.
-UNITARITY_TOL = 1e-9
 
 MIN_MC_SAMPLES = 100
 MAX_MC_SAMPLES = 10_000_000
@@ -191,9 +189,7 @@ def operator_entanglement(u: BipartiteOperator, tol: float = UNITARITY_TOL) -> f
     ValueError
         If ``tol`` is not a finite number >= 0.
     """
-    stack = u.mat[None]
-    _gate(stack, tol)
-    return float(_entanglement(_purity(stack, u.d, "realign"), u.d)[0])
+    return float(_measures(u.mat[None], u.d, tol)[0][0])
 
 
 def swapped_operator_entanglement(u: BipartiteOperator, tol: float = UNITARITY_TOL) -> float:
@@ -202,9 +198,7 @@ def swapped_operator_entanglement(u: BipartiteOperator, tol: float = UNITARITY_T
     Equals ``operator_entanglement(swap_left(u))``: two routes to the same
     number, via S12 (S12 U)^R = U^T1.
     """
-    stack = u.mat[None]
-    _gate(stack, tol)
-    return float(_entanglement(_purity(stack, u.d, "partial_transpose_first"), u.d)[0])
+    return float(_measures(u.mat[None], u.d, tol)[1][0])
 
 
 def swap_entanglement(d: int) -> float:

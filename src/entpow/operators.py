@@ -2,18 +2,20 @@
 
 Covers the swap operator, the maximally entangled projector, the
 one-parameter family exp(-i*t*S12) generated by the swap, general
-controlled-U gates, Haar-random unitaries, and Haar-random product states.
-Every constructor checks that d is from 2 to 16 before building anything.
-Stacked random controlled-U gates are checked once, as whole operators, by
+controlled-U gates and Haar-random unitaries.  Every constructor checks
+that d is from 2 to 16 before building anything.  The blocks of a
+controlled-U spec pass the unitarity tolerance ``densemat.UNITARITY_TOL``;
+stacked random controlled-U gates are checked once, as whole operators, by
 the gate of ``entanglement._measures``, not block by block.
 
-Random sampling is deterministic.  The public samplers take a
-nonnegative integer seed, checked before anything is drawn, and seed a
-fresh ``numpy.random.default_rng`` (PCG64) generator with it, so identical
-seeds give bitwise identical output.  The stacked samplers draw from a
-generator their caller owns, sample-major, so n samples drawn over several
-calls on one generator are bitwise the samples of one call.  No shared
-generator state is kept anywhere.
+Random sampling is deterministic.  ``haar_unitary`` takes a nonnegative
+integer seed, checked before anything is drawn, and seeds a fresh
+``numpy.random.default_rng`` (PCG64) generator with it, so identical seeds
+give bitwise identical output.  The stacked samplers -- Haar unitaries and
+the Monte-Carlo estimator's product states, ``product_state_batch`` -- draw
+from a generator their caller owns, sample-major, so n samples drawn over
+several calls on one generator are bitwise the samples of one call.  No
+shared generator state is kept anywhere.
 """
 
 from __future__ import annotations
@@ -23,23 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import _MAX_D, _check_local_dim, _is_finite, _unitarity_defects, as_complex_matrix
+from .densemat import UNITARITY_TOL, _MAX_D, _check_local_dim, _is_finite, _unitarity_defects
+from .densemat import as_complex_matrix
 from .rearrange import BipartiteOperator
 
 __all__ = [
     "ControlledUSpec",
-    "PureStateVector",
     "swap_op",
     "max_entangled_projector",
     "exp_swap",
     "controlled_u",
     "haar_unitary",
-    "random_product_state",
     "product_state_batch",
 ]
-
-BLOCK_UNITARITY_TOL = 1e-9
-STATE_NORM_TOL = 1e-9
 
 
 def _check_seed(seed, bits: int | None = None) -> None:
@@ -81,33 +79,6 @@ class ControlledUSpec:
         _check_blocks(np.stack(blocks))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "blocks", blocks)
-
-
-@dataclass(frozen=True, eq=False)
-class PureStateVector:
-    """Normalized pure state of two qudits, amplitudes in composite index order."""
-
-    d: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        d = _check_local_dim(self.d)
-        amp = np.ascontiguousarray(np.asarray(self.amplitudes, dtype=np.complex128))
-        if amp.ndim != 1 or amp.shape[0] != d * d:
-            raise ValueError(f"state at local dimension {d} needs {d * d} amplitudes")
-        if not np.isfinite(amp).all():
-            raise ValueError("state contains non-finite amplitudes")
-        norm_sq = float(np.sum(amp.real**2 + amp.imag**2))
-        if abs(norm_sq - 1.0) > STATE_NORM_TOL:
-            raise ValueError(f"state is not normalized: squared norm {norm_sq!r}")
-        amp = amp.copy()
-        amp.flags.writeable = False
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "amplitudes", amp)
-
-    def coefficient_matrix(self) -> np.ndarray:
-        """The d x d matrix A with A[i, j] = amplitude of |i>|j>."""
-        return self.amplitudes.reshape(self.d, self.d)
 
 
 def swap_op(d: int) -> BipartiteOperator:
@@ -193,21 +164,20 @@ def _controlled_u_stack(blocks: np.ndarray) -> np.ndarray:
 
 def _check_blocks(blocks: np.ndarray) -> None:
     """Raise ValueError naming the first block of a (d, d, d) array that
-    fails the block unitarity tolerance."""
+    fails the unitarity tolerance."""
     defects = _unitarity_defects(blocks)
-    bad = np.flatnonzero(~(defects <= BLOCK_UNITARITY_TOL))
+    bad = np.flatnonzero(~(defects <= UNITARITY_TOL))
     if bad.size:
         k = int(bad[0])
         raise ValueError(
-            f"block {k} is not unitary: defect {defects[k]:.3e} exceeds "
-            f"{BLOCK_UNITARITY_TOL:.1e}"
+            f"block {k} is not unitary: defect {defects[k]:.3e} exceeds {UNITARITY_TOL:.1e}"
         )
 
 
 def _random_controlled_u_stack(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """n controlled-U gates at local dimension d whose d blocks each are Haar
     unitaries drawn from ``rng``, gate by gate.  Callers gate the stack at
-    ``UNITARITY_TOL`` (= ``BLOCK_UNITARITY_TOL``): a gate's defect is its worst block's."""
+    ``UNITARITY_TOL``, the blocks' tolerance: a gate's defect is its worst block's."""
     return _controlled_u_stack(_haar_stack(d, n * d, rng).reshape(n, d, d, d))
 
 
@@ -250,15 +220,3 @@ def product_state_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     z /= np.sqrt(np.add.reduce(sq.real, axis=2, keepdims=True))
     del sq
     return (z[:, 0, :, None] * z[:, 1, None, :]).reshape(n, d * d)
-
-
-def random_product_state(d: int, seed: int) -> PureStateVector:
-    """Haar-random product state |psi1>|psi2>, deterministic in ``seed``.
-
-    Raises ValueError, before anything is drawn, unless ``d`` is an integer
-    from 2 to 16 and ``seed`` a nonnegative integer.
-    """
-    d = _check_local_dim(d)
-    _check_seed(seed)
-    rng = np.random.default_rng(seed)
-    return PureStateVector(d, product_state_batch(rng, 1, d)[0])

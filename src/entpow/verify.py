@@ -18,6 +18,8 @@ Haar unitaries at d = 3) and estimates each stack at once with
 ``seed + 0`` and ``seed + 1``, against closed forms from ``_measures`` on the
 same stack; the determinism criterion repeats that estimator on a stack of
 one.  Every operator still gets its own n-sample mean and standard error.
+``run_acceptance`` checks ``extra_d`` with ``densemat._check_local_dim``, the
+local-dimension rule of every constructor and sweep, before anything is built.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densemat import _MAX_D, _unitarity_defects
+from .densemat import _check_local_dim, _unitarity_defects
 from .entanglement import _check_mc_samples, _mc_estimates, _measures
 from .entanglement import entangling_power, operator_entanglement
 from .entanglement import swap_entanglement
@@ -89,7 +91,7 @@ def run_acceptance(
     integer and, when ``include_mc`` is set, an ``mc_samples`` outside the
     limits of ``entangling_power_mc``.
     """
-    extra_d = _check_extra_d(extra_d)
+    extra_d = None if extra_d is None else _check_local_dim(extra_d)
     if include_mc:
         _check_mc_samples(mc_samples)
     _check_seed(seed, bits=64)
@@ -102,20 +104,6 @@ def run_acceptance(
         results.append(CheckResult(title.format(**vars(run)), value <= bound,
                                    *_detail(key, bound, value)))
     return results
-
-
-def _check_extra_d(extra_d, label: str = "extra_d") -> int | None:
-    """``extra_d`` as an int, or None, if None or a non-bool Python or NumPy
-    integer from 2 to ``_MAX_D``."""
-    if extra_d is None:
-        return None
-    if (
-        isinstance(extra_d, bool)
-        or not isinstance(extra_d, (int, np.integer))
-        or not 2 <= extra_d <= _MAX_D
-    ):
-        raise ValueError(f"{label} must be from 2 to {_MAX_D}, got {extra_d}")
-    return int(extra_d)
 
 
 def _detail(key: str, bound: float, value: float) -> tuple[str, str]:

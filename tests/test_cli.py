@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -382,11 +383,12 @@ class TestVerify:
         assert err == "entpow: error: at most 10000000 samples are allowed, got 10000001\n"
 
     def test_bad_dimension_rejected(self, capsys, monkeypatch):
-        monkeypatch.setattr(entpow.cli, "run_acceptance", fail_if_called)
+        monkeypatch.setattr(entpow.verify, "_new_run", fail_if_called)
         for d in ("1", "17"):
-            code, _, err = run(capsys, "verify", "--d", d)
-            assert code == EXIT_VALIDATION
-            assert err == f"entpow: error: --d must be from 2 to 16, got {d}\n"
+            code, out, err = run(capsys, "verify", "--d", d)
+            assert code == EXIT_VALIDATION and out == ""
+            message = f"local dimension must be an integer from 2 to 16, got {d}"
+            assert err == f"entpow: error: {message}\n"
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_seed_outside_64_bits_rejected_before_any_criterion(self, capsys, monkeypatch, seed):
@@ -402,7 +404,8 @@ class TestVerify:
     def test_library_rejects_extra_d_before_building(self, monkeypatch, extra_d):
         monkeypatch.setattr(entpow.verify, "swap_op", fail_if_called)
         monkeypatch.setattr(entpow.verify, "_new_run", fail_if_called)
-        with pytest.raises(ValueError, match=f"extra_d must be from 2 to 16, got {extra_d}"):
+        message = f"local dimension must be an integer from 2 to 16, got {extra_d!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             entpow.verify.run_acceptance(extra_d=extra_d)
 
     @pytest.mark.parametrize("extra_d", [3, 7])

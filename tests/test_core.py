@@ -114,7 +114,7 @@ class TestGate:
         with pytest.raises(UnitarityError):
             _gate(stack, 1e9)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, None, "1e-9"])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, None, "1e-9", True])
     def test_rejects_bad_tolerance(self, tol):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             _gate(np.eye(4, dtype=complex)[None], tol)
@@ -208,7 +208,7 @@ class TestSweepSizeBounds:
         with pytest.raises(ValueError, match="from 1 to 1000000"):
             SweepSpec("haar", 2, 0.0, 1.0, steps)
 
-    @pytest.mark.parametrize("bad", ["0", None, math.nan, -math.inf, [0.0]])
+    @pytest.mark.parametrize("bad", ["0", None, math.nan, -math.inf, [0.0], True])
     def test_parameter_range_must_be_finite_numbers(self, bad):
         for start, end in ((bad, 1.0), (0.0, bad)):
             with pytest.raises(ValueError, match="parameter range must be finite"):

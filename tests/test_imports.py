@@ -1,6 +1,10 @@
 """Every name a module of ``entpow`` imports is used there, only
 ``entanglement`` reaches its purity core and unitarity gate, and only
 ``operators`` and ``entanglement`` reach the Monte-Carlo sampler.
+Inside ``entanglement`` the gate is reached only by ``_measures`` and
+``_mc_estimates``, and one purity only by ``_purities`` and
+``entanglement_report``, so every scalar measure goes through ``_measures``.
+The package assigns one module-level tolerance, ``densemat.UNITARITY_TOL``.
 
 No linter ships with the project, so this parses each module with ``ast``.
 A name counts as used when the module reads it anywhere or lists it in
@@ -39,6 +43,8 @@ MC_SAMPLER_HOMES = {"operators.py", "entanglement.py"}
 # Top-level packages that start threads, imported only by ``entanglement``.
 THREADS = {"threading", "concurrent"}
 
+ENTANGLEMENT = Path(entpow.__file__).parent / "entanglement.py"
+
 
 def imported(tree: ast.AST) -> list[ast.alias]:
     """Every name an import statement of ``tree`` binds, ``__future__`` aside."""
@@ -69,6 +75,26 @@ def packages_imported(source: str) -> set[str]:
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.add(node.module.split(".")[0])
     return found
+
+
+def readers(source: str, name: str) -> set[str]:
+    """Top-level definitions of ``source`` that read ``name``, with
+    ``"<module>"`` for a read outside any of them."""
+    found = set()
+    for top in ast.parse(source).body:
+        if any(isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+               for node in ast.walk(top)):
+            found.add(getattr(top, "name", "<module>"))
+    return found
+
+
+def tolerances(path: Path) -> set[str]:
+    """``module:NAME`` for each module-level assignment of a ``*_TOL`` name."""
+    body = ast.parse(path.read_text(encoding="utf-8")).body
+    targets = [t for node in body if isinstance(node, ast.Assign) for t in node.targets]
+    targets += [node.target for node in body if isinstance(node, ast.AnnAssign)]
+    return {f"{path.stem}:{t.id}" for t in targets
+            if isinstance(t, ast.Name) and t.id.endswith("_TOL")}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -121,6 +147,44 @@ def test_only_entanglement_reaches_the_purity_core(path):
 ])
 def test_the_core_guard_itself(source, found):
     assert names_reached(source, CORE) == found
+
+
+def test_only_measures_and_mc_estimates_reach_the_gate():
+    source = ENTANGLEMENT.read_text(encoding="utf-8")
+    assert readers(source, "_gate") == {"_measures", "_mc_estimates"}
+
+
+def test_only_purities_and_the_report_reach_one_purity():
+    source = ENTANGLEMENT.read_text(encoding="utf-8")
+    assert readers(source, "_purity") == {"_purities", "entanglement_report"}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def _gate(s, tol): pass\ndef f(s):\n    return _gate(s, 0.0)\n", {"f"}),
+    ("def f(u):\n    def g():\n        _gate(u, 1e-9)\n    return g\n", {"f"}),
+    ("check = _gate\n", {"<module>"}),
+    ("class R:\n    gate = staticmethod(_gate)\n", {"R"}),
+    ("def f(_gate):\n    pass\ndef g(x):\n    return x._gate\n", set()),
+])
+def test_the_reader_guard_itself(source, found):
+    assert readers(source, "_gate") == found
+
+
+def test_one_module_level_tolerance():
+    assert set().union(*map(tolerances, MODULES)) == {"densemat:UNITARITY_TOL"}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("A_TOL = 1e-9\n", {"m:A_TOL"}),
+    ("A_TOL: float = 1e-9\n", {"m:A_TOL"}),
+    ("A_TOL = B_TOL = 1e-9\n", {"m:A_TOL", "m:B_TOL"}),
+    ("def f():\n    A_TOL = 1e-9\n", set()),
+    ("from .densemat import UNITARITY_TOL\nTOLERANCE = 1\n", set()),
+])
+def test_the_tolerance_guard_itself(tmp_path, source, found):
+    path = tmp_path / "m.py"
+    path.write_text(source, encoding="utf-8")
+    assert tolerances(path) == found
 
 
 @pytest.mark.parametrize(

@@ -9,13 +9,11 @@ from entpow.densemat import frobenius_norm_sq, unitarity_defect
 from entpow.entanglement import state_linear_entropy
 from entpow.operators import (
     ControlledUSpec,
-    PureStateVector,
     controlled_u,
     exp_swap,
     haar_unitary,
     max_entangled_projector,
     product_state_batch,
-    random_product_state,
     swap_op,
 )
 from entpow.rearrange import BipartiteOperator, partial_transpose_first, realign
@@ -126,7 +124,7 @@ class TestExpSwap:
         with pytest.raises(ValueError, match="finite"):
             exp_swap(2, math.inf)
 
-    @pytest.mark.parametrize("t", [None, "0.5", [0.5]])
+    @pytest.mark.parametrize("t", [None, "0.5", [0.5], True])
     def test_rejects_non_numeric_parameter(self, t):
         with pytest.raises(ValueError, match="parameter t must be finite"):
             exp_swap(2, t)
@@ -229,36 +227,18 @@ class TestHaarUnitary:
 class TestProductStates:
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_normalized(self, d):
-        psi = random_product_state(d, seed=5)
-        assert np.sum(np.abs(psi.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
+        batch = product_state_batch(np.random.default_rng(5), 50, d)
+        np.testing.assert_allclose(np.sum(np.abs(batch) ** 2, axis=1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_zero_linear_entropy(self, d):
-        psi = random_product_state(d, seed=6)
-        assert abs(state_linear_entropy(psi.coefficient_matrix())) <= 1e-12
-
-    @pytest.mark.parametrize("seed", BAD_SEEDS)
-    def test_seed_rejected_before_drawing(self, monkeypatch, seed):
-        monkeypatch.setattr(np.random, "default_rng", fail_if_called)
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
-            random_product_state(2, seed)
-
-    @pytest.mark.parametrize("d", [17, 10**5])
-    def test_dimension_cap(self, monkeypatch, d):
-        monkeypatch.setattr(np.random, "default_rng", fail_if_called)
-        with pytest.raises(ValueError, match="from 2 to 16"):
-            random_product_state(d, seed=1)
+        for row in product_state_batch(np.random.default_rng(6), 10, d):
+            assert abs(state_linear_entropy(row.reshape(d, d))) <= 1e-12
 
     def test_deterministic_in_seed(self):
-        a = random_product_state(3, seed=9)
-        b = random_product_state(3, seed=9)
-        assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
-
-    def test_matches_batch_sampler(self):
-        d, seed = 3, 17
-        single = random_product_state(d, seed)
-        batch = product_state_batch(np.random.default_rng(seed), 1, d)
-        assert single.amplitudes.tobytes() == batch[0].tobytes()
+        a = product_state_batch(np.random.default_rng(9), 20, 3)
+        b = product_state_batch(np.random.default_rng(9), 20, 3)
+        assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 5, 16])
     def test_batch_split_is_one_call(self, d):
@@ -276,29 +256,6 @@ class TestProductStates:
             assert abs(state_linear_entropy(row.reshape(d, d))) <= 1e-12
 
 
-class TestPureStateVector:
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            PureStateVector(2, np.array([1.0, 1.0, 0.0, 0.0]))
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="amplitudes"):
-            PureStateVector(2, np.zeros(3, dtype=complex))
-
-    def test_coefficient_matrix_layout(self):
-        amp = np.zeros(4, dtype=complex)
-        amp[1] = 1.0  # the |0>|1> basis state
-        psi = PureStateVector(2, amp)
-        a = psi.coefficient_matrix()
-        assert a[0, 1] == 1.0
-        assert np.count_nonzero(a) == 1
-
-    def test_amplitudes_read_only(self):
-        psi = random_product_state(2, seed=3)
-        with pytest.raises(ValueError):
-            psi.amplitudes[0] = 0.0
-
-
 class TestLocalDimensionCap:
     # every public builder of a two-qudit object, at local dimension d
     BUILDERS = {
@@ -307,8 +264,6 @@ class TestLocalDimensionCap:
         "max_entangled_projector": max_entangled_projector,
         "exp_swap": lambda d: exp_swap(d, 0.5),
         "ControlledUSpec": lambda d: ControlledUSpec(d, (np.eye(2),) * 2),
-        "PureStateVector": lambda d: PureStateVector(d, np.eye(4)[0]),
-        "random_product_state": lambda d: random_product_state(d, seed=1),
     }
 
     @pytest.mark.parametrize("d", [17, 10**5, np.int64(17), 1, True, 2.0, "2"])
