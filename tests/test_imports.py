@@ -18,6 +18,9 @@ Only ``entanglement`` imports ``threading`` or ``concurrent.futures``: the
 Monte-Carlo estimator's worker thread is the package's only thread.  It
 loads ``concurrent.futures`` on first use, so ``import entpow`` does not pay
 for it.
+
+Only ``opfile`` imports ``json``: the operator file format, and how it is
+parsed, is that module's alone.
 """
 
 import ast
@@ -44,6 +47,9 @@ MC_SAMPLER_HOMES = {"operators.py", "entanglement.py"}
 THREADS = {"threading", "concurrent"}
 
 ENTANGLEMENT = Path(entpow.__file__).parent / "entanglement.py"
+
+# The one module that reads and writes JSON.
+JSON_HOME = "opfile.py"
 
 
 def imported(tree: ast.AST) -> list[ast.alias]:
@@ -240,3 +246,20 @@ def test_importing_entpow_does_not_load_the_executor():
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     assert out == "[]\n"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_opfile_imports_json(path):
+    expected = {"json"} if path.name == JSON_HOME else set()
+    assert packages_imported(path.read_text(encoding="utf-8")) & {"json"} == expected
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import json\n", {"json"}),
+    ("from json.decoder import JSONObject  # noqa: F401\n", {"json"}),
+    ("def dump(x):\n    import json as j\n    return j.dumps(x)\n", {"json"}),
+    ("from .opfile import read_operator_file\n", set()),
+    ("import jsonschema\n", set()),
+])
+def test_the_json_guard_itself(source, found):
+    assert packages_imported(source) & {"json"} == found

@@ -1,6 +1,7 @@
 """Tests for the JSON operator file format."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import entpow.opfile
-from entpow.opfile import _MAX_BYTES, read_operator_file, serialize_operator
+from entpow.densemat import _MAX_D
+from entpow.opfile import _MAX_BYTES, _walk, read_operator_file, serialize_operator
 from entpow.operators import ControlledUSpec, controlled_u, haar_unitary, swap_op
 from entpow.rearrange import BipartiteOperator
 
@@ -50,6 +52,40 @@ class TestRoundTrip:
         op = swap_op(2)
         assert serialize_operator(op, "swap") == serialize_operator(op, "swap")
 
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_serialized_form_is_per_value_format(self, d):
+        n = d * d
+        rng = np.random.default_rng(d)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        edges = [0.0, -0.0, 5e-324, -1.5e300, 1e16, 1e-7, 123456789.0, 1 / 3]
+        m.real.flat[: len(edges)] = edges
+        m.imag.flat[: len(edges)] = [-x for x in edges]
+        op = BipartiteOperator(d, m)
+
+        def fmt(x):
+            return "-0.0" if x == 0 and np.signbit(x) else format(x, ".17g")
+
+        rows = ",\n".join(
+            "    [" + ", ".join(f"[{fmt(z.real)}, {fmt(z.imag)}]" for z in row) + "]"
+            for row in op.mat
+        )
+        expected = f'{{\n  "d": {d},\n  "name": "x",\n  "matrix": [\n{rows}\n  ]\n}}\n'
+        assert serialize_operator(op, "x") == expected
+
+    def test_negative_zeros_survive(self):
+        op = BipartiteOperator(2, -np.eye(4) * np.exp(1j * np.pi))
+        assert ((op.mat.imag == 0) & np.signbit(op.mat.imag)).sum() == 12
+        text = serialize_operator(op)
+        assert "-0.0" in text
+        back = read_operator_file(text)[0]
+        assert back.mat.tobytes() == op.mat.tobytes()
+
+    def test_integer_negative_zero_reads_as_positive_zero(self):
+        rows = with_cell(zeros_matrix(4), 1, 2, [0.5, 0.5])
+        text = doc(2, rows).replace("[0.5, 0.5]", "[-0, -0.0]")
+        back = read_operator_file(text)[0]
+        assert np.signbit([back.mat[1, 2].real, back.mat[1, 2].imag]).tolist() == [False, True]
+
     def test_awkward_floats_survive(self):
         # values with no short decimal representation
         vals = [1 / 3, np.pi, np.e, 2 ** -0.5]
@@ -78,10 +114,27 @@ class TestBulkConversion:
         assert op.mat.tobytes() == reference.tobytes()
 
     def test_valid_file_never_walks_entries(self, monkeypatch):
+        # a declined matrix would be scanned into lists and walked
+        monkeypatch.setattr(entpow.opfile, "_walk", fail_if_called)
         monkeypatch.setattr(entpow.opfile, "_parse_entry", fail_if_called)
         op = BipartiteOperator(16, haar_unitary(256, seed=5))
-        back, _ = read_operator_file(serialize_operator(op))
-        assert back.mat.tobytes() == op.mat.tobytes()
+        pairs = [[[z.real, z.imag] for z in row] for row in op.mat]
+        for text in (serialize_operator(op), json.dumps({"d": 16, "matrix": pairs}, indent=1)):
+            back, _ = read_operator_file(text)
+            assert back.mat.tobytes() == op.mat.tobytes()
+
+    def test_d16_read_peak_memory(self):
+        # 14,659,721 bytes (13.98 MiB): the largest traced peak of three such
+        # reads by a reader whose json.loads builds every row and entry as a list
+        content = serialize_operator(BipartiteOperator(16, haar_unitary(256, seed=5))).encode()
+        read_operator_file(content)
+        tracemalloc.start()
+        try:
+            read_operator_file(content)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14_659_721
 
     def test_first_bad_entry_wins_over_later_ragged_row(self):
         rows = with_cell(zeros_matrix(4), 0, 3, [1.0, "x"])
@@ -127,6 +180,7 @@ class TestLimits:
 
     @pytest.mark.parametrize("kind", [bytes, str])
     def test_oversized_valid_document_rejected_before_parsing(self, monkeypatch, kind):
+        monkeypatch.setattr(entpow.opfile, "_OperatorDecoder", fail_if_called)
         monkeypatch.setattr(entpow.opfile.json, "loads", fail_if_called)
         text = serialize_operator(swap_op(2))
         content = text + " " * (_MAX_BYTES + 1 - len(text))
@@ -271,3 +325,174 @@ class TestErrors:
         text = doc(2, rows).replace("[1.0, 1.0]", "[NaN, 0.0]")
         with pytest.raises(ValueError, match="non-finite|row 0"):
             read_operator_file(text)
+
+
+def reference_read(text):
+    """A reader without the flat path: ``json.loads``, the same checks, then
+    an entry-by-entry walk of every matrix."""
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"malformed operator file: {e}") from None
+    except RecursionError:
+        raise ValueError("malformed operator file: nesting too deep") from None
+    if not isinstance(document, dict):
+        raise ValueError("operator file must be a JSON object with keys 'd' and 'matrix'")
+    for key in ("d", "matrix"):
+        if key not in document:
+            raise ValueError(f"operator file is missing required key '{key}'")
+    d = document["d"]
+    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
+        raise ValueError(f"'d' must be an integer >= 2, got {d!r}")
+    if d > _MAX_D:
+        raise ValueError(f"'d' must be at most {_MAX_D}, got {d}")
+    name = document.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ValueError(f"'name' must be text, got {name!r}")
+    n = d * d
+    matrix = document["matrix"]
+    if not isinstance(matrix, list) or len(matrix) != n:
+        raise ValueError(
+            f"matrix must have {n} rows ({n} = d^2 for d={d}), "
+            f"got {len(matrix) if isinstance(matrix, list) else type(matrix).__name__}"
+        )
+    out = _walk(matrix, d)
+    bad = np.argwhere(~np.isfinite(out))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(f"non-finite entry at row {r}, column {c}")
+    return out, name
+
+
+def outcome(read, text):
+    """Matrix bytes and name of a read, or the text of its ValueError."""
+    try:
+        matrix, name = read(text)
+    except ValueError as e:
+        return "error", str(e)
+    return matrix.tobytes(), name
+
+
+def read_matrix_and_name(text):
+    op, name = read_operator_file(text)
+    return op.mat, name
+
+
+def assert_reads_as_reference(text):
+    assert outcome(read_matrix_and_name, text) == outcome(reference_read, text)
+
+
+_PAIRS_2 = [[[z.real, z.imag] for z in row] for row in haar_unitary(4, seed=12)]
+_PAIRS_2[1][2] = [1, -3]
+_CANONICAL = serialize_operator(BipartiteOperator(2, haar_unitary(4, seed=11)), name="canon")
+_COMPACT = json.dumps({"d": 2, "name": "Ωψ é", "matrix": _PAIRS_2}, ensure_ascii=False)
+
+# Valid documents around a d=2 matrix: pretty, compact with a non-ASCII
+# name, whitespace after every bracket with "matrix" before "d", "matrix"
+# before a name holding ']', CRLF line ends, an escaped key, duplicate
+# "matrix" keys (the last one counts), and nested objects that hold arrays.
+_VALID = [
+    _CANONICAL,
+    _COMPACT,
+    json.dumps({"matrix": _PAIRS_2, "d": 2}, indent=1),
+    json.dumps({"d": 2, "matrix": _PAIRS_2, "name": "a]b}"}),
+    _CANONICAL.replace("\n", "\r\n"),
+    _CANONICAL.replace('"matrix"', '"matri\\u0078"'),
+    _CANONICAL.replace('"matrix": [', '"matrix": [[[1, 2]]], "matrix": ['),
+    _COMPACT.replace('"matrix": ', '"matrix": [[[true, 1]]], "x": {"matrix": [[[1, 2]]]}, "matrix": '),
+    _COMPACT.replace('"name": ', '"extra": {"rows": [[[1, 2]], [3]], "m": {"matrix": [1]}}, "name": '),
+]
+# A square matrix of pairs as 'name' or 'd': the message quotes it as lists.
+_BASES = _VALID + [
+    _COMPACT.replace('"name": "Ωψ é"', '"name": [[[1, 2]]]'),
+    _COMPACT.replace('"d": 2', '"d": [[[2, 0]]]'),
+]
+
+
+def _cell(text, k, new):
+    """``text`` with its k-th "[re, im]" pair written as ``new``."""
+    starts = [i for i in range(len(text)) if text.startswith("[", i) and text[i + 1] in "-0123456789"]
+    i = starts[k]
+    return text[:i] + new + text[text.index("]", i) + 1:]
+
+
+# One case per kind of malformed or unusual content the flat reader must
+# decline, or accept with the reference's values.
+_SEEDED = [
+    _cell(_CANONICAL, 0, "[-0, 0.5]"),
+    _cell(_CANONICAL, 5, f"[{2**1100}, 0]"),
+    _cell(_CANONICAL, 5, "[1e400, 0]"),
+    _cell(_CANONICAL, 3, "[+1, 0]"),
+    _cell(_CANONICAL, 3, "[.5, 0]"),
+    _cell(_CANONICAL, 3, "[01, 0]"),
+    _cell(_CANONICAL, 3, "[1., 0]"),
+    _cell(_CANONICAL, 3, "[1 2, 0]"),
+    _cell(_CANONICAL, 3, "[0, 1 .5]"),
+    _cell(_CANONICAL, 7, "[1, ]2"),
+    _cell(_CANONICAL, 7, "3[, 2]"),
+    _cell(_CANONICAL, 7, "[1, 2], [3, 4]"),
+    _cell(_CANONICAL, 7, "[1, 2]3"),
+    _cell(_CANONICAL, 2, "[true, 0]"),
+    _cell(_CANONICAL, 2, '[0, "2"]'),
+    _cell(_CANONICAL, 2, "[null, 0]"),
+    _cell(_CANONICAL, 2, "[[1, 2], 0]"),
+    _cell(_CANONICAL, 2, "[1, 2, 3]"),
+    _cell(_CANONICAL, 2, "[NaN, 0]"),
+    _cell(_CANONICAL, 2, "[0, -Infinity]"),
+    _cell(_CANONICAL, 2, "[0, é]"),
+    _cell(_CANONICAL, 15, "[1, 2]]"),
+    _cell(_CANONICAL, 15, "[1, 2]}"),
+    _CANONICAL.replace("]],", "]],,", 1),
+    _CANONICAL.replace("]]\n", "]], []\n", 1),
+    _CANONICAL.replace("    [[", "    [[0, 0], [", 1),
+    _CANONICAL.replace("  ]\n}", "  ]\n", 1),
+    "\ufeff" + _CANONICAL,
+    _CANONICAL + " 1",
+    _CANONICAL.replace('"matrix"', '"matrix" '),
+] + _BASES
+
+_TOKENS = [
+    "-0", str(2**1100), "1e400", "+1", ".5", "01", "1.", "[1 2]", "true", '"2"', "null",
+    " ", "\r\n", "\t", ",", "[", "]", "[]", "{", "}", '"', ":", "é", "-", "e", "0", "NaN",
+    "[0, 0]", ", [0, 0]", "\\u0078",
+]
+
+
+@st.composite
+def _mutated_documents(draw):
+    text = draw(st.sampled_from(_BASES))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=len(text)))
+        kind = draw(st.sampled_from(["insert", "delete", "replace", "swap"]))
+        if kind == "insert":
+            text = text[:i] + draw(st.sampled_from(_TOKENS)) + text[i:]
+        elif kind == "delete":
+            text = text[:i] + text[i + draw(st.integers(min_value=1, max_value=3)):]
+        elif kind == "replace":
+            text = text[:i] + draw(st.sampled_from(_TOKENS)) + text[i + 1:]
+        else:  # two neighbouring characters change places, e.g. a number and a bracket
+            text = text[:i] + text[i + 1:i + 2] + text[i:i + 1] + text[i + 2:]
+    return text
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("text", _SEEDED, ids=range(len(_SEEDED)))
+    def test_seeded_document(self, text):
+        assert_reads_as_reference(text)
+
+    @pytest.mark.parametrize("text", _VALID, ids=range(len(_VALID)))
+    def test_valid_document_takes_the_flat_reader(self, monkeypatch, text):
+        expected = reference_read(text)[0]
+        monkeypatch.setattr(entpow.opfile, "_walk", fail_if_called)
+        assert read_operator_file(text)[0].mat.tobytes() == expected.tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(_mutated_documents())
+    def test_mutated_document(self, text):
+        assert_reads_as_reference(text)
+
+    @pytest.mark.parametrize("text", [_CANONICAL, _COMPACT], ids=["canonical", "compact"])
+    def test_every_truncation(self, text):
+        for k in range(len(text)):
+            assert_reads_as_reference(text[:k])
+            assert_reads_as_reference(text[:k] + "}")
