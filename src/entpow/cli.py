@@ -103,7 +103,7 @@ def cmd_eval(path: str, mc: bool, mc_samples: int, seed: int, tol: float) -> int
     """Print every measure of the operator stored at ``path``."""
     if mc:  # a bad flag prints no measures
         _check_mc_samples(mc_samples)
-        _check_seed(seed, bits=64)
+        _check_seed(seed)
     with open(path, "rb") as fh:
         # one byte past the cap is enough for the reader to reject the file
         op, name = read_operator_file(fh.read(_MAX_BYTES + 1))

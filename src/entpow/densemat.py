@@ -2,8 +2,10 @@
 
 A matrix here is a 2-D ``numpy.ndarray`` of ``complex128`` entries in
 row-major (C) order.  Every public function validates its input and raises
-``ValueError`` on dimension mismatches; nothing is ever broadcast silently.
-Sizes stay small (at most 256 x 256), so no blocking or sparsity is needed.
+``ValueError`` on dimension mismatches and non-finite entries; nothing is
+ever broadcast silently.  Sizes stay small (at most 256 x 256), so no
+blocking or sparsity is needed.  Every input rule of the package --
+``_is_int``, ``_is_finite``, ``_check_local_dim`` -- is written here once.
 """
 
 from __future__ import annotations
@@ -33,20 +35,22 @@ _MAX_D = 16
 
 def _check_local_dim(d) -> int:
     """``d`` as an int, if a non-bool Python or NumPy integer from 2 to ``_MAX_D``."""
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or not 2 <= d <= _MAX_D:
+    if not (_is_int(d) and 2 <= d <= _MAX_D):
         raise ValueError(f"local dimension must be an integer from 2 to {_MAX_D}, got {d!r}")
     return int(d)
 
 
 def as_complex_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a finite 2-D complex128 array in row-major order."""
+    """Coerce ``a`` to a finite 2-D complex128 array in row-major order; the
+    ValueError for non-finite input names the first such entry."""
     m = np.ascontiguousarray(np.asarray(a, dtype=np.complex128))
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got {m.ndim}-D data")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"matrix must have positive dimensions, got {m.shape}")
     if not np.isfinite(m).all():
-        raise ValueError("matrix contains non-finite entries")
+        r, c = np.argwhere(~np.isfinite(m))[0]
+        raise ValueError(f"non-finite entry at row {r}, column {c}")
     return m
 
 
@@ -82,6 +86,11 @@ def _unitarity_defects(stack: np.ndarray) -> np.ndarray:
     idx = np.arange(stack.shape[-1])
     g[:, idx, idx] -= 1.0
     return np.abs(g).max(axis=(1, 2))
+
+
+def _is_int(x) -> bool:
+    """Whether ``x`` is a Python or NumPy integer; a bool is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _is_finite(x) -> bool:

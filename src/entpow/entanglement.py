@@ -62,7 +62,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import UNITARITY_TOL, _check_local_dim, _check_tolerance, _unitarity_defects
+from .densemat import UNITARITY_TOL, _check_local_dim, _check_tolerance, _is_int
+from .densemat import _unitarity_defects
 from .densemat import as_complex_matrix, frobenius_norm_sq
 from .operators import _check_seed, product_state_batch
 from .rearrange import BipartiteOperator, _rearrange
@@ -255,9 +256,9 @@ def entangling_power_mc(
     ------
     ValueError
         If ``n_samples`` is not an integer from ``MIN_MC_SAMPLES`` (100) to
-        ``MAX_MC_SAMPLES`` (10,000,000), ``seed`` is not a nonnegative
-        integer, or ``tol`` is not a finite number >= 0; all three are
-        checked before anything is drawn.
+        ``MAX_MC_SAMPLES`` (10,000,000), ``seed`` is not an integer with
+        ``0 <= seed < 2**64``, or ``tol`` is not a finite number >= 0; all
+        three are checked before anything is drawn.
     UnitarityError
         If the unitarity defect of ``u`` exceeds ``tol``.
     """
@@ -321,7 +322,7 @@ def _measures(stack: np.ndarray, d: int, tol: float = UNITARITY_TOL) -> tuple[np
 
 def _check_mc_samples(n_samples: int) -> None:
     """Raise ValueError unless ``n_samples`` is an integer within the MC limits."""
-    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
+    if not _is_int(n_samples):
         raise ValueError(f"number of samples must be an integer, got {n_samples!r}")
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {n_samples}")

@@ -8,8 +8,9 @@ controlled-U spec pass the unitarity tolerance ``densemat.UNITARITY_TOL``;
 stacked random controlled-U gates are checked once, as whole operators, by
 the gate of ``entanglement._measures``, not block by block.
 
-Random sampling is deterministic.  ``haar_unitary`` takes a nonnegative
-integer seed, checked before anything is drawn, and seeds a fresh
+Random sampling is deterministic.  ``haar_unitary`` takes an integer seed
+with ``0 <= seed < 2**64``, the one seed range of the package and its
+command line, checked before anything is drawn, and seeds a fresh
 ``numpy.random.default_rng`` (PCG64) generator with it, so identical seeds
 give bitwise identical output.  The stacked samplers -- Haar unitaries and
 the Monte-Carlo estimator's product states, ``product_state_batch`` -- draw
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import UNITARITY_TOL, _MAX_D, _check_local_dim, _is_finite, _unitarity_defects
-from .densemat import as_complex_matrix
+from .densemat import UNITARITY_TOL, _MAX_D, _check_local_dim, _is_finite, _is_int
+from .densemat import _unitarity_defects, as_complex_matrix
 from .rearrange import BipartiteOperator
 
 __all__ = [
@@ -40,17 +41,10 @@ __all__ = [
 ]
 
 
-def _check_seed(seed, bits: int | None = None) -> None:
-    """Raise ValueError unless ``seed`` is a non-bool integer >= 0, and below
-    2**bits when ``bits`` is given."""
-    if (
-        isinstance(seed, bool)
-        or not isinstance(seed, (int, np.integer))
-        or seed < 0
-        or (bits is not None and seed >= 2**bits)
-    ):
-        kind = "integer" if bits is None else f"{bits}-bit integer"
-        raise ValueError(f"seed must be a nonnegative {kind}, got {seed!r}")
+def _check_seed(seed) -> None:
+    """Raise ValueError unless ``seed`` is a non-bool integer with 0 <= seed < 2**64."""
+    if not (_is_int(seed) and 0 <= seed < 2**64):
+        raise ValueError(f"seed must be a nonnegative 64-bit integer, got {seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,14 +125,10 @@ def haar_unitary(d_total: int, seed: int) -> np.ndarray:
     phase convention under which the distribution is exactly Haar.
 
     Raises ValueError, before anything is drawn, unless ``d_total`` is an
-    integer from 1 to 256 (d = 16 on each side) and ``seed`` a nonnegative
-    integer.
+    integer from 1 to 256 (d = 16 on each side) and ``seed`` an integer with
+    ``0 <= seed < 2**64``.
     """
-    if (
-        isinstance(d_total, bool)
-        or not isinstance(d_total, (int, np.integer))
-        or not 1 <= d_total <= _MAX_D**2
-    ):
+    if not (_is_int(d_total) and 1 <= d_total <= _MAX_D**2):
         raise ValueError(f"dimension must be an integer from 1 to {_MAX_D**2}, got {d_total!r}")
     _check_seed(seed)
     return _haar_stack(int(d_total), 1, np.random.default_rng(seed))[0]

@@ -24,8 +24,9 @@ Python ints do.  A matrix the reader declines (any malformed one, and one
 with an integer beyond float range) is scanned by ``json`` into lists and
 walked row by row and entry by entry; the walk reports the first bad row or
 entry in row-major order.  Documents longer than 16 MiB (bytes, or
-characters for text input) and d above 16 are rejected before any matrix is
-built; every rejection is a ``ValueError``.
+characters for text input) are rejected before they are parsed.  ``d`` and
+finiteness are checked by the ``densemat`` rules, with the messages of
+every other entry point; every rejection is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from json.decoder import JSONObject
 
 import numpy as np
 
-from .densemat import _MAX_D
+from .densemat import _check_local_dim
 from .rearrange import BipartiteOperator
 
 __all__ = ["read_operator_file", "serialize_operator"]
@@ -56,8 +57,9 @@ def read_operator_file(content: bytes | str) -> tuple[BipartiteOperator, str | N
     ------
     ValueError
         On content over 16 MiB, malformed JSON (message carries
-        line/column), d outside 2..16, inconsistent dimensions (message
-        states the d^2 expected), or non-finite or non-numeric entries.
+        line/column), d outside 2..16, a name that is not text,
+        inconsistent dimensions (message states the d^2 expected), or
+        non-finite or non-numeric entries.
     """
     if len(content) > _MAX_BYTES:
         raise ValueError(f"operator file exceeds the {_MAX_BYTES >> 20} MiB limit")
@@ -77,14 +79,8 @@ def read_operator_file(content: bytes | str) -> tuple[BipartiteOperator, str | N
         if key not in doc:
             raise ValueError(f"operator file is missing required key '{key}'")
 
-    d = doc["d"]
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-        raise ValueError(f"'d' must be an integer >= 2, got {d!r}")
-    if d > _MAX_D:
-        raise ValueError(f"'d' must be at most {_MAX_D}, got {d}")
-    name = doc.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ValueError(f"'name' must be text, got {name!r}")
+    d = _check_local_dim(doc["d"])
+    name = _check_name(doc.get("name"))
 
     n = d * d
     matrix = doc["matrix"]
@@ -92,11 +88,8 @@ def read_operator_file(content: bytes | str) -> tuple[BipartiteOperator, str | N
     rows = len(matrix) if isinstance(matrix, (list, np.ndarray)) else type(matrix).__name__
     if rows != n:
         raise ValueError(f"matrix must have {n} rows ({n} = d^2 for d={d}), got {rows}")
+    # BipartiteOperator names the first non-finite entry
     out = matrix if isinstance(matrix, np.ndarray) else _walk(matrix, d)
-    bad = np.argwhere(~np.isfinite(out))
-    if bad.size:
-        r, c = bad[0]
-        raise ValueError(f"non-finite entry at row {r}, column {c}")
     return BipartiteOperator(d, out), name
 
 
@@ -105,8 +98,10 @@ def serialize_operator(op: BipartiteOperator, name: str | None = None) -> str:
 
     One %-format call renders every number; ``%.17g`` gives the digits of
     ``format(x, ".17g")``, which writes negative zero as ``-0``, a JSON
-    integer, so that token is rewritten as ``-0.0``.
+    integer, so that token is rewritten as ``-0.0``.  A ``name`` that is not
+    text raises the reader's ValueError before anything is rendered.
     """
+    _check_name(name)
     head = ["{", f'  "d": {op.d},']
     if name is not None:
         head.append(f'  "name": {json.dumps(name)},')
@@ -117,6 +112,13 @@ def serialize_operator(op: BipartiteOperator, name: str | None = None) -> str:
     # '-0' is a whole number token only when a ',' or ']' follows it
     rows = rows.replace("-0,", "-0.0,").replace("-0]", "-0.0]")
     return "\n".join(head + [rows, "  ]", "}"]) + "\n"
+
+
+def _check_name(name):
+    """``name`` itself, if None or text: the one label rule of reader and writer."""
+    if name is not None and not isinstance(name, str):
+        raise ValueError(f"'name' must be text, got {name!r}")
+    return name
 
 
 class _MemberKeys(dict):

@@ -16,11 +16,12 @@ renders to byte-identical CSV.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import _check_local_dim, _is_finite
+from .densemat import _check_local_dim, _is_finite, _is_int
 from .entanglement import _measures
 # Not called here: perfbench's tracing test checks that it wraps and restores
 # this binding.
@@ -65,21 +66,16 @@ class SweepSpec:
                 f"unknown family {self.family!r}; valid families: {', '.join(FAMILIES)}"
             )
         object.__setattr__(self, "d", _check_local_dim(self.d))
-        if (
-            isinstance(self.steps, bool)
-            or not isinstance(self.steps, (int, np.integer))
-            or not 1 <= self.steps <= _MAX_STEPS
-        ):
+        if not (_is_int(self.steps) and 1 <= self.steps <= _MAX_STEPS):
             raise ValueError(f"steps must be from 1 to {_MAX_STEPS}, got {self.steps}")
-        if not (_is_finite(self.param_start) and _is_finite(self.param_end)):
-            raise ValueError(
-                f"parameter range must be finite, got {self.param_start!r} to {self.param_end!r}"
-            )
-        if self.param_start > self.param_end:
-            raise ValueError(
-                f"param_start {self.param_start} exceeds param_end {self.param_end}"
-            )
-        _check_seed(self.seed, bits=64)
+        start, end = self.param_start, self.param_end
+        finite = _is_finite(start) and _is_finite(end)
+        if finite and start > end:
+            raise ValueError(f"param_start {start} exceeds param_end {end}")
+        # the width too, in Python floats: a NumPy subtraction that overflows warns
+        if not (finite and math.isfinite(float(end) - float(start))):
+            raise ValueError(f"parameter range must be finite, got {start!r} to {end!r}")
+        _check_seed(self.seed)
 
 
 def sweep_rows(spec: SweepSpec) -> list[tuple[float, float, float, float]]:

@@ -15,9 +15,9 @@ the one gated call that sweeps use too.  The Monte-Carlo oracle stacks its
 operators by local dimension (the sqrt-swap and 5 Haar unitaries at d = 2, 5
 Haar unitaries at d = 3) and estimates each stack at once with
 ``entanglement._mc_estimates``, on one generator per dimension seeded
-``seed + 0`` and ``seed + 1``, against closed forms from ``_measures`` on the
-same stack; the determinism criterion repeats that estimator on a stack of
-one.  Every operator still gets its own n-sample mean and standard error.
+``seed`` and ``(seed + 1) % 2**64``, against closed forms from ``_measures``
+on the same stack; the determinism criterion repeats that estimator on a
+stack of one.  Every operator still gets its own n-sample mean and standard error.
 ``run_acceptance`` checks ``extra_d`` with ``densemat._check_local_dim``, the
 local-dimension rule of every constructor and sweep, before anything is built.
 """
@@ -87,14 +87,15 @@ def run_acceptance(
 
     ``extra_d`` repeats the dimension-dependent checks at one more local
     dimension, from 2 to 16; any other value raises ``ValueError`` before
-    anything is built, as do a ``seed`` that is not a nonnegative 64-bit
-    integer and, when ``include_mc`` is set, an ``mc_samples`` outside the
-    limits of ``entangling_power_mc``.
+    anything is built, as do a ``seed`` that is not an integer with
+    ``0 <= seed < 2**64`` and, when ``include_mc`` is set, an ``mc_samples``
+    outside the limits of ``entangling_power_mc``.  The Monte-Carlo criterion
+    seeds its d = 3 stream ``(seed + 1) % 2**64``, so every such seed is valid.
     """
     extra_d = None if extra_d is None else _check_local_dim(extra_d)
     if include_mc:
         _check_mc_samples(mc_samples)
-    _check_seed(seed, bits=64)
+    _check_seed(seed)
     run = _new_run(extra_d, mc_samples, seed)
     results = []
     for key, title, bound, worst in CRITERIA:
@@ -217,7 +218,7 @@ def _mc_oracle(run: _Run) -> float:
     devs = []
     for k, (d, stack) in enumerate(stacks.items()):
         e_p = _measures(stack, d)[2]
-        ests = _mc_estimates(stack, d, run.mc_samples, run.seed + k)
+        ests = _mc_estimates(stack, d, run.mc_samples, (run.seed + k) % 2**64)
         devs += [abs(e.mean - p) / max(5 * e.stderr, 0.01) for e, p in zip(ests, e_p)]
     return _max_abs(devs)
 

@@ -197,7 +197,7 @@ class TestEval:
         (serialize_operator(swap_op(2)).replace("1, 0]", "1" + "0" * 400 + ", 0]", 1),
          "entry at row 0, column 0 is out of float range"),
         ("[" * 100_000, "malformed operator file: nesting too deep"),
-        ('{"d": 17, "matrix": []}', "'d' must be at most 16, got 17"),
+        ('{"d": 17, "matrix": []}', "local dimension must be an integer from 2 to 16, got 17"),
     ], ids=["huge-int", "deep-nesting", "d-17"])
     def test_out_of_range_file_exits_1(self, capsys, monkeypatch, tmp_path, content, message):
         monkeypatch.setattr(entpow.cli, "entanglement_report", fail_if_called)
@@ -321,6 +321,15 @@ class TestSweep:
         )
         assert code == EXIT_VALIDATION and "exceeds" in err
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_overflowing_parameter_range_rejected(self, capsys, monkeypatch, family):
+        monkeypatch.setattr(entpow.cli, "sweep_rows", fail_if_called)
+        code, out, err = run(capsys, "sweep", "--family", family, "--d", "2",
+                             "--start=-1.7e308", "--end=1.7e308", "--steps", "3")
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == ("entpow: error: parameter range must be finite, "
+                       "got -1.7e+308 to 1.7e+308\n")
+
     @pytest.mark.parametrize("seed", [str(2**64), str(2**70), "-1"])
     def test_seed_outside_64_bits_rejected(self, capsys, seed):
         code, out, err = run(capsys, "sweep", "--family", "haar", "--d", "2", "--seed", seed)
@@ -438,6 +447,20 @@ class TestVerify:
         assert (len(with_mc), len(without_mc)) == (10, 9)
         assert [r.name for r in with_mc] == want
         assert [r.name for r in without_mc] == want[:7] + want[8:]
+
+    def test_largest_seed_runs_every_criterion(self, monkeypatch):
+        seeds = []
+        estimate = entpow.verify._mc_estimates
+
+        def recording(stack, d, n_samples, seed):
+            seeds.append(seed)
+            return estimate(stack, d, n_samples, seed)
+
+        monkeypatch.setattr(entpow.verify, "_mc_estimates", recording)
+        results = entpow.verify.run_acceptance(include_mc=True, mc_samples=100, seed=2**64 - 1)
+        assert len(results) == 10 and all(r.passed for r in results)
+        # the d = 3 stream of the Monte-Carlo oracle wraps round to seed 0
+        assert seeds == [2**64 - 1, 0, 2**64 - 1, 2**64 - 1]
 
 
 class TestEntryPoint:

@@ -213,3 +213,19 @@ class TestSweepSizeBounds:
         for start, end in ((bad, 1.0), (0.0, bad)):
             with pytest.raises(ValueError, match="parameter range must be finite"):
                 SweepSpec("haar", 2, start, end, 3)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("start, end", [
+        (-1.7e308, 1.7e308),
+        (-np.finfo(float).max, np.float64(1e300)),
+    ])
+    def test_parameter_range_width_must_be_finite(self, family, start, end):
+        # finite endpoints whose difference overflows: rejected before any
+        # NumPy arithmetic can warn
+        with pytest.raises(ValueError, match="parameter range must be finite"):
+            SweepSpec(family, 2, start, end, 3)
+
+    def test_widest_finite_parameter_range_accepted(self):
+        big = np.finfo(float).max
+        rows = sweep_rows(SweepSpec("haar", 2, -big / 2, big / 2, 3))
+        assert [row[0] for row in rows] == [-big / 2, 0.0, big / 2]

@@ -8,7 +8,8 @@ from entpow.densemat import (
     frobenius_norm_sq,
     unitarity_defect,
 )
-from entpow.operators import haar_unitary, max_entangled_projector, swap_op
+from entpow.operators import ControlledUSpec, haar_unitary, max_entangled_projector, swap_op
+from entpow.rearrange import BipartiteOperator
 
 
 def random_complex(rng, rows, cols):
@@ -59,13 +60,19 @@ class TestUnitarityDefect:
 
 
 class TestValidation:
-    def test_rejects_non_finite(self):
-        bad = np.array([[1.0, np.nan], [0.0, 1.0]], dtype=complex)
-        with pytest.raises(ValueError, match="non-finite"):
-            as_complex_matrix(bad)
-        bad = np.array([[1.0, np.inf], [0.0, 1.0]], dtype=complex)
-        with pytest.raises(ValueError, match="non-finite"):
-            as_complex_matrix(bad)
+    @pytest.mark.parametrize("check, shape", [
+        (as_complex_matrix, (2, 3)),
+        (lambda m: BipartiteOperator(2, m), (4, 4)),
+        (lambda m: ControlledUSpec(2, (np.eye(2), m)), (2, 2)),
+    ], ids=["as_complex_matrix", "BipartiteOperator", "ControlledUSpec"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_rejects_non_finite(self, check, shape, value):
+        # the first non-finite entry in row-major order is named
+        bad = np.zeros(shape, dtype=complex)
+        bad[1, 0] = value
+        bad[-1, -1] = np.nan
+        with pytest.raises(ValueError, match=r"^non-finite entry at row 1, column 0$"):
+            check(bad)
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError, match="2-D"):

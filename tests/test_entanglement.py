@@ -426,11 +426,11 @@ class TestMonteCarloChunks:
         est = entangling_power_mc(CNOT, np.int64(300), seed=2)
         assert est == entangling_power_mc(CNOT, 300, seed=2)
 
-    @pytest.mark.parametrize("seed", [None, -1, True, 1.0, "1", np.float64(1)])
+    @pytest.mark.parametrize("seed", [None, -1, True, 1.0, "1", np.float64(1), 2**64])
     def test_seed_rejected_before_drawing(self, monkeypatch, seed):
         monkeypatch.setattr(entpow.entanglement, "product_state_batch", fail_if_called)
         monkeypatch.setattr(np.random, "default_rng", fail_if_called)
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="seed must be a nonnegative 64-bit integer"):
             entangling_power_mc(CNOT, 500, seed)
 
     def test_numpy_integer_seed_accepted(self):

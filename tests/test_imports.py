@@ -21,6 +21,9 @@ for it.
 
 Only ``opfile`` imports ``json``: the operator file format, and how it is
 parsed, is that module's alone.
+
+Only ``densemat`` names ``np.integer``: every other module asks its
+``_is_int`` whether a value is a non-bool Python or NumPy integer.
 """
 
 import ast
@@ -50,6 +53,9 @@ ENTANGLEMENT = Path(entpow.__file__).parent / "entanglement.py"
 
 # The one module that reads and writes JSON.
 JSON_HOME = "opfile.py"
+
+# The one module that names ``np.integer``, in its integer test ``_is_int``.
+INTEGER_HOME = "densemat.py"
 
 
 def imported(tree: ast.AST) -> list[ast.alias]:
@@ -263,3 +269,20 @@ def test_only_opfile_imports_json(path):
 ])
 def test_the_json_guard_itself(source, found):
     assert packages_imported(source) & {"json"} == found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_densemat_names_the_numpy_integer_type(path):
+    expected = {"integer"} if path.name == INTEGER_HOME else set()
+    assert names_reached(path.read_text(encoding="utf-8"), {"integer"}) == expected
+
+
+@pytest.mark.parametrize("source, found", [
+    ("isinstance(x, (int, np.integer))\n", {"integer"}),
+    ("import numpy\nissubclass(t, numpy.integer)\n", {"integer"}),
+    ("from numpy import integer as i  # noqa: F401\n", {"integer"}),
+    ("from .densemat import _is_int\n_is_int(x)\n", set()),
+    ("'an integer from 2 to 16'\nnp.int64(3)\n", set()),
+])
+def test_the_integer_guard_itself(source, found):
+    assert names_reached(source, {"integer"}) == found

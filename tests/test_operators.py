@@ -19,8 +19,9 @@ from entpow.operators import (
 from entpow.rearrange import BipartiteOperator, partial_transpose_first, realign
 
 
-# Seeds that cannot reproduce a draw: none, negative, or not an integer.
-BAD_SEEDS = [None, -1, True, False, 1.0, "1", np.float64(1), [1, 2]]
+# Seeds that cannot reproduce a draw: none, negative, not an integer, or
+# beyond the 64-bit range of every seed.
+BAD_SEEDS = [None, -1, True, False, 1.0, "1", np.float64(1), [1, 2], 2**64]
 
 
 def fail_if_called(*args, **kwargs):
@@ -211,7 +212,7 @@ class TestHaarUnitary:
     @pytest.mark.parametrize("seed", BAD_SEEDS)
     def test_seed_rejected_before_drawing(self, monkeypatch, seed):
         monkeypatch.setattr(np.random, "default_rng", fail_if_called)
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="seed must be a nonnegative 64-bit integer"):
             haar_unitary(4, seed)
 
     def test_numpy_integers_accepted(self):
