@@ -40,11 +40,14 @@ __all__ = [
     "product_state_batch",
 ]
 
+_SEED_LIMIT = 2**64
 
-def _check_seed(seed) -> None:
-    """Raise ValueError unless ``seed`` is a non-bool integer with 0 <= seed < 2**64."""
-    if not (_is_int(seed) and 0 <= seed < 2**64):
+
+def _check_seed(seed) -> int:
+    """``seed`` as an int, if a non-bool integer with 0 <= seed < ``_SEED_LIMIT``."""
+    if not (_is_int(seed) and 0 <= seed < _SEED_LIMIT):
         raise ValueError(f"seed must be a nonnegative 64-bit integer, got {seed!r}")
+    return int(seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,9 +70,7 @@ class ControlledUSpec:
             )
         for n, b in enumerate(blocks):
             if b.shape != (d, d):
-                raise ValueError(
-                    f"block {n} must be {d}x{d}, got {b.shape[0]}x{b.shape[1]}"
-                )
+                raise ValueError(f"block {n} must be {d}x{d}, got {b.shape[0]}x{b.shape[1]}")
         _check_blocks(np.stack(blocks))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "blocks", blocks)

@@ -34,7 +34,7 @@ from .entanglement import _check_mc_samples, _mc_estimates, _measures
 from .entanglement import entangling_power, operator_entanglement
 from .entanglement import swap_entanglement
 from .operators import ControlledUSpec, controlled_u, exp_swap, haar_unitary, swap_op
-from .operators import _check_seed, _haar_stack, _random_controlled_u_stack
+from .operators import _SEED_LIMIT, _check_seed, _haar_stack, _random_controlled_u_stack
 from .rearrange import _AXES, BipartiteOperator, _rearrange
 from .rearrange import partial_transpose_first, realign, swap_left
 from .sweep import SweepSpec, _chunks, render_csv, sweep_rows
@@ -95,8 +95,7 @@ def run_acceptance(
     extra_d = None if extra_d is None else _check_local_dim(extra_d)
     if include_mc:
         _check_mc_samples(mc_samples)
-    _check_seed(seed)
-    run = _new_run(extra_d, mc_samples, seed)
+    run = _new_run(extra_d, mc_samples, _check_seed(seed))
     results = []
     for key, title, bound, worst in CRITERIA:
         if key == "monte_carlo_oracle" and not include_mc:
@@ -218,7 +217,7 @@ def _mc_oracle(run: _Run) -> float:
     devs = []
     for k, (d, stack) in enumerate(stacks.items()):
         e_p = _measures(stack, d)[2]
-        ests = _mc_estimates(stack, d, run.mc_samples, (run.seed + k) % 2**64)
+        ests = _mc_estimates(stack, d, run.mc_samples, (run.seed + k) % _SEED_LIMIT)
         devs += [abs(e.mean - p) / max(5 * e.stderr, 0.01) for e, p in zip(ests, e_p)]
     return _max_abs(devs)
 

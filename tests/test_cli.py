@@ -462,6 +462,15 @@ class TestVerify:
         # the d = 3 stream of the Monte-Carlo oracle wraps round to seed 0
         assert seeds == [2**64 - 1, 0, 2**64 - 1, 2**64 - 1]
 
+    @pytest.mark.parametrize("seed", [np.int64(1), np.uint64(2**64 - 1)], ids=repr)
+    def test_numpy_integer_seed_runs_as_its_python_int(self, seed):
+        def run(s):
+            return entpow.verify.run_acceptance(include_mc=True, mc_samples=100, seed=s)
+
+        results = run(seed)
+        assert len(results) == 10 and all(r.passed for r in results)
+        assert results == run(int(seed))
+
 
 class TestEntryPoint:
     def test_console_script(self, tmp_path):
