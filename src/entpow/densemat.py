@@ -2,8 +2,8 @@
 
 A matrix here is a 2-D ``numpy.ndarray`` of ``complex128`` entries in
 row-major (C) order.  Every public function validates its input and raises
-``ValueError`` on dimension mismatches and non-finite entries; nothing is
-ever broadcast silently.  Sizes stay small (at most 256 x 256), so no
+``ValueError`` on dimension mismatches and on entries that are non-finite or
+not convertible to complex; nothing is ever broadcast silently.  Sizes stay small (at most 256 x 256), so no
 blocking or sparsity is needed.  Every input rule of the package --
 ``_is_int``, ``_is_finite``, ``_check_local_dim`` -- is written here once.
 """
@@ -43,7 +43,10 @@ def _check_local_dim(d) -> int:
 def as_complex_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a finite 2-D complex128 array in row-major order; the
     ValueError for non-finite input names the first such entry."""
-    m = np.ascontiguousarray(np.asarray(a, dtype=np.complex128))
+    try:
+        m = np.ascontiguousarray(np.asarray(a, dtype=np.complex128))
+    except TypeError as err:  # an entry that is not a number, such as a dict
+        raise ValueError(f"matrix entries must be numbers: {err}") from None
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got {m.ndim}-D data")
     if m.shape[0] < 1 or m.shape[1] < 1:

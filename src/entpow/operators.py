@@ -40,12 +40,10 @@ __all__ = [
     "product_state_batch",
 ]
 
-_SEED_LIMIT = 2**64
-
 
 def _check_seed(seed) -> int:
-    """``seed`` as an int, if a non-bool integer with 0 <= seed < ``_SEED_LIMIT``."""
-    if not (_is_int(seed) and 0 <= seed < _SEED_LIMIT):
+    """``seed`` as an int, if a non-bool integer with 0 <= seed < 2**64."""
+    if not (_is_int(seed) and 0 <= seed < 2**64):
         raise ValueError(f"seed must be a nonnegative 64-bit integer, got {seed!r}")
     return int(seed)
 
@@ -62,12 +60,11 @@ class ControlledUSpec:
 
     def __post_init__(self):
         d = _check_local_dim(self.d)
-        blocks = tuple(as_complex_matrix(b) for b in self.blocks)
-        if len(blocks) != d:
-            raise ValueError(
-                f"controlled-U at local dimension {d} needs exactly {d} blocks, "
-                f"got {len(blocks)}"
-            )
+        blocks = tuple(map(as_complex_matrix, self.blocks)) if np.iterable(self.blocks) else None
+        if blocks is None or len(blocks) != d:
+            got = repr(self.blocks) if blocks is None else len(blocks)
+            raise ValueError(f"controlled-U at local dimension {d} needs exactly {d} blocks, "
+                             f"got {got}")
         for n, b in enumerate(blocks):
             if b.shape != (d, d):
                 raise ValueError(f"block {n} must be {d}x{d}, got {b.shape[0]}x{b.shape[1]}")

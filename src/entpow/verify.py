@@ -1,25 +1,23 @@
 """Built-in verification suite: the ten acceptance criteria, in one table.
 
 ``CRITERIA`` holds every criterion once, as ``(key, title, bound, worst)``.
-``worst(run)`` recomputes the criterion at the dimensions and seed of one run
-and returns a single number -- a max deviation, a mismatch count, or the MC
+``worst(run, rng)`` recomputes the criterion at the dimensions of one run and
+returns a single number -- a max deviation, a mismatch count, or the MC
 deviation in units of its allowance -- and the criterion holds iff that
-number is at most ``bound``.  ``run_acceptance`` (behind ``entpow verify``)
-and the tier-1 test ``tests/test_acceptance.py`` both iterate this table.
-The four criteria over many random operators draw them from one generator each,
-sample-major, in stacks of at most ``sweep._CHUNK_BYTES`` of entries, so their
-values do not depend on where stacks split; each puts its last one through the
-scalar public API.  The two that evaluate measures on their stacks
-(controlled-U and local invariance) get them from ``entanglement._measures``,
-the one gated call that sweeps use too.  The Monte-Carlo oracle stacks its
+number is at most ``bound``.  ``_worst`` runs row k on ``default_rng([seed, k])``,
+the suite's one seed rule, and every random draw of the criterion comes from
+it; new rows go at the end, so each row keeps its draws.  ``run_acceptance``
+(behind ``entpow verify``) and ``tests/test_acceptance.py`` both call it.
+The four criteria over many random operators draw them sample-major, in stacks
+of at most ``sweep._CHUNK_BYTES`` of entries, so their values do not depend
+on where stacks split; each puts its last one through the scalar public API.
+Controlled-U and local invariance get their measures from the gated call of
+sweeps, ``entanglement._measures``.  The Monte-Carlo oracle stacks its
 operators by local dimension (the sqrt-swap and 5 Haar unitaries at d = 2, 5
-Haar unitaries at d = 3) and estimates each stack at once with
-``entanglement._mc_estimates``, on one generator per dimension seeded
-``seed`` and ``(seed + 1) % 2**64``, against closed forms from ``_measures``
-on the same stack; the determinism criterion repeats that estimator on a
-stack of one.  Every operator still gets its own n-sample mean and standard error.
-``run_acceptance`` checks ``extra_d`` with ``densemat._check_local_dim``, the
-local-dimension rule of every constructor and sweep, before anything is built.
+at d = 3) and estimates each stack at once with ``entanglement._mc_estimates``,
+seeded with the next 64-bit word of its generator so the states share no draw
+with the operators, against closed forms from ``_measures`` on the same stack.
+The determinism criterion repeats that estimator, and a sweep, at the seed itself.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from .entanglement import _check_mc_samples, _mc_estimates, _measures
 from .entanglement import entangling_power, operator_entanglement
 from .entanglement import swap_entanglement
 from .operators import ControlledUSpec, controlled_u, exp_swap, haar_unitary, swap_op
-from .operators import _SEED_LIMIT, _check_seed, _haar_stack, _random_controlled_u_stack
+from .operators import _check_seed, _haar_stack, _random_controlled_u_stack
 from .rearrange import _AXES, BipartiteOperator, _rearrange
 from .rearrange import partial_transpose_first, realign, swap_left
 from .sweep import SweepSpec, _chunks, render_csv, sweep_rows
@@ -52,7 +50,7 @@ class CheckResult:
 
 @dataclass
 class _Run:
-    """Dimensions and seeds of one acceptance run; titles are formatted from them."""
+    """Dimensions and seed of one acceptance run; titles are formatted from them."""
 
     swap_dims: list
     family_dims: list
@@ -89,21 +87,26 @@ def run_acceptance(
     dimension, from 2 to 16; any other value raises ``ValueError`` before
     anything is built, as do a ``seed`` that is not an integer with
     ``0 <= seed < 2**64`` and, when ``include_mc`` is set, an ``mc_samples``
-    outside the limits of ``entangling_power_mc``.  The Monte-Carlo criterion
-    seeds its d = 3 stream ``(seed + 1) % 2**64``, so every such seed is valid.
+    outside the limits of ``entangling_power_mc``.  The seed reaches every
+    random criterion: see ``_worst``.
     """
     extra_d = None if extra_d is None else _check_local_dim(extra_d)
     if include_mc:
         _check_mc_samples(mc_samples)
     run = _new_run(extra_d, mc_samples, _check_seed(seed))
     results = []
-    for key, title, bound, worst in CRITERIA:
+    for k, (key, title, bound, _) in enumerate(CRITERIA):
         if key == "monte_carlo_oracle" and not include_mc:
             continue
-        value = worst(run)
+        value = _worst(run, k)
         results.append(CheckResult(title.format(**vars(run)), value <= bound,
                                    *_detail(key, bound, value)))
     return results
+
+
+def _worst(run: _Run, k: int) -> float:
+    """Criterion k of ``CRITERIA`` at ``run``, drawing from its own generator ``[seed, k]``."""
+    return CRITERIA[k][3](run, np.random.default_rng([run.seed, k]))
 
 
 def _detail(key: str, bound: float, value: float) -> tuple[str, str]:
@@ -125,7 +128,7 @@ def _sorted_sq(stack: np.ndarray) -> np.ndarray:
     return np.sort((stack.real**2 + stack.imag**2).reshape(len(stack), -1))
 
 
-def _swap_values(run: _Run) -> float:
+def _swap_values(run: _Run, rng: np.random.Generator) -> float:
     devs = []
     for d in run.swap_dims:
         s, cap = swap_op(d), 1 - 1 / d**2
@@ -133,7 +136,7 @@ def _swap_values(run: _Run) -> float:
     return _max_abs(devs)
 
 
-def _swap_family(run: _Run) -> float:
+def _swap_family(run: _Run, rng: np.random.Generator) -> float:
     devs = []
     for d in run.family_dims:
         t, e, e_swapped, ep = run.grid(d)
@@ -143,7 +146,7 @@ def _swap_family(run: _Run) -> float:
     return _max_abs(*devs)
 
 
-def _sqrt_swap(run: _Run) -> float:
+def _sqrt_swap(run: _Run, rng: np.random.Generator) -> float:
     # the values at pi/4 and pi/2, and how far the grid point nearest each
     # falls short of the grid maximum of e_p and of E respectively
     devs = []
@@ -158,8 +161,7 @@ def _sqrt_swap(run: _Run) -> float:
     return _max_abs(devs)
 
 
-def _controlled_u(run: _Run, n_instances: int = 20) -> float:
-    rng = np.random.default_rng(20240 + max(run.gate_dims))
+def _controlled_u(run: _Run, rng: np.random.Generator, n_instances: int = 20) -> float:
     devs = []
     for d in run.gate_dims:
         for lo, hi in _chunks(d, n_instances):
@@ -172,14 +174,13 @@ def _controlled_u(run: _Run, n_instances: int = 20) -> float:
     return _max_abs(*devs)
 
 
-def _cnot(run: _Run) -> float:
+def _cnot(run: _Run, rng: np.random.Generator) -> float:
     x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
     cnot = controlled_u(ControlledUSpec(2, (np.eye(2, dtype=np.complex128), x)))
     return _max_abs(operator_entanglement(cnot) - 0.5, entangling_power(cnot) - 2.0 / 9.0)
 
 
-def _fan_identity(run: _Run, n_instances: int = 100) -> float:
-    rng = np.random.default_rng(31337)
+def _fan_identity(run: _Run, rng: np.random.Generator, n_instances: int = 100) -> float:
     mismatches = 0
     for d in run.family_dims:
         for lo, hi in _chunks(d, n_instances):
@@ -192,8 +193,7 @@ def _fan_identity(run: _Run, n_instances: int = 100) -> float:
     return float(mismatches + (lhs.tobytes() != partial_transpose_first(u).mat.tobytes()))
 
 
-def _structural(run: _Run, n_instances: int = 100) -> float:
-    rng = np.random.default_rng(90210)
+def _structural(run: _Run, rng: np.random.Generator, n_instances: int = 100) -> float:
     mismatches = 0
     for d in run.family_dims:
         for lo, hi in _chunks(d, n_instances):
@@ -209,21 +209,19 @@ def _structural(run: _Run, n_instances: int = 100) -> float:
     return float(mismatches + (realign(realign(u)).mat.tobytes() != u.mat.tobytes()))
 
 
-def _mc_oracle(run: _Run) -> float:
+def _mc_oracle(run: _Run, rng: np.random.Generator) -> float:
     # the operators of one local dimension share one estimate's product states
-    rng = np.random.default_rng(run.seed)
     stacks = {2: np.concatenate([exp_swap(2, math.pi / 4).mat[None], _haar_stack(4, 5, rng)]),
               3: _haar_stack(9, 5, rng)}
     devs = []
-    for k, (d, stack) in enumerate(stacks.items()):
+    for d, stack in stacks.items():
         e_p = _measures(stack, d)[2]
-        ests = _mc_estimates(stack, d, run.mc_samples, (run.seed + k) % _SEED_LIMIT)
+        ests = _mc_estimates(stack, d, run.mc_samples, int(rng.bit_generator.random_raw()))
         devs += [abs(e.mean - p) / max(5 * e.stderr, 0.01) for e, p in zip(ests, e_p)]
     return _max_abs(devs)
 
 
-def _local_invariance(run: _Run, n_instances: int = 50) -> float:
-    rng = np.random.default_rng(777)
+def _local_invariance(run: _Run, rng: np.random.Generator, n_instances: int = 50) -> float:
     devs = []
     for d in run.gate_dims:
         # the factors (A, B, C, D) of all n tuples first, then the n operators U
@@ -238,7 +236,7 @@ def _local_invariance(run: _Run, n_instances: int = 50) -> float:
     return _max_abs(*devs)
 
 
-def _determinism(run: _Run) -> float:
+def _determinism(run: _Run, rng: np.random.Generator) -> float:
     spec = SweepSpec("controlled_u_random", 2, 0.0, 1.0, 6, run.seed)
     u = haar_unitary(9, run.seed)[None]
     csv_differs = render_csv(sweep_rows(spec)) != render_csv(sweep_rows(spec))

@@ -22,6 +22,7 @@ from entpow.cli import EXIT_CHECK_FAILURE, EXIT_OK, EXIT_VALIDATION, main
 from entpow.entanglement import entanglement_report
 from entpow.opfile import _MAX_BYTES, read_operator_file, serialize_operator
 from entpow.operators import ControlledUSpec, controlled_u, exp_swap, haar_unitary, swap_op
+from entpow.operators import _haar_stack
 from entpow.rearrange import BipartiteOperator
 from entpow.sweep import CSV_HEADER, FAMILIES, SweepSpec, render_csv, sweep_rows
 
@@ -419,7 +420,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("extra_d", [3, 7])
     def test_library_accepts_numpy_integer_extra_d(self, monkeypatch, extra_d):
-        table = [(key, title, bound, lambda run: 0.0)
+        table = [(key, title, bound, lambda run, rng: 0.0)
                  for key, title, bound, _ in entpow.verify.CRITERIA]
         monkeypatch.setattr(entpow.verify, "CRITERIA", tuple(table))
         got = entpow.verify.run_acceptance(extra_d=np.int64(extra_d))
@@ -429,7 +430,7 @@ class TestVerify:
     def test_failed_criterion_exits_2(self, capsys, monkeypatch):
         table = list(entpow.verify.CRITERIA)
         key, title, bound, _ = table[0]
-        table[0] = (key, title, bound, lambda run: 2 * bound)
+        table[0] = (key, title, bound, lambda run, rng: 2 * bound)
         monkeypatch.setattr(entpow.verify, "CRITERIA", tuple(table))
         code, out, _ = run(capsys, "verify")
         lines = out.splitlines()
@@ -459,8 +460,14 @@ class TestVerify:
         monkeypatch.setattr(entpow.verify, "_mc_estimates", recording)
         results = entpow.verify.run_acceptance(include_mc=True, mc_samples=100, seed=2**64 - 1)
         assert len(results) == 10 and all(r.passed for r in results)
-        # the d = 3 stream of the Monte-Carlo oracle wraps round to seed 0
-        assert seeds == [2**64 - 1, 0, 2**64 - 1, 2**64 - 1]
+        # the oracle's two streams take the next two 64-bit words of its own
+        # generator [seed, k] after its operators; determinism keeps the seed
+        k = [key for key, *_ in entpow.verify.CRITERIA].index("monte_carlo_oracle")
+        rng = np.random.default_rng([2**64 - 1, k])
+        for m in (4, 9):  # the 5 Haar operators at d = 2, then those at d = 3
+            _haar_stack(m, 5, rng)
+        streams = [int(rng.bit_generator.random_raw()) for _ in range(2)]
+        assert seeds == [*streams, 2**64 - 1, 2**64 - 1]
 
     @pytest.mark.parametrize("seed", [np.int64(1), np.uint64(2**64 - 1)], ids=repr)
     def test_numpy_integer_seed_runs_as_its_python_int(self, seed):
@@ -601,7 +608,7 @@ class TestExitCodeProperty:
     def test_verify(self, argv, worst):
         # every criterion returns ``worst`` (some pass, some fail at 0.5 and
         # 2.0), so only the argv handling runs
-        table = tuple((key, title, bound, lambda run: worst)
+        table = tuple((key, title, bound, lambda run, rng: worst)
                       for key, title, bound, _ in entpow.verify.CRITERIA)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(entpow.verify, "CRITERIA", table)

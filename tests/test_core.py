@@ -14,6 +14,7 @@ from entpow.densemat import _MAX_D
 from entpow.entanglement import (
     UnitarityError,
     _gate,
+    _measures,
     entangling_power,
     operator_entanglement,
     swapped_operator_entanglement,
@@ -90,6 +91,32 @@ class TestHaarStack:
         for k in range(2):
             gate = controlled_u(ControlledUSpec(d, tuple(blocks[k])))
             assert np.array_equal(stack[k], gate.mat)
+
+
+def z_score(values: np.ndarray, expected: float) -> float:
+    """How far the mean of ``values`` is from ``expected``, in sample standard errors."""
+    return (values.mean() - expected) / (values.std(ddof=1) / math.sqrt(len(values)))
+
+
+class TestHaarMoments:
+    """Statistical oracle for the sampler: moments of Haar measure on U(m)
+    (Mezzadri, Notices AMS 54, 592 (2007)) and the Haar averages of E and e_p
+    (Zanardi, Zalka & Faoro, PRA 62, 030301(R) (2000)), each within 5 sample
+    standard errors of fixed-seed draws."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 9, 16])
+    def test_entry_moments(self, m):
+        u = _haar_stack(m, 2000, np.random.default_rng([2007, m]))
+        # Re U_00 is symmetric about 0; a QR without the phase fix skews it
+        assert abs(z_score(u[:, 0, 0].real, 0.0)) <= 5
+        # E|U_ij|^4 = 2/(m(m+1)) for every entry; a real orthogonal U gives 3/(m(m+2))
+        assert abs(z_score((np.abs(u) ** 4).mean(axis=(1, 2)), 2 / (m * (m + 1)))) <= 5
+
+    def test_mean_measures_at_d2(self):
+        d = 2
+        e, _, e_p = _measures(_haar_stack(d * d, 20000, np.random.default_rng([2000, d])), d)
+        assert abs(z_score(e, (d * d - 1) / (d * d + 1))) <= 5
+        assert abs(z_score(e_p, (d - 1) ** 2 / (d * d + 1))) <= 5
 
 
 class TestGate:

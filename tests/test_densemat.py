@@ -74,6 +74,16 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"^non-finite entry at row 1, column 0$"):
             check(bad)
 
+    @pytest.mark.parametrize("check", [
+        lambda: as_complex_matrix([[object()]]),
+        lambda: BipartiteOperator(2, {}),
+        lambda: ControlledUSpec(2, (np.eye(2), [[{}, 0], [0, 1]])),
+    ], ids=["as_complex_matrix", "BipartiteOperator", "ControlledUSpec"])
+    def test_rejects_non_numeric(self, check):
+        # numpy's own TypeError becomes the package's ValueError
+        with pytest.raises(ValueError, match=r"^matrix entries must be numbers: "):
+            check()
+
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError, match="2-D"):
             as_complex_matrix(np.zeros(4, dtype=complex))

@@ -24,6 +24,10 @@ parsed, is that module's alone.
 
 Only ``densemat`` names ``np.integer``: every other module asks its
 ``_is_int`` whether a value is a non-bool Python or NumPy integer.
+
+``verify`` builds a generator in one place, from the run's seed and the
+criterion's row, never from an integer literal, so every random criterion
+draws from the seed its caller gave.
 """
 
 import ast
@@ -56,6 +60,8 @@ JSON_HOME = "opfile.py"
 
 # The one module that names ``np.integer``, in its integer test ``_is_int``.
 INTEGER_HOME = "densemat.py"
+
+VERIFY = Path(entpow.__file__).parent / "verify.py"
 
 
 def imported(tree: ast.AST) -> list[ast.alias]:
@@ -97,6 +103,21 @@ def readers(source: str, name: str) -> set[str]:
         if any(isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
                for node in ast.walk(top)):
             found.add(getattr(top, "name", "<module>"))
+    return found
+
+
+def generator_calls(source: str) -> list[str]:
+    """Each call of ``default_rng`` in ``source``, as ``"line N"``, with
+    ``" literal"`` added when an integer (or bool) literal appears anywhere
+    in its arguments."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        func = getattr(node, "func", None)
+        if getattr(func, "id", getattr(func, "attr", None)) == "default_rng":
+            literal = any(isinstance(n, ast.Constant) and isinstance(n.value, int)
+                          for arg in node.args + [kw.value for kw in node.keywords]
+                          for n in ast.walk(arg))
+            found.append(f"line {node.lineno}" + " literal" * literal)
     return found
 
 
@@ -286,3 +307,20 @@ def test_only_densemat_names_the_numpy_integer_type(path):
 ])
 def test_the_integer_guard_itself(source, found):
     assert names_reached(source, {"integer"}) == found
+
+
+def test_verify_builds_one_generator_from_no_literal_seed():
+    calls = generator_calls(VERIFY.read_text(encoding="utf-8"))
+    assert len(calls) == 1 and not calls[0].endswith("literal")
+
+
+@pytest.mark.parametrize("source, found", [
+    ("np.random.default_rng([run.seed, k])\n", ["line 1"]),
+    ("rng = np.random.default_rng(777)\n", ["line 1 literal"]),
+    ("default_rng(20240 + max(dims))\n", ["line 1 literal"]),
+    ("from numpy.random import default_rng\ndefault_rng(seed=[s, 3])\n", ["line 2 literal"]),
+    ("g = default_rng(s)\nh = np.random.default_rng(t)\n", ["line 1", "line 2"]),
+    ("default_rng(True)\nnp.random.Generator(pcg)\nrng.random(3)\n", ["line 1 literal"]),
+])
+def test_the_generator_guard_itself(source, found):
+    assert generator_calls(source) == found

@@ -169,6 +169,11 @@ class TestControlledU:
         with pytest.raises(ValueError, match="exactly 3 blocks"):
             ControlledUSpec(3, (np.eye(3), np.eye(3)))
 
+    @pytest.mark.parametrize("blocks", [None, 5, 2.0], ids=repr)
+    def test_blocks_that_are_no_sequence_rejected(self, blocks):
+        with pytest.raises(ValueError, match=f"exactly 2 blocks, got {blocks!r}$"):
+            ControlledUSpec(2, blocks)
+
     def test_non_unitary_block_named(self):
         with pytest.raises(ValueError, match="block 1"):
             ControlledUSpec(2, (np.eye(2), 2.0 * np.eye(2)))

@@ -1,22 +1,25 @@
 """Tests for the stacked evaluation behind the per-operator criteria of
 ``entpow.verify``: stack splits, agreement with the scalar API, bitwise
-comparisons and the unitarity gate inside a stack."""
+comparisons and the unitarity gate inside a stack; and for its seed tree,
+which gives criterion k the generator ``[seed, k]``."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import entpow.entanglement
 import entpow.sweep
 import entpow.verify
 from entpow.entanglement import UnitarityError, entangling_power, operator_entanglement
 from entpow.rearrange import BipartiteOperator
-from entpow.verify import _new_run
+from entpow.verify import CRITERIA, _new_run, _worst, run_acceptance
 
-BATCHED = {
-    "controlled_u_theorem": entpow.verify._controlled_u,
-    "fan_identity_bitwise": entpow.verify._fan_identity,
-    "structural_involutions": entpow.verify._structural,
-    "local_unitary_invariance": entpow.verify._local_invariance,
-}
+# each criterion's row in the table, which also names its generator
+ROW = {key: k for k, (key, *_) in enumerate(CRITERIA)}
+
+BATCHED = ["controlled_u_theorem", "fan_identity_bitwise", "structural_involutions",
+           "local_unitary_invariance"]
 
 
 @pytest.fixture(scope="module")
@@ -27,11 +30,10 @@ def run():
 
 @pytest.mark.parametrize("key", BATCHED)
 def test_worst_does_not_depend_on_stack_size(monkeypatch, run, key):
-    worst = BATCHED[key]
-    reference = worst(run)
+    reference = _worst(run, ROW[key])
     for budget in (1, 10**9):  # one operator per stack, one stack per dimension
         monkeypatch.setattr(entpow.sweep, "_CHUNK_BYTES", budget)
-        assert worst(run) == reference
+        assert _worst(run, ROW[key]) == reference
 
 
 @pytest.mark.parametrize("key", ["controlled_u_theorem", "local_unitary_invariance"])
@@ -46,7 +48,7 @@ def test_batched_measures_equal_the_scalar_api(monkeypatch, run, key):
         return e, e_swapped, e_p
 
     monkeypatch.setattr(entpow.verify, "_measures", recording)
-    BATCHED[key](run)
+    _worst(run, ROW[key])
     assert {d for _, d, _, _ in seen} == {2, 3, 5}
     for stack, d, es, e_ps in seen:
         for m, e, e_p in zip(stack, es, e_ps):
@@ -64,9 +66,9 @@ def test_structural_involutions_see_signed_zeros(monkeypatch, run):
             moved[0] += 0.0  # -0.0 becomes 0.0; no value changes
         return moved
 
-    assert entpow.verify._structural(run) == 0
+    assert _worst(run, ROW["structural_involutions"]) == 0
     monkeypatch.setattr(entpow.verify, "_rearrange", adds_zero)
-    assert entpow.verify._structural(run) >= 1
+    assert _worst(run, ROW["structural_involutions"]) >= 1
 
 
 @pytest.mark.parametrize("key, draw", [
@@ -85,6 +87,62 @@ def test_non_unitary_operator_inside_a_stack_is_gated(monkeypatch, run, key, dra
 
     monkeypatch.setattr(entpow.verify, draw, one_scaled)
     with pytest.raises(UnitarityError) as err:
-        BATCHED[key](run)
+        _worst(run, ROW[key])
     # its own defect: (1.5 U)^dag (1.5 U) - I = 1.25 I
     assert err.value.defect == pytest.approx(1.25, abs=1e-12)
+
+
+class Recording:
+    """A generator that keeps a copy of every normal it draws."""
+
+    def __init__(self, rng, kept):
+        self.rng, self.kept = rng, kept
+
+    def standard_normal(self, shape):
+        z = self.rng.standard_normal(shape)
+        self.kept.append(z.ravel().copy())
+        return z
+
+
+def stacks_evaluated(monkeypatch, key, seed):
+    """Every stack criterion ``key`` measures or rearranges at ``seed``, in call order."""
+    seen = []
+    with monkeypatch.context() as m:
+        for name in ("_measures", "_rearrange"):
+            def recording(stack, *args, original=getattr(entpow.verify, name)):
+                seen.append(stack.copy())
+                return original(stack, *args)
+
+            m.setattr(entpow.verify, name, recording)
+        _worst(_new_run(extra_d=None, mc_samples=2000, seed=seed), ROW[key])
+    return seen
+
+
+@pytest.mark.parametrize("key", BATCHED)
+def test_the_seed_reaches_every_random_stack(monkeypatch, key):
+    first, last = (stacks_evaluated(monkeypatch, key, seed) for seed in (1, 2**64 - 1))
+    assert len(first) == len(last) > 0
+    assert all(a.tobytes() != b.tobytes() for a, b in zip(first, last))
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(first, stacks_evaluated(monkeypatch, key, 1)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_mc_streams_share_no_draw_with_the_oracle_operators(monkeypatch, seed):
+    operator_draws, state_draws = [], []
+    haar_stack, batch = entpow.verify._haar_stack, entpow.entanglement.product_state_batch
+    monkeypatch.setattr(entpow.verify, "_haar_stack",
+                        lambda m, n, rng: haar_stack(m, n, Recording(rng, operator_draws)))
+    monkeypatch.setattr(entpow.entanglement, "product_state_batch",
+                        lambda rng, n, d: batch(Recording(rng, state_draws), n, d))
+    _worst(_new_run(extra_d=None, mc_samples=100, seed=seed), ROW["monte_carlo_oracle"])
+    operators, states = np.concatenate(operator_draws), np.concatenate(state_draws)
+    assert (operators.size, states.size) == (5 * 2 * (4**2 + 9**2), 100 * 4 * (2 + 3))
+    assert np.intersect1d(operators, states).size == 0
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(min_value=0, max_value=2**64 - 1))
+def test_every_criterion_but_mc_passes_at_any_seed(seed):
+    results = run_acceptance(seed=seed)
+    assert len(results) == 9 and all(r.passed for r in results)
