@@ -13,6 +13,7 @@ failure (a failed verification or a non-unitary operator in eval).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -44,6 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the entpow command line."""
     parser = _Parser(
         prog="entpow",
         description="Operator entanglement and entangling power of two-qudit unitaries.",
@@ -78,8 +80,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "eval":
             return cmd_eval(args.path, args.mc, args.mc_samples, args.seed, args.tol)

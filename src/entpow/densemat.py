@@ -2,9 +2,10 @@
 
 A matrix here is a 2-D ``numpy.ndarray`` of ``complex128`` entries in
 row-major (C) order.  Every public function validates its input and raises
-``ValueError`` on dimension mismatches and on entries that are non-finite or
-not convertible to complex; nothing is ever broadcast silently.  Sizes stay small (at most 256 x 256), so no
-blocking or sparsity is needed.  Every input rule of the package --
+``ValueError`` on dimension mismatches and on entries that are non-finite,
+strings or bytes, or not convertible to complex; nothing is ever broadcast
+silently.  Sizes stay small (at most 256 x 256), so no blocking or sparsity
+is needed.  Every input rule of the package --
 ``_is_int``, ``_is_finite``, ``_check_local_dim`` -- is written here once.
 """
 
@@ -42,10 +43,20 @@ def _check_local_dim(d) -> int:
 
 def as_complex_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a finite 2-D complex128 array in row-major order; the
-    ValueError for non-finite input names the first such entry."""
+    ValueError for non-finite input names the first such entry.
+
+    Strings and bytes are not numbers here, although numpy would parse them.
+    A numeric ``ndarray`` skips that check, so it costs nothing on that path.
+    """
     try:
-        m = np.ascontiguousarray(np.asarray(a, dtype=np.complex128))
-    except TypeError as err:  # an entry that is not a number, such as a dict
+        if not (isinstance(a, np.ndarray) and a.dtype.kind in "biufc"):
+            a = np.asarray(a)
+            if a.dtype.kind in "SU" or (
+                a.dtype.kind == "O" and any(isinstance(x, (str, bytes)) for x in a.flat)
+            ):
+                raise TypeError("strings and bytes are not parsed")
+        m = np.ascontiguousarray(a, dtype=np.complex128)
+    except TypeError as err:  # an entry that is not a number, such as a dict or a string
         raise ValueError(f"matrix entries must be numbers: {err}") from None
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got {m.ndim}-D data")

@@ -50,7 +50,11 @@ chunks, and the sample count is capped at ``MAX_MC_SAMPLES``.  Each
 estimate runs one worker thread beside the caller: the caller draws chunk
 i+1 while the worker evaluates chunk i, so one chunk is in flight beside
 the one being drawn, and the estimate is bitwise that of evaluating the
-chunks one after the other.
+chunks one after the other.  The sampler hands each chunk over as the
+transposed view of a (d^2, s) buffer, so the GEMM reads a C-contiguous
+operand; at d <= 7 its states, and with them the estimates, are bitwise
+those of the earlier sample-major sampler, and at d >= 8 they can differ
+from them in the last bit.
 ``entangling_power_mc`` is that kernel on a stack of one, and ``verify``
 runs it on each dimension's stack of oracle operators.
 """
@@ -427,7 +431,9 @@ def _sample_entropies(stack: np.ndarray, d: int, n: int, rng: np.random.Generato
 def _entropy_kernel(stack: np.ndarray, d: int, m: int):
     """The entropy kernel for chunks of at most m states: ``kernel(chunk, out)``
     pops an (s, d^2) array of states, s <= m, from the list ``chunk`` and
-    writes their (k, s) entropies to ``out``.
+    writes their (k, s) entropies to ``out``.  The sampler's states are the
+    transposed view of a C-contiguous (d^2, s) buffer, and that buffer is
+    the GEMM's right operand.
 
     One GEMM, of the (k d^2, d^2) stacked operators with the states, gives
     the coefficients C[u, i, j, s] of U|psi_s> with the sample axis last, so

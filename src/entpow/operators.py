@@ -2,11 +2,12 @@
 
 Covers the swap operator, the maximally entangled projector, the
 one-parameter family exp(-i*t*S12) generated by the swap, general
-controlled-U gates and Haar-random unitaries.  Every constructor checks
-that d is from 2 to 16 before building anything.  The blocks of a
-controlled-U spec pass the unitarity tolerance ``densemat.UNITARITY_TOL``;
-stacked random controlled-U gates are checked once, as whole operators, by
-the gate of ``entanglement._measures``, not block by block.
+controlled-U gates and Haar-random unitaries.  Every constructor, and the
+product-state sampler, checks that d is from 2 to 16 before building or
+drawing anything.  The blocks of a controlled-U spec pass the unitarity
+tolerance ``densemat.UNITARITY_TOL``; stacked random controlled-U gates are
+checked once, as whole operators, by the gate of ``entanglement._measures``,
+not block by block.
 
 Random sampling is deterministic.  ``haar_unitary`` takes an integer seed
 with ``0 <= seed < 2**64``, the one seed range of the package and its
@@ -194,17 +195,38 @@ def product_state_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     sample starts, so n samples drawn over several calls on one generator
     are bitwise the states of one call.
 
-    Each temporary is freed as soon as it is used, so at most two of its
-    arrays are alive at once; the norm takes the steps, and the bits, of
-    ``np.linalg.norm(z, axis=2)``.
+    Every pass after the draw runs with the sample axis last and contiguous:
+    the factors are copied into a (2, d, n) array, each squared norm sums
+    the real parts of conj(z) * z over its d rows in order, and the outer
+    product is written row by row into a (d, d, n) buffer.  The result is
+    that buffer's transposed view, so its ``.T`` is the C-contiguous
+    (d^2, n) operand of a GEMM.  At d <= 7 the states are bitwise those of
+    the sample-major steps with ``np.linalg.norm(z, axis=2)``'s norm; at
+    d >= 8 numpy's pairwise reduction associates that sum differently, so
+    they can differ in the last bit.  Besides the result, at most two arrays
+    of the draw's size, 32 d bytes per sample, are alive at once.
+
+    Raises ValueError, before anything is drawn, unless ``n`` is an integer
+    >= 0 and ``d`` an integer from 2 to 16.
     """
+    d = _check_local_dim(d)
+    if not (_is_int(n) and n >= 0):
+        raise ValueError(f"number of states must be a nonnegative integer, got {n!r}")
+    n = int(n)
     g = rng.standard_normal((n, 2, 2, d))
-    z = np.empty((n, 2, d), dtype=np.complex128)
-    z.real = g[:, :, 0]
-    z.imag = g[:, :, 1]
+    z = np.empty((2, d, n), dtype=np.complex128)
+    z.real = g[:, :, 0].transpose(1, 2, 0)
+    z.imag = g[:, :, 1].transpose(1, 2, 0)
     del g
     sq = np.conjugate(z)
     np.multiply(sq, z, out=sq)
-    z /= np.sqrt(np.add.reduce(sq.real, axis=2, keepdims=True))
+    norm = sq.real[:, 0].copy()
+    for i in range(1, d):
+        np.add(norm, sq.real[:, i], out=norm)
     del sq
-    return (z[:, 0, :, None] * z[:, 1, None, :]).reshape(n, d * d)
+    z /= np.sqrt(norm, out=norm)[:, None, :]
+    del norm
+    states = np.empty((d, d, n), dtype=np.complex128)
+    for i in range(d):
+        np.multiply(z[0, i], z[1], out=states[i])
+    return states.reshape(d * d, n).T

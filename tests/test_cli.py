@@ -503,6 +503,43 @@ class TestNoCommand:
         capsys.readouterr()
 
 
+def _parse_output(parse, argv):
+    """(exit code, stdout, stderr) of ``parse(argv)``, which ends in SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+class TestParser:
+    def test_main_builds_its_parser_once(self, monkeypatch, capsys):
+        built = []
+        fresh = entpow.cli.build_parser
+        monkeypatch.setattr(entpow.cli, "build_parser", lambda: built.append(1) or fresh())
+        entpow.cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert main(["sweep", "--family", "exp_swap", "--d", "2", "--steps", "2"]) == 0
+        finally:
+            entpow.cli._parser.cache_clear()
+        assert built == [1]
+        capsys.readouterr()
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert entpow.cli.build_parser() is not entpow.cli.build_parser()
+        assert entpow.cli.build_parser() is not entpow.cli._parser()
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["sweep", "--help"], ["eval", "--help"], ["verify", "--help"],
+        ["sweep"], ["sweep", "--family", "nope", "--d", "2"], ["eval", "a", "--seed", "x"],
+        ["verify", "--d"], ["bogus"],
+    ], ids=" ".join)
+    def test_usage_and_help_are_those_of_a_fresh_parser(self, argv):
+        for _ in range(2):  # a parse leaves the cached parser as it was
+            assert _parse_output(main, argv) == _parse_output(
+                entpow.cli.build_parser().parse_args, argv)
+
+
 # Tokens for the argv property test.  No token is a prefix of --out (argparse
 # accepts abbreviations), so no drawn argv writes a file; accepted --steps
 # stay within 1..8 and accepted --mc-samples within 100..300, the eval

@@ -84,6 +84,36 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"^matrix entries must be numbers: "):
             check()
 
+    @pytest.mark.parametrize("entries", [
+        [["1", "2j"]],
+        np.array([["1", "2"]]),
+        [[b"1", b"0"]],
+        np.array([[b"1"]]),
+        np.array([[1, "2"]], dtype=object),
+        [[np.str_("1")]],
+        "1",
+    ], ids=["str list", "str array", "bytes list", "bytes array", "object array", "np.str_",
+            "bare str"])
+    def test_rejects_strings_and_bytes(self, entries):
+        with pytest.raises(ValueError, match=r"^matrix entries must be numbers: "):
+            as_complex_matrix(entries)
+
+    @pytest.mark.parametrize("check", [
+        lambda: BipartiteOperator(2, [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                                      ["0", "0", "1", "0"], ["0", "0", "0", "1"]]),
+        lambda: ControlledUSpec(2, (np.eye(2), np.array([["0", "1"], ["1", "0"]]))),
+    ], ids=["BipartiteOperator", "ControlledUSpec"])
+    def test_operators_reject_strings(self, check):
+        with pytest.raises(ValueError, match=r"^matrix entries must be numbers: "):
+            check()
+
+    def test_numeric_arrays_are_not_scanned(self, monkeypatch):
+        # the eval path: a numeric ndarray goes straight to the conversion
+        eye = np.eye(3, dtype=np.int8)
+        monkeypatch.setattr(np, "asarray", None)
+        m = as_complex_matrix(eye)
+        assert m.dtype == np.complex128 and m[2, 2] == 1
+
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError, match="2-D"):
             as_complex_matrix(np.zeros(4, dtype=complex))

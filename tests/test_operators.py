@@ -230,7 +230,57 @@ class TestHaarUnitary:
         assert np.mean(samples) == pytest.approx(1.0, abs=0.1)
 
 
+def sample_major_states(rng, n, d):
+    """The sampler's earlier steps, sample-major throughout: the norm is
+    ``np.linalg.norm(z, axis=2)``'s and the outer product one broadcast."""
+    g = rng.standard_normal((n, 2, 2, d))
+    z = np.empty((n, 2, d), dtype=np.complex128)
+    z.real = g[:, :, 0]
+    z.imag = g[:, :, 1]
+    sq = np.conjugate(z) * z
+    z /= np.sqrt(np.add.reduce(sq.real, axis=2, keepdims=True))
+    return (z[:, 0, :, None] * z[:, 1, None, :]).reshape(n, d * d)
+
+
 class TestProductStates:
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_bitwise_the_sample_major_states_up_to_d7(self, d):
+        for n in (1, 7, 16384 // (d * d)):
+            got = product_state_batch(np.random.default_rng(100 * d + n), n, d)
+            ref = sample_major_states(np.random.default_rng(100 * d + n), n, d)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("d", [8, 12, 16])
+    def test_within_rounding_of_the_sample_major_states_from_d8(self, d):
+        # numpy's reduction adds 8 or more terms pairwise, the sampler in order
+        for n in (1, 7, 16384 // (d * d)):
+            got = product_state_batch(np.random.default_rng(100 * d + n), n, d)
+            ref = sample_major_states(np.random.default_rng(100 * d + n), n, d)
+            assert np.abs(got - ref).max() <= 4e-16
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_transpose_is_a_c_contiguous_gemm_operand(self, d):
+        batch = product_state_batch(np.random.default_rng(3), 40, d)
+        assert batch.shape == (40, d * d) and batch.T.flags.c_contiguous
+
+    def test_zero_states(self):
+        assert product_state_batch(np.random.default_rng(3), 0, 3).shape == (0, 9)
+
+    @pytest.mark.parametrize("n, d", [
+        (5, 1), (5, 17), (5, True), (5, 2.0), (5, "2"), (5, None),
+        (-1, 2), (2.5, 2), (True, 2), (False, 2), (np.float64(4), 2), ("4", 2), (None, 2),
+    ], ids=repr)
+    def test_rejected_before_drawing(self, n, d):
+        rng = np.random.default_rng(11)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="local dimension must be|number of states must be"):
+            product_state_batch(rng, n, d)
+        assert rng.bit_generator.state == state
+
+    def test_numpy_integers_accepted(self):
+        got = product_state_batch(np.random.default_rng(4), np.int64(9), np.uint8(3))
+        assert got.tobytes() == product_state_batch(np.random.default_rng(4), 9, 3).tobytes()
+
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_normalized(self, d):
         batch = product_state_batch(np.random.default_rng(5), 50, d)
