@@ -197,14 +197,17 @@ def product_state_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 
     Every pass after the draw runs with the sample axis last and contiguous:
     the factors are copied into a (2, d, n) array, each squared norm sums
-    the real parts of conj(z) * z over its d rows in order, and the outer
-    product is written row by row into a (d, d, n) buffer.  The result is
-    that buffer's transposed view, so its ``.T`` is the C-contiguous
-    (d^2, n) operand of a GEMM.  At d <= 7 the states are bitwise those of
-    the sample-major steps with ``np.linalg.norm(z, axis=2)``'s norm; at
-    d >= 8 numpy's pairwise reduction associates that sum differently, so
-    they can differ in the last bit.  Besides the result, at most two arrays
-    of the draw's size, 32 d bytes per sample, are alive at once.
+    the real parts of conj(z) * z over its d rows in order, and one
+    broadcast product writes the outer product into a (d, d, n) buffer.
+    The result is that buffer's transposed view, so its ``.T`` is the
+    C-contiguous (d^2, n) operand of a GEMM.  At d <= 7 the states are
+    bitwise those of the sample-major steps with ``np.linalg.norm(z,
+    axis=2)``'s norm; at d >= 8 numpy's pairwise reduction associates that
+    sum differently, so they can differ in the last bit.  Besides the
+    result, at most two arrays of the draw's size, 32 d bytes per sample,
+    are alive at once.  The outer product is one call, not d, because in
+    the Monte-Carlo pipeline each numpy call can wait for the other thread
+    to hand back the GIL.
 
     Raises ValueError, before anything is drawn, unless ``n`` is an integer
     >= 0 and ``d`` an integer from 2 to 16.
@@ -220,13 +223,12 @@ def product_state_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     del g
     sq = np.conjugate(z)
     np.multiply(sq, z, out=sq)
-    norm = sq.real[:, 0].copy()
-    for i in range(1, d):
+    norm = sq.real[:, 0] + sq.real[:, 1]
+    for i in range(2, d):
         np.add(norm, sq.real[:, i], out=norm)
     del sq
     z /= np.sqrt(norm, out=norm)[:, None, :]
     del norm
     states = np.empty((d, d, n), dtype=np.complex128)
-    for i in range(d):
-        np.multiply(z[0, i], z[1], out=states[i])
+    np.multiply(z[0, :, None], z[1, None], out=states)
     return states.reshape(d * d, n).T
