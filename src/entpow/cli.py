@@ -17,13 +17,9 @@ import functools
 import math
 import sys
 
-from .entanglement import (
-    UNITARITY_TOL,
-    _check_mc_samples,
-    entangling_power_mc,
-    entanglement_report,
-)
-from .operators import _check_seed
+from .entanglement import DEFAULT_MC_SAMPLES, UNITARITY_TOL, _check_mc_samples
+from .entanglement import entangling_power_mc, entanglement_report
+from .operators import DEFAULT_SEED, _check_seed
 from .opfile import _MAX_BYTES, read_operator_file
 from .sweep import FAMILIES, SweepSpec, render_csv, sweep_rows
 from .verify import run_acceptance
@@ -31,9 +27,6 @@ from .verify import run_acceptance
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CHECK_FAILURE = 2
-
-DEFAULT_MC_SAMPLES = 50000
-DEFAULT_SEED = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,14 +85,7 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(args.path, args.mc, args.mc_samples, args.seed, args.tol)
         if args.command == "sweep":
-            spec = SweepSpec(
-                family=args.family,
-                d=args.d,
-                param_start=args.start,
-                param_end=args.end,
-                steps=args.steps,
-                seed=args.seed,
-            )
+            spec = SweepSpec(args.family, args.d, args.start, args.end, args.steps, args.seed)
             return cmd_sweep(spec, args.out)
         return cmd_verify(args.mc, args.d, args.mc_samples, args.seed)
     except (ValueError, OSError) as e:
@@ -161,9 +147,7 @@ def cmd_sweep(spec: SweepSpec, out: str) -> int:
 
 def cmd_verify(include_mc: bool, extra_d: int | None, mc_samples: int, seed: int) -> int:
     """Run the verification suite, one line per check."""
-    results = run_acceptance(
-        include_mc=include_mc, extra_d=extra_d, mc_samples=mc_samples, seed=seed
-    )
+    results = run_acceptance(include_mc, extra_d, mc_samples, seed)
     n_pass = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"

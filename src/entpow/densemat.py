@@ -55,9 +55,11 @@ def as_complex_matrix(a) -> np.ndarray:
                 a.dtype.kind == "O" and any(isinstance(x, (str, bytes)) for x in a.flat)
             ):
                 raise TypeError("strings and bytes are not parsed")
-        m = np.ascontiguousarray(a, dtype=np.complex128)
+        m = a.astype(np.complex128, order="C", copy=False)  # a 0-d input stays 0-d
     except TypeError as err:  # an entry that is not a number, such as a dict or a string
         raise ValueError(f"matrix entries must be numbers: {err}") from None
+    except OverflowError:  # a Python integer beyond float range
+        raise ValueError("matrix entry is out of float range") from None
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got {m.ndim}-D data")
     if m.shape[0] < 1 or m.shape[1] < 1:
@@ -93,13 +95,14 @@ def _unitarity_defects(stack: np.ndarray) -> np.ndarray:
     """Max-abs entry of A^dag A - I for each matrix of an (n, m, m) stack.
 
     ``unitarity_defect`` and every unitarity gate compute the defect here,
-    so there is one definition of it.  Non-finite entries give a NaN or
-    infinite defect, which no tolerance admits.
+    so there is one definition of it.  A non-finite entry, or a product that
+    overflows, gives a NaN or infinite defect, which no tolerance admits.
     """
-    g = stack.conj().transpose(0, 2, 1) @ stack
-    idx = np.arange(stack.shape[-1])
-    g[:, idx, idx] -= 1.0
-    return np.abs(g).max(axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = stack.conj().transpose(0, 2, 1) @ stack
+        idx = np.arange(stack.shape[-1])
+        g[:, idx, idx] -= 1.0
+        return np.abs(g).max(axis=(1, 2))
 
 
 def _is_int(x) -> bool:
@@ -108,8 +111,11 @@ def _is_int(x) -> bool:
 
 
 def _is_finite(x) -> bool:
-    """Whether ``x`` is a finite real number; a bool, a string or None is not one."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    """Whether ``x`` is a finite real that fits a float; a bool, a string or None is not one."""
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _check_tolerance(tol: float) -> None:

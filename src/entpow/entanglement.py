@@ -32,10 +32,10 @@ Gram products M M^dag are formed in one batched product, and each
 Tr[(M M^dag)^2] is the sum of |g|^2 over the Hermitian Gram matrix, taken
 with a vectorised reduction.  ``_measures`` is the one gated call from a
 stack to (E(U), E(S12 U), e_p), for sweeps, ``verify`` and the three scalar
-measures, each a stack of one; only ``entanglement_report``, which records
-a failed gate instead of raising, takes the purities without it.  The
-unitarity tolerance ``UNITARITY_TOL`` is defined in ``densemat``, beside the
-defect, and re-exported here.  Exact, permutation-invariant
+measures, each a stack of one, and gates them at ``UNITARITY_TOL``, defined
+in ``densemat`` beside the defect and re-exported here; only
+``entanglement_report``, which records a failed gate instead of raising,
+takes the purities without it.  Exact, permutation-invariant
 ``fsum`` sums stay in ``densemat.frobenius_norm_sq``, where that invariance
 is the contract; here the purities only need to be accurate to rounding.
 
@@ -52,10 +52,7 @@ i+1 while the worker evaluates chunk i, so one chunk is in flight beside
 the one being drawn, and the estimate is bitwise that of evaluating the
 chunks one after the other.  The sampler hands each chunk over as the
 transposed view of a (d^2, s) buffer, so the GEMM reads a C-contiguous
-operand; at d <= 7 its states, and with them the estimates, are bitwise
-those of the earlier sample-major sampler, and at d >= 8 they can differ
-from them in the last bit.
-``entangling_power_mc`` is that kernel on a stack of one, and ``verify``
+operand.  ``entangling_power_mc`` is that kernel on a stack of one, and ``verify``
 runs it on each dimension's stack of oracle operators.
 """
 
@@ -89,6 +86,7 @@ __all__ = [
 
 MIN_MC_SAMPLES = 100
 MAX_MC_SAMPLES = 10_000_000
+DEFAULT_MC_SAMPLES = 50_000
 
 # Coefficients per Monte-Carlo chunk, in bytes: 16384 / (k d^2) samples for a
 # stack of k operators, at least one.  One chunk is evaluated on the worker
@@ -181,29 +179,28 @@ def state_linear_entropy(a) -> float:
     return 1.0 - frobenius_norm_sq(rho)
 
 
-def operator_entanglement(u: BipartiteOperator, tol: float = UNITARITY_TOL) -> float:
+def operator_entanglement(u: BipartiteOperator) -> float:
     """Operator entanglement E(U) = 1 - Tr[(U^R (U^R)^dag)^2] / d^4.
 
     Ranges over [0, 1 - 1/d^2]; invariant under local factors
-    U -> (A (x) B) U (C (x) D).
+    U -> (A (x) B) U (C (x) D).  Another tolerance goes through
+    ``entanglement_report(u, tol)``.
 
     Raises
     ------
     UnitarityError
-        If the unitarity defect of ``u`` exceeds ``tol``.
-    ValueError
-        If ``tol`` is not a finite number >= 0.
+        If the unitarity defect of ``u`` exceeds ``UNITARITY_TOL``.
     """
-    return float(_measures(u.mat[None], u.d, tol)[0][0])
+    return float(_measures(u.mat[None], u.d)[0][0])
 
 
-def swapped_operator_entanglement(u: BipartiteOperator, tol: float = UNITARITY_TOL) -> float:
+def swapped_operator_entanglement(u: BipartiteOperator) -> float:
     """Operator entanglement of S12 U, computed from the partial transpose.
 
     Equals ``operator_entanglement(swap_left(u))``: two routes to the same
-    number, via S12 (S12 U)^R = U^T1.
+    number, via S12 (S12 U)^R = U^T1.  Gated as ``operator_entanglement`` is.
     """
-    return float(_measures(u.mat[None], u.d, tol)[1][0])
+    return float(_measures(u.mat[None], u.d)[1][0])
 
 
 def swap_entanglement(d: int) -> float:
@@ -216,22 +213,21 @@ def swap_entanglement(d: int) -> float:
     return 1.0 - 1.0 / (d * d)
 
 
-def entangling_power(u: BipartiteOperator, tol: float = UNITARITY_TOL) -> float:
+def entangling_power(u: BipartiteOperator) -> float:
     """Entangling power of a unitary: the mean linear entropy it creates
     on Haar-random product states.
 
     Evaluated in closed form from the realignment and the partial
     transpose; agrees with (d/(d+1))^2 [E(U) + E(S12 U) - E(S12)] to
-    rounding error, and is nonnegative up to the same.
+    rounding error, and is nonnegative up to the same.  Another tolerance
+    goes through ``entanglement_report(u, tol)`` or ``entangling_power_mc``.
 
     Raises
     ------
     UnitarityError
-        If the unitarity defect of ``u`` exceeds ``tol``.
-    ValueError
-        If ``tol`` is not a finite number >= 0.
+        If the unitarity defect of ``u`` exceeds ``UNITARITY_TOL``.
     """
-    return float(_measures(u.mat[None], u.d, tol)[2][0])
+    return float(_measures(u.mat[None], u.d)[2][0])
 
 
 def entangling_power_mc(
@@ -274,7 +270,8 @@ def entanglement_report(u: BipartiteOperator, tol: float = UNITARITY_TOL) -> Ent
 
     A failed unitarity check does not raise: it is recorded in
     ``unitarity_ok`` with the defect found, the rearrangement-based fields
-    are still computed, and ``e_power`` is set to None.
+    are still computed, and ``e_power`` is set to None.  Finite entries
+    whose products overflow give inf or NaN values, without a numpy warning.
 
     Raises
     ------
@@ -286,8 +283,9 @@ def entanglement_report(u: BipartiteOperator, tol: float = UNITARITY_TOL) -> Ent
     stack = u.mat[None]
     defect = float(_unitarity_defects(stack)[0])
     ok = defect <= tol
-    tr_r, tr_t = _purities(stack, d)
-    tr_rs = _purity(_rearrange(stack, d, "swap_right"), d, "realign")
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr_r, tr_t = _purities(stack, d)
+        tr_rs = _purity(_rearrange(stack, d, "swap_right"), d, "realign")
     return EntanglementReport(
         d=d,
         e_op=float(_entanglement(tr_r, d)[0]),
@@ -316,10 +314,10 @@ def _gate(stack: np.ndarray, tol: float) -> np.ndarray:
     return defects
 
 
-def _measures(stack: np.ndarray, d: int, tol: float = UNITARITY_TOL) -> tuple[np.ndarray, ...]:
+def _measures(stack: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
     """(E(U), E(S12 U), e_p) for each U of an (n, d^2, d^2) stack, which
-    passes ``_gate`` first and raises as the gate does."""
-    _gate(stack, tol)
+    passes ``_gate`` at ``UNITARITY_TOL`` first and raises as the gate does."""
+    _gate(stack, UNITARITY_TOL)
     tr_r, tr_t = _purities(stack, d)
     return _entanglement(tr_r, d), _entanglement(tr_t, d), _power(tr_r, tr_t, d)
 

@@ -41,6 +41,9 @@ __all__ = [
     "product_state_batch",
 ]
 
+# The seed of ``SweepSpec``, ``verify.run_acceptance`` and every ``--seed`` flag.
+DEFAULT_SEED = 1
+
 
 def _check_seed(seed) -> int:
     """``seed`` as an int, if a non-bool integer with 0 <= seed < 2**64."""
@@ -200,14 +203,11 @@ def product_state_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     the real parts of conj(z) * z over its d rows in order, and one
     broadcast product writes the outer product into a (d, d, n) buffer.
     The result is that buffer's transposed view, so its ``.T`` is the
-    C-contiguous (d^2, n) operand of a GEMM.  At d <= 7 the states are
-    bitwise those of the sample-major steps with ``np.linalg.norm(z,
-    axis=2)``'s norm; at d >= 8 numpy's pairwise reduction associates that
-    sum differently, so they can differ in the last bit.  Besides the
-    result, at most two arrays of the draw's size, 32 d bytes per sample,
-    are alive at once.  The outer product is one call, not d, because in
-    the Monte-Carlo pipeline each numpy call can wait for the other thread
-    to hand back the GIL.
+    C-contiguous (d^2, n) operand of a GEMM.  Besides the result, at most
+    two arrays of the draw's size, 32 d bytes per sample, are alive at once.
+    The outer product is one call, not d, because in the Monte-Carlo
+    pipeline each numpy call can wait for the other thread to hand back the
+    GIL.
 
     Raises ValueError, before anything is drawn, unless ``n`` is an integer
     >= 0 and ``d`` an integer from 2 to 16.

@@ -26,7 +26,8 @@ from .entanglement import _measures
 # Not called here: perfbench's tracing test checks that it wraps and restores
 # this binding.
 from .entanglement import operator_entanglement  # noqa: F401
-from .operators import _check_seed, _exp_swap_stack, _haar_stack, _random_controlled_u_stack
+from .operators import DEFAULT_SEED, _check_seed, _exp_swap_stack, _haar_stack
+from .operators import _random_controlled_u_stack
 
 __all__ = ["FAMILIES", "SweepSpec", "sweep_rows", "render_csv"]
 
@@ -58,7 +59,7 @@ class SweepSpec:
     param_start: float
     param_end: float
     steps: int
-    seed: int = 1
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.family not in FAMILIES:

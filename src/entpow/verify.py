@@ -13,8 +13,8 @@ of at most ``sweep._CHUNK_BYTES`` of entries, so their values do not depend
 on where stacks split; each puts its last one through the scalar public API.
 Controlled-U and local invariance get their measures from the gated call of
 sweeps, ``entanglement._measures``.  The Monte-Carlo oracle stacks its
-operators by local dimension (the sqrt-swap and 5 Haar unitaries at d = 2, 5
-at d = 3) and estimates each stack at once with ``entanglement._mc_estimates``,
+operators by local dimension (the sqrt-swap and ``_MC_HAAR`` Haar unitaries at
+d = 2, as many at d = 3) and estimates each stack at once with ``_mc_estimates``,
 seeded with the next 64-bit word of its generator so the states share no draw
 with the operators, against closed forms from ``_measures`` on the same stack.
 The determinism criterion repeats that estimator, and a sweep, at the seed itself.
@@ -28,16 +28,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densemat import _check_local_dim, _unitarity_defects
-from .entanglement import _check_mc_samples, _mc_estimates, _measures
+from .entanglement import DEFAULT_MC_SAMPLES, _check_mc_samples, _mc_estimates, _measures
 from .entanglement import entangling_power, operator_entanglement
 from .entanglement import swap_entanglement
 from .operators import ControlledUSpec, controlled_u, exp_swap, haar_unitary, swap_op
-from .operators import _check_seed, _haar_stack, _random_controlled_u_stack
+from .operators import DEFAULT_SEED, _check_seed, _haar_stack, _random_controlled_u_stack
 from .rearrange import _AXES, BipartiteOperator, _rearrange
 from .rearrange import partial_transpose_first, realign, swap_left
 from .sweep import SweepSpec, _chunks, render_csv, sweep_rows
 
 __all__ = ["CRITERIA", "CheckResult", "run_acceptance"]
+
+# Operators per dimension (local invariance: tuples (A, B, C, D, U)) and the
+# Monte-Carlo oracle's Haar unitaries per stack; each criterion and its title read them.
+_CONTROLLED_U_GATES = 20
+_FAN_UNITARIES = 100
+_STRUCTURAL_MATRICES = 100
+_LOCAL_TUPLES = 50
+_MC_HAAR = 5
 
 
 @dataclass(frozen=True)
@@ -78,8 +86,8 @@ def _new_run(extra_d: int | None, mc_samples: int, seed: int) -> _Run:
 def run_acceptance(
     include_mc: bool = False,
     extra_d: int | None = None,
-    mc_samples: int = 50000,
-    seed: int = 1,
+    mc_samples: int = DEFAULT_MC_SAMPLES,
+    seed: int = DEFAULT_SEED,
 ) -> list[CheckResult]:
     """Check every criterion of ``CRITERIA``, the Monte-Carlo one only when ``include_mc``.
 
@@ -161,10 +169,10 @@ def _sqrt_swap(run: _Run, rng: np.random.Generator) -> float:
     return _max_abs(devs)
 
 
-def _controlled_u(run: _Run, rng: np.random.Generator, n_instances: int = 20) -> float:
+def _controlled_u(run: _Run, rng: np.random.Generator) -> float:
     devs = []
     for d in run.gate_dims:
-        for lo, hi in _chunks(d, n_instances):
+        for lo, hi in _chunks(d, _CONTROLLED_U_GATES):
             gates = _random_controlled_u_stack(d, hi - lo, rng)
             e, e_swapped, e_p = _measures(gates, d)
             devs += [e_p - (d / (d + 1)) ** 2 * e, e_swapped - (1 - 1 / d**2),
@@ -180,10 +188,10 @@ def _cnot(run: _Run, rng: np.random.Generator) -> float:
     return _max_abs(operator_entanglement(cnot) - 0.5, entangling_power(cnot) - 2.0 / 9.0)
 
 
-def _fan_identity(run: _Run, rng: np.random.Generator, n_instances: int = 100) -> float:
+def _fan_identity(run: _Run, rng: np.random.Generator) -> float:
     mismatches = 0
     for d in run.family_dims:
-        for lo, hi in _chunks(d, n_instances):
+        for lo, hi in _chunks(d, _FAN_UNITARIES):
             u = _haar_stack(d * d, hi - lo, rng)
             lhs = _rearrange(_rearrange(u, d, "swap_left"), d, "realign")  # (S12 U)^R = S12 U^T1
             rhs = _rearrange(_rearrange(u, d, "partial_transpose_first"), d, "swap_left")
@@ -193,10 +201,10 @@ def _fan_identity(run: _Run, rng: np.random.Generator, n_instances: int = 100) -
     return float(mismatches + (lhs.tobytes() != partial_transpose_first(u).mat.tobytes()))
 
 
-def _structural(run: _Run, rng: np.random.Generator, n_instances: int = 100) -> float:
+def _structural(run: _Run, rng: np.random.Generator) -> float:
     mismatches = 0
     for d in run.family_dims:
-        for lo, hi in _chunks(d, n_instances):
+        for lo, hi in _chunks(d, _STRUCTURAL_MATRICES):
             m = rng.standard_normal((hi - lo, d * d, d * d, 2)).view(np.complex128)[..., 0]
             m[:, 0] = -0.0  # signed zeros, which any arithmetic (even + 0.0) would turn into 0.0
             sq, bad = _sorted_sq(m), np.zeros(hi - lo, dtype=bool)
@@ -211,8 +219,9 @@ def _structural(run: _Run, rng: np.random.Generator, n_instances: int = 100) -> 
 
 def _mc_oracle(run: _Run, rng: np.random.Generator) -> float:
     # the operators of one local dimension share one estimate's product states
-    stacks = {2: np.concatenate([exp_swap(2, math.pi / 4).mat[None], _haar_stack(4, 5, rng)]),
-              3: _haar_stack(9, 5, rng)}
+    sqrt_swap = exp_swap(2, math.pi / 4).mat[None]
+    stacks = {2: np.concatenate([sqrt_swap, _haar_stack(4, _MC_HAAR, rng)]),
+              3: _haar_stack(9, _MC_HAAR, rng)}
     devs = []
     for d, stack in stacks.items():
         e_p = _measures(stack, d)[2]
@@ -221,12 +230,12 @@ def _mc_oracle(run: _Run, rng: np.random.Generator) -> float:
     return _max_abs(devs)
 
 
-def _local_invariance(run: _Run, rng: np.random.Generator, n_instances: int = 50) -> float:
+def _local_invariance(run: _Run, rng: np.random.Generator) -> float:
     devs = []
     for d in run.gate_dims:
         # the factors (A, B, C, D) of all n tuples first, then the n operators U
-        local = _haar_stack(d, 4 * n_instances, rng).reshape(n_instances, 4, d, d)
-        for lo, hi in _chunks(d, n_instances):
+        local = _haar_stack(d, 4 * _LOCAL_TUPLES, rng).reshape(_LOCAL_TUPLES, 4, d, d)
+        for lo, hi in _chunks(d, _LOCAL_TUPLES):
             u = _haar_stack(d * d, hi - lo, rng)
             ab, cd = np.einsum("nkij,nkab->kniajb", local[lo:hi, ::2], local[lo:hi, 1::2])
             rotated = ab.reshape(u.shape) @ u @ cd.reshape(u.shape)  # (A (x) B) U (C (x) D)
@@ -255,20 +264,21 @@ CRITERIA = (
      1e-12, _sqrt_swap),
     ("controlled_u_theorem",
      "controlled-U: e_p = (d/(d+1))^2 E and swapped E = 1 - 1/d^2 "
-     "(20 instances, d in {gate_dims})",
+     f"({_CONTROLLED_U_GATES} instances, d in {{gate_dims}})",
      1e-12, _controlled_u),
     ("cnot_values", "cnot: E = 1/2 and e_p = 2/9", 1e-12, _cnot),
     ("fan_identity_bitwise",
-     "swap-multiplication identity, bitwise (100 unitaries, d in {family_dims})",
+     f"swap-multiplication identity, bitwise ({_FAN_UNITARIES} unitaries, d in {{family_dims}})",
      0, _fan_identity),
     ("structural_involutions",
-     "rearrangement involutions and norm preservation (100 matrices, d in {family_dims})",
+     "rearrangement involutions and norm preservation "
+     f"({_STRUCTURAL_MATRICES} matrices, d in {{family_dims}})",
      0, _structural),
     ("monte_carlo_oracle",
-     "Monte-Carlo oracle vs closed form (11 operators, {mc_samples} samples)",
+     f"Monte-Carlo oracle vs closed form ({1 + 2 * _MC_HAAR} operators, {{mc_samples}} samples)",
      1.0, _mc_oracle),
     ("local_unitary_invariance",
-     "local-unitary invariance of E and e_p (50 tuples, d in {gate_dims})",
+     f"local-unitary invariance of E and e_p ({_LOCAL_TUPLES} tuples, d in {{gate_dims}})",
      1e-10, _local_invariance),
     ("determinism", "determinism: repeated sweep CSV and repeated MC estimate",
      0, _determinism),

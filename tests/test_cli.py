@@ -151,6 +151,23 @@ class TestEval:
         assert "unitarity defect: 1.250e+00 (tol 1.0e-09)" in out
         assert "defect 1.250000e+00 exceeds tol 1.0e-09" in err
 
+    def test_overflowing_operator_exits_2_with_one_stderr_line(self, capsys, tmp_path):
+        # finite entries whose Gram products overflow: no numpy warning, only the gate's line
+        path = tmp_path / "huge.json"
+        path.write_text(serialize_operator(BipartiteOperator(2, 1e200 * np.eye(4)), name="huge"))
+        code, out, err = run(capsys, "eval", str(path))
+        assert code == EXIT_CHECK_FAILURE
+        assert err == "entpow: operator is not unitary: defect inf exceeds tol 1.0e-09\n"
+        assert out == (
+            "operator: huge (d = 2)\n"
+            "unitarity defect: inf (tol 1.0e-09)\n"
+            "E(U)     = nan\n"
+            "E(S12 U) = nan\n"
+            "E(U S12) = nan\n"
+            "E(S12)   = 0.750000000000\n"
+            "e_p      = (not defined: operator failed the unitarity check)\n"
+        )
+
     def test_mc_line(self, capsys, cnot_file):
         code, out, _ = run(
             capsys, "eval", cnot_file, "--mc", "--mc-samples", "5000", "--seed", "2"

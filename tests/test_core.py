@@ -141,7 +141,8 @@ class TestGate:
         with pytest.raises(UnitarityError):
             _gate(stack, 1e9)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, None, "1e-9", True])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, None, "1e-9", True,
+                                     pytest.param(10**400, id="10**400")])
     def test_rejects_bad_tolerance(self, tol):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             _gate(np.eye(4, dtype=complex)[None], tol)
@@ -235,7 +236,8 @@ class TestSweepSizeBounds:
         with pytest.raises(ValueError, match="from 1 to 1000000"):
             SweepSpec("haar", 2, 0.0, 1.0, steps)
 
-    @pytest.mark.parametrize("bad", ["0", None, math.nan, -math.inf, [0.0], True])
+    @pytest.mark.parametrize("bad", ["0", None, math.nan, -math.inf, [0.0], True,
+                                     pytest.param(10**400, id="10**400")])
     def test_parameter_range_must_be_finite_numbers(self, bad):
         for start, end in ((bad, 1.0), (0.0, bad)):
             with pytest.raises(ValueError, match="parameter range must be finite"):

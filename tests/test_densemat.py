@@ -8,6 +8,7 @@ from entpow.densemat import (
     frobenius_norm_sq,
     unitarity_defect,
 )
+from entpow.entanglement import state_linear_entropy
 from entpow.operators import ControlledUSpec, haar_unitary, max_entangled_projector, swap_op
 from entpow.rearrange import BipartiteOperator
 
@@ -58,6 +59,9 @@ class TestUnitarityDefect:
         with pytest.raises(ValueError, match="square"):
             unitarity_defect(np.zeros((2, 3), dtype=complex))
 
+    def test_overflowing_products_give_an_infinite_defect_without_warning(self):
+        assert unitarity_defect(1e200 * np.eye(4)) == np.inf
+
 
 class TestValidation:
     @pytest.mark.parametrize("check, shape", [
@@ -107,6 +111,17 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"^matrix entries must be numbers: "):
             check()
 
+    @pytest.mark.parametrize("check", [
+        lambda: as_complex_matrix([[10**400]]),
+        lambda: BipartiteOperator(2, [[10**400, 0, 0, 0]] + np.eye(4)[1:].tolist()),
+        lambda: ControlledUSpec(2, (np.eye(2), [[-(10**309), 0], [0, 1]])),
+        lambda: state_linear_entropy([[10**400, 0], [0, 0]]),
+    ], ids=["as_complex_matrix", "BipartiteOperator", "ControlledUSpec", "state_linear_entropy"])
+    def test_rejects_integers_beyond_float_range(self, check):
+        # numpy's OverflowError becomes the package's ValueError
+        with pytest.raises(ValueError, match=r"^matrix entry is out of float range$"):
+            check()
+
     def test_numeric_arrays_are_not_scanned(self, monkeypatch):
         # the eval path: a numeric ndarray goes straight to the conversion
         eye = np.eye(3, dtype=np.int8)
@@ -117,6 +132,9 @@ class TestValidation:
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError, match="2-D"):
             as_complex_matrix(np.zeros(4, dtype=complex))
+        # a scalar is reported as the 0-D data it is
+        with pytest.raises(ValueError, match="got 0-D data"):
+            as_complex_matrix(5)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="positive"):

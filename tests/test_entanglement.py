@@ -151,34 +151,45 @@ class TestOperatorEntanglement:
         assert "defect" in str(err.value)
 
     def test_tolerance_is_adjustable(self):
+        # the scalar measures gate at UNITARITY_TOL; a looser one goes through the report
         mat = (1.0 + 2e-7) * haar_unitary(4, 55)
         op = BipartiteOperator(2, mat)
         with pytest.raises(UnitarityError):
             operator_entanglement(op)
-        operator_entanglement(op, tol=1e-3)  # must not raise
+        assert not entanglement_report(op).unitarity_ok
+        report = entanglement_report(op, tol=1e-3)
+        assert report.unitarity_ok and report.e_power is not None
+
+    @pytest.mark.parametrize(
+        "measure", [operator_entanglement, swapped_operator_entanglement, entangling_power]
+    )
+    def test_huge_finite_entries_raise_without_warning(self, measure):
+        # the Gram product overflows: an infinite defect, and no RuntimeWarning
+        with pytest.raises(UnitarityError) as err:
+            measure(BipartiteOperator(2, 1e200 * np.eye(4)))
+        assert err.value.defect == math.inf
 
 
 class TestTolerance:
     ONES = BipartiteOperator(2, np.ones((4, 4)))  # defect 4
+    HUGE = pytest.param(10**400, id="10**400")  # finite, but beyond float range
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12])
-    @pytest.mark.parametrize(
-        "measure",
-        [operator_entanglement, swapped_operator_entanglement, entangling_power,
-         entanglement_report],
-    )
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12, HUGE])
+    @pytest.mark.parametrize("measure", [entanglement_report])
     def test_rejected_before_any_value(self, measure, tol):
         with pytest.raises(ValueError, match="finite and nonnegative") as err:
             measure(self.ONES, tol=tol)
         assert not isinstance(err.value, UnitarityError)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, HUGE])
     def test_rejected_by_monte_carlo(self, tol):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             entangling_power_mc(self.ONES, 500, seed=1, tol=tol)
 
     def test_zero_tolerance_accepts_exact_unitaries(self):
-        assert operator_entanglement(swap_op(2), tol=0.0) == pytest.approx(0.75, abs=1e-15)
+        report = entanglement_report(swap_op(2), tol=0.0)
+        assert report.unitarity_ok and report.unitarity_defect == 0.0
+        assert report.e_op == pytest.approx(0.75, abs=1e-15)
 
 
 class TestSwappedOperatorEntanglement:
@@ -595,6 +606,13 @@ class TestEntanglementReport:
         assert report.e_power is None
         assert isinstance(report.e_op, float)
         assert isinstance(report.e_op_swapped, float)
+
+    def test_huge_finite_entries_reported_without_warning(self):
+        # the Gram products overflow: recorded as a failed gate, and no RuntimeWarning
+        report = entanglement_report(BipartiteOperator(2, 1e200 * np.eye(4)))
+        assert not report.unitarity_ok
+        assert report.unitarity_defect == math.inf
+        assert report.e_power is None
 
     def test_report_values_are_raw(self):
         # fields must come from the same raw formulas, not clamped copies

@@ -28,9 +28,15 @@ Only ``densemat`` names ``np.integer``: every other module asks its
 ``verify`` builds a generator in one place, from the run's seed and the
 criterion's row, never from an integer literal, so every random criterion
 draws from the seed its caller gave.
+
+Settings with one value in use are constants, not parameters: among the
+public functions only ``entanglement_report`` and ``entangling_power_mc``
+take a unitarity tolerance (the other measures gate at ``UNITARITY_TOL``),
+and every criterion of ``verify.CRITERIA`` takes exactly ``(run, rng)``.
 """
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -39,6 +45,7 @@ from pathlib import Path
 import pytest
 
 import entpow
+from entpow.verify import CRITERIA
 
 MODULES = sorted(Path(entpow.__file__).parent.glob("*.py"))
 
@@ -324,3 +331,56 @@ def test_verify_builds_one_generator_from_no_literal_seed():
 ])
 def test_the_generator_guard_itself(source, found):
     assert generator_calls(source) == found
+
+
+def tolerance_takers(namespace: dict) -> set[str]:
+    """Names of the functions in ``namespace`` with a parameter named ``tol``."""
+    return {name for name, obj in namespace.items()
+            if inspect.isfunction(obj) and "tol" in inspect.signature(obj).parameters}
+
+
+def test_only_the_report_and_the_estimate_take_a_tolerance():
+    public = {name: getattr(entpow, name) for name in entpow.__all__}
+    assert tolerance_takers(public) == {"entanglement_report", "entangling_power_mc"}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(u, tol=1e-9): pass\n", {"f"}),
+    ("def f(u, *, tol): pass\n", {"f"}),
+    ("def f(u): pass\ndef g(u, n_samples, seed, tol=0.0): pass\n", {"g"}),
+    ("def f(u, tolerance=1e-9): pass\n", set()),
+    ("class E(ValueError):\n    def __init__(self, defect, tol): pass\n", set()),
+])
+def test_the_tolerance_parameter_guard_itself(source, found):
+    namespace = {}
+    exec(source, namespace)
+    assert tolerance_takers(namespace) == found
+
+
+def off_signature(criteria) -> list[str]:
+    """Keys of the ``(key, title, bound, worst)`` rows whose ``worst`` does not
+    take exactly two positional parameters ``run`` and ``rng``, without defaults."""
+    plain = [(name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+             for name in ("run", "rng")]
+    return [key for key, _, _, worst in criteria
+            if [(p.name, p.kind, p.default)
+                for p in inspect.signature(worst).parameters.values()] != plain]
+
+
+def test_every_criterion_takes_only_the_run_and_its_generator():
+    assert off_signature(CRITERIA) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def worst(run, rng): pass\n", []),
+    ("def worst(run: '_Run', rng: 'np.random.Generator') -> float: pass\n", []),
+    ("def worst(run, rng, n_instances=20): pass\n", ["a"]),
+    ("def worst(run, rng=None): pass\n", ["a"]),
+    ("def worst(run, *, rng): pass\n", ["a"]),
+    ("def worst(rng, run): pass\n", ["a"]),
+    ("def worst(run): pass\n", ["a"]),
+])
+def test_the_criterion_signature_guard_itself(source, found):
+    namespace = {}
+    exec(source, namespace)
+    assert off_signature([("a", "title", 0, namespace["worst"])]) == found

@@ -124,6 +124,8 @@ class TestExpSwap:
             exp_swap(2, math.nan)
         with pytest.raises(ValueError, match="finite"):
             exp_swap(2, math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            exp_swap(2, 10**400)  # a Python integer beyond float range
 
     @pytest.mark.parametrize("t", [None, "0.5", [0.5], True])
     def test_rejects_non_numeric_parameter(self, t):

@@ -1,7 +1,10 @@
 """Tests for the stacked evaluation behind the per-operator criteria of
 ``entpow.verify``: stack splits, agreement with the scalar API, bitwise
-comparisons and the unitarity gate inside a stack; and for its seed tree,
-which gives criterion k the generator ``[seed, k]``."""
+comparisons and the unitarity gate inside a stack; for its seed tree,
+which gives criterion k the generator ``[seed, k]``; and for the counts its
+titles name, which must be the counts the criteria evaluate."""
+
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +23,11 @@ ROW = {key: k for k, (key, *_) in enumerate(CRITERIA)}
 
 BATCHED = ["controlled_u_theorem", "fan_identity_bitwise", "structural_involutions",
            "local_unitary_invariance"]
+
+# the module constant behind the count each of these titles names
+COUNTS = {"controlled_u_theorem": "_CONTROLLED_U_GATES", "fan_identity_bitwise": "_FAN_UNITARIES",
+          "structural_involutions": "_STRUCTURAL_MATRICES",
+          "local_unitary_invariance": "_LOCAL_TUPLES", "monte_carlo_oracle": "_MC_HAAR"}
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +154,55 @@ def test_mc_streams_share_no_draw_with_the_oracle_operators(monkeypatch, seed):
 def test_every_criterion_but_mc_passes_at_any_seed(seed):
     results = run_acceptance(seed=seed)
     assert len(results) == 9 and all(r.passed for r in results)
+
+
+def operators_evaluated(monkeypatch, run, key) -> dict:
+    """Operators per local dimension that criterion ``key`` hands to ``_measures``,
+    ``_rearrange`` or ``_mc_estimates``, counting each stack once and never a
+    stack that ``_rearrange`` returned."""
+    seen, moved = {}, []  # both keep their stacks alive, so no id is reused
+    with monkeypatch.context() as m:
+        for name in ("_measures", "_rearrange", "_mc_estimates"):
+            def recording(stack, d, *args, name=name, original=getattr(entpow.verify, name)):
+                if not any(stack is x for x in moved):
+                    seen[id(stack)] = stack, d
+                out = original(stack, d, *args)
+                if name == "_rearrange":
+                    moved.append(out)
+                return out
+
+            m.setattr(entpow.verify, name, recording)
+        _worst(run, ROW[key])
+    counts = {}
+    for stack, d in seen.values():
+        counts[d] = counts.get(d, 0) + len(stack)
+    return counts
+
+
+def evaluated_and_named(monkeypatch, run, key):
+    """(operators criterion ``key`` evaluates, operators its title names): per
+    local dimension of the title's dimension list for the batched criteria, in
+    total for the Monte-Carlo oracle."""
+    title = CRITERIA[ROW[key]][1]
+    named = int(re.search(r"\((\d+) ", title).group(1))
+    counts = operators_evaluated(monkeypatch, run, key)
+    if key == "monte_carlo_oracle":
+        return sum(counts.values()), named
+    # a local-invariance tuple evaluates U and (A (x) B) U (C (x) D)
+    per_item = 2 if key == "local_unitary_invariance" else 1
+    dims = getattr(run, re.search(r"\{(\w+)\}", title).group(1))
+    return counts, {d: per_item * named for d in dims}
+
+
+@pytest.mark.parametrize("key", [*BATCHED, "monte_carlo_oracle"])
+def test_titles_name_the_counts_evaluated(monkeypatch, run, key):
+    evaluated, named = evaluated_and_named(monkeypatch, run, key)
+    assert evaluated == named
+
+
+@pytest.mark.parametrize("key", [*BATCHED, "monte_carlo_oracle"])
+def test_the_title_count_guard_itself(monkeypatch, run, key):
+    # a count changed after the titles were formatted: the criterion runs it, its title does not
+    monkeypatch.setattr(entpow.verify, COUNTS[key], getattr(entpow.verify, COUNTS[key]) + 1)
+    evaluated, named = evaluated_and_named(monkeypatch, run, key)
+    assert evaluated != named
