@@ -108,7 +108,8 @@ def cmd_eval(path: str, mc: bool, mc_samples: int, seed: int, tol: float) -> int
     print(f"operator: {name or '(unnamed)'} (d = {op.d})")
     defect = report.unitarity_defect
     print(f"unitarity defect: {defect:.3e} (tol {tol:.1e})")
-    # raw values live in the report; display is clamped to the valid range
+    # raw values live in the report; display is clamped to the valid range,
+    # except that NaN, from products that overflow, is shown as nan
     print(f"E(U)     = {_clamp(report.e_op, e_max):.12f}")
     print(f"E(S12 U) = {_clamp(report.e_op_swapped, e_max):.12f}")
     print(f"E(U S12) = {_clamp(report.e_op_swapped_right, e_max):.12f}")

@@ -3,10 +3,11 @@
 A matrix here is a 2-D ``numpy.ndarray`` of ``complex128`` entries in
 row-major (C) order.  Every public function validates its input and raises
 ``ValueError`` on dimension mismatches and on entries that are non-finite,
-strings or bytes, or not convertible to complex; nothing is ever broadcast
-silently.  Sizes stay small (at most 256 x 256), so no blocking or sparsity
-is needed.  Every input rule of the package --
-``_is_int``, ``_is_finite``, ``_check_local_dim`` -- is written here once.
+strings, bytes or None, or not convertible to complex; nothing is ever
+broadcast silently.  Sizes stay small (at most 256 x 256), so no blocking or
+sparsity is needed.  Every input rule of the package --
+``_is_int``, ``_is_finite``, ``_check_local_dim`` -- is written here once,
+and every rule's message shows the rejected value through ``_echo``.
 """
 
 from __future__ import annotations
@@ -33,11 +34,14 @@ UNITARITY_TOL = 1e-9
 # the 256 x 256 operators this kernel is sized for (1 MiB each).
 _MAX_D = 16
 
+# Digits beyond which ``_echo`` shortens an integer.
+_ECHO_DIGITS = 40
+
 
 def _check_local_dim(d) -> int:
     """``d`` as an int, if a non-bool Python or NumPy integer from 2 to ``_MAX_D``."""
     if not (_is_int(d) and 2 <= d <= _MAX_D):
-        raise ValueError(f"local dimension must be an integer from 2 to {_MAX_D}, got {d!r}")
+        raise ValueError(f"local dimension must be an integer from 2 to {_MAX_D}, got {_echo(d)}")
     return int(d)
 
 
@@ -45,16 +49,17 @@ def as_complex_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a finite 2-D complex128 array in row-major order; the
     ValueError for non-finite input names the first such entry.
 
-    Strings and bytes are not numbers here, although numpy would parse them.
-    A numeric ``ndarray`` skips that check, so it costs nothing on that path.
+    Strings and bytes are not numbers here, although numpy would parse them,
+    and neither is None, which numpy would make NaN.  A numeric ``ndarray``
+    skips that check, so it costs nothing on that path.
     """
     try:
         if not (isinstance(a, np.ndarray) and a.dtype.kind in "biufc"):
             a = np.asarray(a)
             if a.dtype.kind in "SU" or (
-                a.dtype.kind == "O" and any(isinstance(x, (str, bytes)) for x in a.flat)
+                a.dtype.kind == "O" and any(isinstance(x, (str, bytes, type(None))) for x in a.flat)
             ):
-                raise TypeError("strings and bytes are not parsed")
+                raise TypeError("strings, bytes and None are not accepted")
         m = a.astype(np.complex128, order="C", copy=False)  # a 0-d input stays 0-d
     except TypeError as err:  # an entry that is not a number, such as a dict or a string
         raise ValueError(f"matrix entries must be numbers: {err}") from None
@@ -125,4 +130,21 @@ def _check_tolerance(tol: float) -> None:
     every operator, so either would let any input past a gate.
     """
     if not (_is_finite(tol) and tol >= 0):
-        raise ValueError(f"unitarity tolerance must be finite and nonnegative, got {tol}")
+        raise ValueError(
+            f"unitarity tolerance must be finite and nonnegative, got {_echo(tol, str)}"
+        )
+
+
+def _echo(x, conv=repr) -> str:
+    """``conv(x)`` for an input rule's message, with an integer of more than
+    ``_ECHO_DIGITS`` digits shortened to its leading digits and digit count.
+
+    Python refuses to convert an integer past 4300 digits to text, and any
+    integer that long is a mistake, not a value to read back.
+    """
+    if not (isinstance(x, int) and abs(x) >= 10**_ECHO_DIGITS):
+        return conv(x)
+    a = abs(x)
+    n = int(math.log10(a)) + 1  # the digit count, up to the rounding of log10
+    n += (a >= 10**n) - (a < 10 ** (n - 1))
+    return f"{'-' if x < 0 else ''}{a // 10 ** (n - 12)}... ({n} digits)"

@@ -45,15 +45,16 @@ entropy of U applied to seeded Haar-random product states.  One private
 kernel estimates a (k, d^2, d^2) stack of operators on one shared stream of
 states: the samples stream through chunks of about 256 KiB of coefficients
 -- one draw, one GEMM for all k operators and one purity reduction per
-chunk -- so its memory is 8 bytes per sample per operator plus a few
-chunks, and the sample count is capped at ``MAX_MC_SAMPLES``.  Each
-estimate runs one worker thread beside the caller: the caller draws chunk
-i+1 while the worker evaluates chunk i, so one chunk is in flight beside
-the one being drawn, and the estimate is bitwise that of evaluating the
-chunks one after the other.  The sampler hands each chunk over as the
-transposed view of a (d^2, s) buffer, so the GEMM reads a C-contiguous
-operand.  ``entangling_power_mc`` is that kernel on a stack of one, and ``verify``
-runs it on each dimension's stack of oracle operators.
+chunk, on arrays made for that chunk -- so its memory is 8 bytes per sample
+per operator plus a few chunks, and the sample count is capped at
+``MAX_MC_SAMPLES``.  Each estimate runs one worker thread beside the
+caller: the caller draws chunk i+1 while the worker evaluates chunk i, so
+one chunk is in flight beside the one being drawn, and the estimate is
+bitwise that of evaluating the chunks one after the other.  The sampler
+hands each chunk over as the transposed view of a (d^2, s) buffer, so the
+GEMM reads a C-contiguous operand.  ``entangling_power_mc`` is that kernel
+on a stack of one, and ``verify`` runs it on each dimension's stack of
+oracle operators.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import UNITARITY_TOL, _check_local_dim, _check_tolerance, _is_int
+from .densemat import UNITARITY_TOL, _check_local_dim, _check_tolerance, _echo, _is_int
 from .densemat import _unitarity_defects
 from .densemat import as_complex_matrix, frobenius_norm_sq
 from .operators import _check_seed, product_state_batch
@@ -247,7 +248,7 @@ def entangling_power_mc(
 
     Samples stream through fixed-size chunks of about 256 KiB of states, so
     memory is 8 bytes per sample for the entropies, whose spread is taken in
-    place, plus the kernel's buffers, the chunk being evaluated and the one
+    place, plus the chunk being evaluated, with its temporaries, and the one
     being drawn: under 2 MiB at d = 2.  One worker thread, started and
     joined within the call, evaluates each chunk while the calling thread
     draws the next; the estimate is bitwise that of a single thread.
@@ -325,11 +326,13 @@ def _measures(stack: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
 def _check_mc_samples(n_samples: int) -> None:
     """Raise ValueError unless ``n_samples`` is an integer within the MC limits."""
     if not _is_int(n_samples):
-        raise ValueError(f"number of samples must be an integer, got {n_samples!r}")
+        raise ValueError(f"number of samples must be an integer, got {_echo(n_samples)}")
     if n_samples < MIN_MC_SAMPLES:
-        raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {n_samples}")
+        raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {_echo(n_samples, str)}")
     if n_samples > MAX_MC_SAMPLES:
-        raise ValueError(f"at most {MAX_MC_SAMPLES} samples are allowed, got {n_samples}")
+        raise ValueError(
+            f"at most {MAX_MC_SAMPLES} samples are allowed, got {_echo(n_samples, str)}"
+        )
 
 
 def _purity(stack: np.ndarray, d: int, move: str) -> np.ndarray:
@@ -398,12 +401,13 @@ def _sample_entropies(stack: np.ndarray, d: int, n: int, rng: np.random.Generato
     Samples are drawn and evaluated in chunks of at most ``_MC_CHUNK_BYTES``
     of coefficients, 16384 / (k d^2) samples for k operators; the sampler's
     draw order makes the states those of one call.  The calling thread draws
-    chunk i+1 while one worker thread, which lives for this call, runs the
-    entropy kernel on chunk i and writes that chunk's slice of the result.
-    Only the caller touches ``rng`` and only the kernel runs on the worker,
-    so the draws and each chunk's arithmetic, and with them the bits, are
-    those of drawing and evaluating the chunks one after the other.  An
-    exception in the kernel is raised here, after the worker has stopped.
+    chunk i+1 while one worker thread, which lives for this call, runs
+    ``_entropy_kernel`` on chunk i and writes that chunk's slice of the
+    result.  Only the caller touches ``rng``, and the kernel shares nothing
+    with it but that slice, so the draws and each chunk's arithmetic, and
+    with them the bits, are those of drawing and evaluating the chunks one
+    after the other.  An exception in the kernel is raised here, after the
+    worker has stopped.
     """
     # imported here, not with the package: ``import entpow`` stays without it
     from concurrent.futures import ThreadPoolExecutor
@@ -411,7 +415,6 @@ def _sample_entropies(stack: np.ndarray, d: int, n: int, rng: np.random.Generato
     k = len(stack)
     step = max(1, _MC_CHUNK_BYTES // (16 * d * d * k))
     entropies = np.empty((k, n))
-    kernel = _entropy_kernel(stack, d, min(step, n))
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="entpow-mc") as worker:
         done = None
         for lo in range(0, n, step):
@@ -421,50 +424,31 @@ def _sample_entropies(stack: np.ndarray, d: int, n: int, rng: np.random.Generato
             chunk = [product_state_batch(rng, hi - lo, d)]
             if done is not None:
                 done.result()
-            done = worker.submit(kernel, chunk, entropies[:, lo:hi])
+            done = worker.submit(_entropy_kernel, stack, d, chunk, entropies[:, lo:hi])
         done.result()
     return entropies
 
 
-def _entropy_kernel(stack: np.ndarray, d: int, m: int):
-    """The entropy kernel for chunks of at most m states: ``kernel(chunk, out)``
-    pops an (s, d^2) array of states, s <= m, from the list ``chunk`` and
-    writes their (k, s) entropies to ``out``.  The sampler's states are the
-    transposed view of a C-contiguous (d^2, s) buffer, and that buffer is
-    the GEMM's right operand.
+def _entropy_kernel(stack: np.ndarray, d: int, chunk: list, out: np.ndarray) -> None:
+    """Pop an (s, d^2) array of states from the list ``chunk`` and write the
+    (k, s) linear entropies of each U of the (k, d^2, d^2) stack to ``out``.
 
     One GEMM, of the (k d^2, d^2) stacked operators with the states, gives
     the coefficients C[u, i, j, s] of U|psi_s> with the sample axis last, so
     the reduced state rho = C C^dag of every operator and sample is
     accumulated over j with elementwise products, and its purity is the sum
-    of |rho|^2 over the float view.  A stack of one takes the steps, and the
-    bits, of a single operator.  Every step writes through ``out=`` into
-    buffers allocated once here, laid out as fresh arrays would be, so the
-    bits are those of the same steps on fresh arrays; the states are freed
-    as soon as the GEMM has read them.
+    of |rho|^2 over the float view.  The sampler's states are the transposed
+    view of a C-contiguous (d^2, s) buffer, which is the GEMM's right
+    operand, and they are freed as soon as the GEMM has read them.  A stack
+    of one takes the steps, and the bits, of a single operator.
     """
-    k = len(stack)
-    ops = stack.reshape(k * d * d, d * d)
-    # conj holds one j-slice of C^*, and term, free once rho is summed, the squares
-    coeff, rho, term = (np.empty(k * d * d * m, dtype=np.complex128) for _ in range(3))
-    conj = np.empty(k * d * m, dtype=np.complex128)
-
-    def kernel(chunk: list, out: np.ndarray) -> None:
-        s = out.shape[1]
-        shape, size = (k, d, d, s), k * d * d * s
-        c = np.matmul(ops, chunk.pop().T, out=coeff[:size].reshape(k * d * d, s)).reshape(shape)
-        r, t = rho[:size].reshape(shape), term[:size].reshape(shape)
-        cc = conj[:k * d * s].reshape(k, 1, d, s)
-        np.conjugate(c[:, None, :, 0], out=cc)
-        np.multiply(c[:, :, None, 0], cc, out=r)
-        for j in range(1, d):
-            np.conjugate(c[:, None, :, j], out=cc)
-            np.multiply(c[:, :, None, j], cc, out=t)
-            np.add(r, t, out=r)
-        x = r.view(np.float64).reshape(k, d * d, 2 * s)
-        # re^2 and im^2 of each sample, interleaved
-        sq = np.einsum("kis,kis->ks", x, x, out=term[:k * s].view(np.float64).reshape(k, 2 * s))
-        np.add(sq[:, 0::2], sq[:, 1::2], out=out)
-        np.subtract(1.0, out, out=out)
-
-    return kernel
+    k, s = len(stack), out.shape[1]
+    c = (stack.reshape(k * d * d, d * d) @ chunk.pop().T).reshape(k, d, d, s)
+    cc = c.conj()
+    rho = c[:, :, None, 0] * cc[:, None, :, 0]
+    for j in range(1, d):
+        rho += c[:, :, None, j] * cc[:, None, :, j]
+    x = rho.view(np.float64).reshape(k, d * d, 2 * s)
+    # re^2 and im^2 of each sample, interleaved
+    sq = np.einsum("kis,kis->ks", x, x)
+    np.subtract(1.0, sq[:, 0::2] + sq[:, 1::2], out=out)

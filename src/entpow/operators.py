@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import UNITARITY_TOL, _MAX_D, _check_local_dim, _is_finite, _is_int
+from .densemat import UNITARITY_TOL, _MAX_D, _check_local_dim, _echo, _is_finite, _is_int
 from .densemat import _unitarity_defects, as_complex_matrix
 from .rearrange import BipartiteOperator
 
@@ -48,7 +48,7 @@ DEFAULT_SEED = 1
 def _check_seed(seed) -> int:
     """``seed`` as an int, if a non-bool integer with 0 <= seed < 2**64."""
     if not (_is_int(seed) and 0 <= seed < 2**64):
-        raise ValueError(f"seed must be a nonnegative 64-bit integer, got {seed!r}")
+        raise ValueError(f"seed must be a nonnegative 64-bit integer, got {_echo(seed)}")
     return int(seed)
 
 
@@ -108,7 +108,7 @@ def exp_swap(d: int, t: float) -> BipartiteOperator:
     """
     d = _check_local_dim(d)
     if not _is_finite(t):
-        raise ValueError(f"parameter t must be finite, got {t!r}")
+        raise ValueError(f"parameter t must be finite, got {_echo(t)}")
     return BipartiteOperator(d, _exp_swap_stack(d, np.array([float(t)]))[0])
 
 
@@ -131,7 +131,9 @@ def haar_unitary(d_total: int, seed: int) -> np.ndarray:
     ``0 <= seed < 2**64``.
     """
     if not (_is_int(d_total) and 1 <= d_total <= _MAX_D**2):
-        raise ValueError(f"dimension must be an integer from 1 to {_MAX_D**2}, got {d_total!r}")
+        raise ValueError(
+            f"dimension must be an integer from 1 to {_MAX_D**2}, got {_echo(d_total)}"
+        )
     _check_seed(seed)
     return _haar_stack(int(d_total), 1, np.random.default_rng(seed))[0]
 
@@ -214,7 +216,7 @@ def product_state_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """
     d = _check_local_dim(d)
     if not (_is_int(n) and n >= 0):
-        raise ValueError(f"number of states must be a nonnegative integer, got {n!r}")
+        raise ValueError(f"number of states must be a nonnegative integer, got {_echo(n)}")
     n = int(n)
     g = rng.standard_normal((n, 2, 2, d))
     z = np.empty((2, d, n), dtype=np.complex128)

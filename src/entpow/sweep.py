@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import _check_local_dim, _is_finite, _is_int
+from .densemat import _check_local_dim, _echo, _is_finite, _is_int
 from .entanglement import _measures
 # Not called here: perfbench's tracing test checks that it wraps and restores
 # this binding.
@@ -68,14 +68,14 @@ class SweepSpec:
             )
         object.__setattr__(self, "d", _check_local_dim(self.d))
         if not (_is_int(self.steps) and 1 <= self.steps <= _MAX_STEPS):
-            raise ValueError(f"steps must be from 1 to {_MAX_STEPS}, got {self.steps}")
+            raise ValueError(f"steps must be from 1 to {_MAX_STEPS}, got {_echo(self.steps, str)}")
         start, end = self.param_start, self.param_end
         finite = _is_finite(start) and _is_finite(end)
         if finite and start > end:
-            raise ValueError(f"param_start {start} exceeds param_end {end}")
+            raise ValueError(f"param_start {_echo(start, str)} exceeds param_end {_echo(end, str)}")
         # the width too, in Python floats: a NumPy subtraction that overflows warns
         if not (finite and math.isfinite(float(end) - float(start))):
-            raise ValueError(f"parameter range must be finite, got {start!r} to {end!r}")
+            raise ValueError(f"parameter range must be finite, got {_echo(start)} to {_echo(end)}")
         _check_seed(self.seed)
 
 

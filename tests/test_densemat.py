@@ -4,13 +4,23 @@ import numpy as np
 import pytest
 
 from entpow.densemat import (
+    _echo,
     as_complex_matrix,
     frobenius_norm_sq,
     unitarity_defect,
 )
-from entpow.entanglement import state_linear_entropy
-from entpow.operators import ControlledUSpec, haar_unitary, max_entangled_projector, swap_op
+from entpow.entanglement import entangling_power_mc, entanglement_report, state_linear_entropy
+from entpow.operators import (
+    ControlledUSpec,
+    exp_swap,
+    haar_unitary,
+    max_entangled_projector,
+    product_state_batch,
+    swap_op,
+)
 from entpow.rearrange import BipartiteOperator
+from entpow.sweep import SweepSpec
+from entpow.verify import run_acceptance
 
 
 def random_complex(rng, rows, cols):
@@ -96,8 +106,11 @@ class TestValidation:
         np.array([[1, "2"]], dtype=object),
         [[np.str_("1")]],
         "1",
+        [[1, None]],
+        np.array([[None]]),
+        None,
     ], ids=["str list", "str array", "bytes list", "bytes array", "object array", "np.str_",
-            "bare str"])
+            "bare str", "None in a list", "None array", "bare None"])
     def test_rejects_strings_and_bytes(self, entries):
         with pytest.raises(ValueError, match=r"^matrix entries must be numbers: "):
             as_complex_matrix(entries)
@@ -106,7 +119,10 @@ class TestValidation:
         lambda: BipartiteOperator(2, [["1", "0", "0", "0"], ["0", "1", "0", "0"],
                                       ["0", "0", "1", "0"], ["0", "0", "0", "1"]]),
         lambda: ControlledUSpec(2, (np.eye(2), np.array([["0", "1"], ["1", "0"]]))),
-    ], ids=["BipartiteOperator", "ControlledUSpec"])
+        lambda: BipartiteOperator(2, [[None] * 4] * 4),
+        lambda: ControlledUSpec(2, (np.eye(2), [[None, 0], [0, 1]])),
+    ], ids=["BipartiteOperator", "ControlledUSpec", "BipartiteOperator None",
+            "ControlledUSpec None"])
     def test_operators_reject_strings(self, check):
         with pytest.raises(ValueError, match=r"^matrix entries must be numbers: "):
             check()
@@ -144,3 +160,53 @@ class TestValidation:
         m = as_complex_matrix([[1, 2], [3, 4]])
         assert m.dtype == np.complex128
         assert m[1, 0] == 3
+
+
+SWAP = swap_op(2)
+
+
+class TestEcho:
+    """Every input rule shows a rejected integer of more than 40 digits as
+    its leading digits and digit count, in the rule's own message."""
+
+    @pytest.mark.parametrize("digits", [401, 5001], ids=["10**400", "10**5000"])
+    @pytest.mark.parametrize("call, message", [
+        (swap_op, "local dimension must be an integer from 2 to 16"),
+        (lambda x: exp_swap(2, x), "parameter t must be finite"),
+        (lambda x: SweepSpec("haar", 2, 0.0, 1.0, x), "steps must be from 1 to 1000000"),
+        (lambda x: SweepSpec("haar", 2, x, 1.0, 3), "parameter range must be finite"),
+        (lambda x: SweepSpec("haar", 2, 0.0, 1.0, 3, x), "seed must be a nonnegative"),
+        (lambda x: entangling_power_mc(SWAP, x, 1), "at most 10000000 samples are allowed"),
+        (lambda x: entangling_power_mc(SWAP, -x, 1), "need at least 100 samples"),
+        (lambda x: entangling_power_mc(SWAP, 500, x), "seed must be a nonnegative"),
+        (lambda x: entanglement_report(SWAP, tol=x), "unitarity tolerance must be finite"),
+        (lambda x: haar_unitary(x, 1), "dimension must be an integer from 1 to 256"),
+        (lambda x: product_state_batch(np.random.default_rng(1), -x, 2),
+         "number of states must be a nonnegative integer"),
+        (lambda x: run_acceptance(False, x), "local dimension must be an integer from 2 to 16"),
+    ], ids=["swap_op", "exp_swap", "SweepSpec steps", "SweepSpec range", "SweepSpec seed",
+            "mc samples", "mc samples below", "mc seed", "report tol", "haar_unitary",
+            "product_state_batch", "verify extra d"])
+    def test_long_integers_are_shortened(self, call, message, digits):
+        with pytest.raises(ValueError) as err:
+            call(10 ** (digits - 1))
+        text = str(err.value)
+        assert text.startswith(message) and len(text) <= 100
+        assert f"100000000000... ({digits} digits)" in text
+
+    def test_the_param_start_rule_too(self):
+        with pytest.raises(ValueError, match=r"^param_start 100000000000\.\.\. \(301 digits\) exc"):
+            SweepSpec("haar", 2, 10**300, 0.0, 3)
+
+    @pytest.mark.parametrize("x", [10**40 - 1, -(10**40 - 1), 2**64, np.int64(-5), 1.5, None])
+    def test_forty_digits_or_fewer_are_echoed_unchanged(self, x):
+        assert _echo(x) == repr(x) and _echo(x, str) == str(x)
+
+    # log10 of a power of ten, or of one less, may round across the integer
+    @pytest.mark.parametrize("x", [10**40, 2 * 10**40 - 1, -(10**40), 7**2000, 10**4000 - 1,
+                                   10**4000], ids=["10**40", "2*10**40-1", "-10**40", "7**2000",
+                                                   "10**4000-1", "10**4000"])
+    def test_digit_count_and_leading_digits(self, x):
+        digits = str(abs(x))
+        sign = "-" if x < 0 else ""
+        assert _echo(x) == f"{sign}{digits[:12]}... ({len(digits)} digits)"

@@ -472,16 +472,11 @@ def sequential_entropies(stack, d, n, rng):
 def before_each_chunk(monkeypatch, hook):
     """Make every entropy kernel call ``hook()``, on its own thread, before
     it evaluates a chunk."""
-    make = entpow.entanglement._entropy_kernel
+    kernel = entpow.entanglement._entropy_kernel
 
     def patched(*args):
-        kernel = make(*args)
-
-        def run(chunk, out):
-            hook()
-            kernel(chunk, out)
-
-        return run
+        hook()
+        kernel(*args)
 
     monkeypatch.setattr(entpow.entanglement, "_entropy_kernel", patched)
 
@@ -495,7 +490,7 @@ class TestMonteCarloPipeline:
 
     @pytest.mark.parametrize("delay", [0.0, 0.002])
     @pytest.mark.parametrize("k", [1, 6])
-    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
     def test_entropies_are_the_sequential_bits(self, monkeypatch, d, k, delay):
         # a delayed worker lets the caller finish drawing the next chunk first
         before_each_chunk(monkeypatch, lambda: time.sleep(delay))
