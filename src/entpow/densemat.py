@@ -7,7 +7,9 @@ strings, bytes or None, or not convertible to complex; nothing is ever
 broadcast silently.  Sizes stay small (at most 256 x 256), so no blocking or
 sparsity is needed.  Every input rule of the package --
 ``_is_int``, ``_is_finite``, ``_check_local_dim`` -- is written here once,
-and every rule's message shows the rejected value through ``_echo``.
+and every rule's message shows the rejected value through ``_echo``.  So is
+the one unitarity policy: ``_gate`` compares the defect of every operator
+stack, controlled-U block and report with its tolerance.
 """
 
 from __future__ import annotations
@@ -36,6 +38,21 @@ _MAX_D = 16
 
 # Digits beyond which ``_echo`` shortens an integer.
 _ECHO_DIGITS = 40
+
+
+class UnitarityError(ValueError):
+    """Raised when an operator fails the unitarity gate.
+
+    Carries the defect (max-abs entry of U^dag U - I) and the tolerance it
+    was checked against.
+    """
+
+    def __init__(self, defect: float, tol: float):
+        super().__init__(
+            f"operator is not unitary: defect {defect:.6e} exceeds tolerance {tol:.1e}"
+        )
+        self.defect = float(defect)
+        self.tol = float(tol)
 
 
 def _check_local_dim(d) -> int:
@@ -99,7 +116,7 @@ def unitarity_defect(a) -> float:
 def _unitarity_defects(stack: np.ndarray) -> np.ndarray:
     """Max-abs entry of A^dag A - I for each matrix of an (n, m, m) stack.
 
-    ``unitarity_defect`` and every unitarity gate compute the defect here,
+    ``unitarity_defect``, ``_gate`` and ``verify`` compute every defect here,
     so there is one definition of it.  A non-finite entry, or a product that
     overflows, gives a NaN or infinite defect, which no tolerance admits.
     """
@@ -108,6 +125,27 @@ def _unitarity_defects(stack: np.ndarray) -> np.ndarray:
         idx = np.arange(stack.shape[-1])
         g[:, idx, idx] -= 1.0
         return np.abs(g).max(axis=(1, 2))
+
+
+def _gate(stack: np.ndarray, tol: float) -> np.ndarray:
+    """The one unitarity gate, for an (n, m, m) stack; returns the defects.
+
+    Raises ValueError for a tolerance that is not finite and >= 0, and
+    UnitarityError, with that matrix's own defect, for the first matrix
+    whose defect is not within ``tol``.  A NaN or infinite defect, from
+    non-finite entries or overflowing products, never passes.
+    """
+    # ``defect > tol`` is false for a NaN tol, and an infinite one admits
+    # every operator, so either would let any input past the gate.
+    if not (_is_finite(tol) and tol >= 0):
+        raise ValueError(
+            f"unitarity tolerance must be finite and nonnegative, got {_echo(tol, str)}"
+        )
+    defects = _unitarity_defects(stack)
+    bad = np.flatnonzero(~(defects <= tol))
+    if bad.size:
+        raise UnitarityError(defects[bad[0]], tol)
+    return defects
 
 
 def _is_int(x) -> bool:
@@ -121,18 +159,6 @@ def _is_finite(x) -> bool:
         return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
     except OverflowError:
         return False
-
-
-def _check_tolerance(tol: float) -> None:
-    """Reject a unitarity tolerance that is not a finite number >= 0.
-
-    ``defect > tol`` is false for a NaN tol, and an infinite one admits
-    every operator, so either would let any input past a gate.
-    """
-    if not (_is_finite(tol) and tol >= 0):
-        raise ValueError(
-            f"unitarity tolerance must be finite and nonnegative, got {_echo(tol, str)}"
-        )
 
 
 def _echo(x, conv=repr) -> str:

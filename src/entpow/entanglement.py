@@ -32,10 +32,12 @@ Gram products M M^dag are formed in one batched product, and each
 Tr[(M M^dag)^2] is the sum of |g|^2 over the Hermitian Gram matrix, taken
 with a vectorised reduction.  ``_measures`` is the one gated call from a
 stack to (E(U), E(S12 U), e_p), for sweeps, ``verify`` and the three scalar
-measures, each a stack of one, and gates them at ``UNITARITY_TOL``, defined
-in ``densemat`` beside the defect and re-exported here; only
-``entanglement_report``, which records a failed gate instead of raising,
-takes the purities without it.  Exact, permutation-invariant
+measures, each a stack of one.  It passes them through the one unitarity
+gate, ``densemat._gate``, at ``UNITARITY_TOL``; the gate, its tolerance and
+its ``UnitarityError`` live in ``densemat`` and are re-exported here.
+``entanglement_report`` calls the same gate at its own tolerance and
+records a failure instead of raising, so it also takes the purities of an
+operator that fails.  Exact, permutation-invariant
 ``fsum`` sums stay in ``densemat.frobenius_norm_sq``, where that invariance
 is the contract; here the purities only need to be accurate to rounding.
 
@@ -64,10 +66,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import UNITARITY_TOL, _check_local_dim, _check_tolerance, _echo, _is_int
-from .densemat import _unitarity_defects
+from .densemat import UNITARITY_TOL, UnitarityError, _check_local_dim, _echo, _gate, _is_int
 from .densemat import as_complex_matrix, frobenius_norm_sq
-from .operators import _check_seed, product_state_batch
+from .operators import MAX_MC_SAMPLES, _check_seed, product_state_batch
 from .rearrange import BipartiteOperator, _rearrange
 
 __all__ = [
@@ -86,28 +87,12 @@ __all__ = [
 ]
 
 MIN_MC_SAMPLES = 100
-MAX_MC_SAMPLES = 10_000_000
 DEFAULT_MC_SAMPLES = 50_000
 
 # Coefficients per Monte-Carlo chunk, in bytes: 16384 / (k d^2) samples for a
 # stack of k operators, at least one.  One chunk is evaluated on the worker
 # thread of an estimate while the next is drawn.
 _MC_CHUNK_BYTES = 256 * 1024
-
-
-class UnitarityError(ValueError):
-    """Raised when an operator fails the unitarity gate.
-
-    Carries the defect (max-abs entry of U^dag U - I) and the tolerance it
-    was checked against.
-    """
-
-    def __init__(self, defect: float, tol: float):
-        super().__init__(
-            f"operator is not unitary: defect {defect:.6e} exceeds tolerance {tol:.1e}"
-        )
-        self.defect = float(defect)
-        self.tol = float(tol)
 
 
 class NormalizationError(ValueError):
@@ -269,7 +254,7 @@ def entangling_power_mc(
 def entanglement_report(u: BipartiteOperator, tol: float = UNITARITY_TOL) -> EntanglementReport:
     """Evaluate every measure of ``u`` at once.
 
-    A failed unitarity check does not raise: it is recorded in
+    A failed unitarity gate does not raise: it is recorded in
     ``unitarity_ok`` with the defect found, the rearrangement-based fields
     are still computed, and ``e_power`` is set to None.  Finite entries
     whose products overflow give inf or NaN values, without a numpy warning.
@@ -279,11 +264,12 @@ def entanglement_report(u: BipartiteOperator, tol: float = UNITARITY_TOL) -> Ent
     ValueError
         If ``tol`` is not a finite number >= 0.
     """
-    _check_tolerance(tol)
     d = u.d
     stack = u.mat[None]
-    defect = float(_unitarity_defects(stack)[0])
-    ok = defect <= tol
+    try:
+        defect, ok = float(_gate(stack, tol)[0]), True
+    except UnitarityError as err:
+        defect, ok = err.defect, False
     with np.errstate(over="ignore", invalid="ignore"):
         tr_r, tr_t = _purities(stack, d)
         tr_rs = _purity(_rearrange(stack, d, "swap_right"), d, "realign")
@@ -297,22 +283,6 @@ def entanglement_report(u: BipartiteOperator, tol: float = UNITARITY_TOL) -> Ent
         unitarity_ok=ok,
         unitarity_defect=defect,
     )
-
-
-def _gate(stack: np.ndarray, tol: float) -> np.ndarray:
-    """The unitarity gate for an (n, d^2, d^2) stack; returns the defects.
-
-    Raises ValueError for a tolerance that is not finite and >= 0, and
-    UnitarityError, with that operator's own defect, for the first operator
-    whose defect is not within ``tol``.  A NaN or infinite defect, from
-    non-finite entries, never passes.
-    """
-    _check_tolerance(tol)
-    defects = _unitarity_defects(stack)
-    bad = np.flatnonzero(~(defects <= tol))
-    if bad.size:
-        raise UnitarityError(defects[bad[0]], tol)
-    return defects
 
 
 def _measures(stack: np.ndarray, d: int) -> tuple[np.ndarray, ...]:

@@ -4,10 +4,10 @@ Covers the swap operator, the maximally entangled projector, the
 one-parameter family exp(-i*t*S12) generated by the swap, general
 controlled-U gates and Haar-random unitaries.  Every constructor, and the
 product-state sampler, checks that d is from 2 to 16 before building or
-drawing anything.  The blocks of a controlled-U spec pass the unitarity
-tolerance ``densemat.UNITARITY_TOL``; stacked random controlled-U gates are
-checked once, as whole operators, by the gate of ``entanglement._measures``,
-not block by block.
+drawing anything.  Once every block of a controlled-U spec has its shape
+checked, each block passes the one unitarity gate, ``densemat._gate``, at
+``UNITARITY_TOL``; stacked random controlled-U gates pass the same gate
+once, as whole operators, in ``entanglement._measures``, not block by block.
 
 Random sampling is deterministic.  ``haar_unitary`` takes an integer seed
 with ``0 <= seed < 2**64``, the one seed range of the package and its
@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import UNITARITY_TOL, _MAX_D, _check_local_dim, _echo, _is_finite, _is_int
-from .densemat import _unitarity_defects, as_complex_matrix
-from .rearrange import BipartiteOperator
+from .densemat import UNITARITY_TOL, _MAX_D, UnitarityError, _check_local_dim, _echo, _gate
+from .densemat import _is_finite, _is_int, as_complex_matrix
+from .rearrange import BipartiteOperator, _rearrange
 
 __all__ = [
     "ControlledUSpec",
@@ -72,32 +72,32 @@ class ControlledUSpec:
         for n, b in enumerate(blocks):
             if b.shape != (d, d):
                 raise ValueError(f"block {n} must be {d}x{d}, got {b.shape[0]}x{b.shape[1]}")
-        _check_blocks(np.stack(blocks))
+        for n, b in enumerate(blocks):
+            try:
+                _gate(b[None], UNITARITY_TOL)
+            except UnitarityError as err:
+                raise ValueError(
+                    f"block {n} is not unitary: defect {err.defect:.3e} exceeds {err.tol:.1e}"
+                ) from None
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "blocks", blocks)
 
 
 def swap_op(d: int) -> BipartiteOperator:
-    """The swap operator S12, with entry 1 at [(i,j),(j,i)] and 0 elsewhere."""
+    """The swap operator S12, with entry 1 at [(i,j),(j,i)] and 0 elsewhere:
+    the identity with its rows moved by ``swap_left``."""
     d = _check_local_dim(d)
-    n = d * d
-    s = np.zeros((n, n), dtype=np.complex128)
-    rows = np.arange(n)
-    i, j = rows // d, rows % d
-    s[rows, j * d + i] = 1.0
-    return BipartiteOperator(d, s)
+    return BipartiteOperator(d, _rearrange(np.eye(d * d, dtype=complex)[None], d, "swap_left")[0])
 
 
 def max_entangled_projector(d: int) -> BipartiteOperator:
     """Rank-1 projector onto the maximally entangled state sum_i |i>|i> / sqrt(d).
 
-    Entry [(i,j),(k,l)] is 1/d when i == j and k == l, else 0.
+    Entry [(i,j),(k,l)] is 1/d when i == j and k == l, else 0: the
+    realignment of the identity, divided by d.
     """
     d = _check_local_dim(d)
-    p = np.zeros((d * d, d * d), dtype=np.complex128)
-    diag = np.arange(d) * (d + 1)
-    p[np.ix_(diag, diag)] = 1.0 / d
-    return BipartiteOperator(d, p)
+    return BipartiteOperator(d, _rearrange(np.eye(d * d, dtype=complex)[None], d, "realign")[0] / d)
 
 
 def exp_swap(d: int, t: float) -> BipartiteOperator:
@@ -156,18 +156,6 @@ def _controlled_u_stack(blocks: np.ndarray) -> np.ndarray:
     return m.reshape(n, d * d, d * d)
 
 
-def _check_blocks(blocks: np.ndarray) -> None:
-    """Raise ValueError naming the first block of a (d, d, d) array that
-    fails the unitarity tolerance."""
-    defects = _unitarity_defects(blocks)
-    bad = np.flatnonzero(~(defects <= UNITARITY_TOL))
-    if bad.size:
-        k = int(bad[0])
-        raise ValueError(
-            f"block {k} is not unitary: defect {defects[k]:.3e} exceeds {UNITARITY_TOL:.1e}"
-        )
-
-
 def _random_controlled_u_stack(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """n controlled-U gates at local dimension d whose d blocks each are Haar
     unitaries drawn from ``rng``, gate by gate.  Callers gate the stack at
@@ -191,6 +179,11 @@ def _haar_stack(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diag / np.abs(diag))[:, None, :]
 
 
+# The most samples of one Monte-Carlo estimate, and the most states of one
+# ``product_state_batch`` call.
+MAX_MC_SAMPLES = 10_000_000
+
+
 def product_state_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """n Haar-random product states |psi1>|psi2>, one per row of an (n, d^2) array.
 
@@ -212,11 +205,14 @@ def product_state_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     GIL.
 
     Raises ValueError, before anything is drawn, unless ``n`` is an integer
-    >= 0 and ``d`` an integer from 2 to 16.
+    from 0 to ``MAX_MC_SAMPLES`` and ``d`` an integer from 2 to 16.
     """
     d = _check_local_dim(d)
-    if not (_is_int(n) and n >= 0):
-        raise ValueError(f"number of states must be a nonnegative integer, got {_echo(n)}")
+    if not (_is_int(n) and 0 <= n <= MAX_MC_SAMPLES):
+        raise ValueError(
+            f"number of states must be a nonnegative integer up to {MAX_MC_SAMPLES}, "
+            f"got {_echo(n)}"
+        )
     n = int(n)
     g = rng.standard_normal((n, 2, 2, d))
     z = np.empty((2, d, n), dtype=np.complex128)

@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 import entpow.densemat
-import entpow.entanglement
-import entpow.operators
 import entpow.sweep
 from entpow.densemat import _MAX_D
 from entpow.entanglement import (
@@ -129,6 +127,11 @@ class TestGate:
         assert err.value.defect == pytest.approx(1.25, abs=1e-12)
         assert err.value.tol == 1e-9
 
+    def test_the_gate_and_its_error_live_in_densemat(self):
+        assert UnitarityError is entpow.UnitarityError is entpow.densemat.UnitarityError
+        assert UnitarityError.__module__ == "entpow.densemat"
+        assert _gate is entpow.densemat._gate
+
     def test_returns_defects_of_a_passing_stack(self):
         stack = np.stack([haar_unitary(4, s) for s in range(5)])
         defects = _gate(stack, 1e-9)
@@ -181,8 +184,7 @@ class TestChunkedSweep:
             shapes.append(stack.shape)
             return defects(stack)
 
-        for module in (entpow.entanglement, entpow.operators):
-            monkeypatch.setattr(module, "_unitarity_defects", counting)
+        monkeypatch.setattr(entpow.densemat, "_unitarity_defects", counting)
         steps = 2 * chunk_rows(d) + 3  # three chunks, the last one partial
         sweep_rows(SweepSpec("controlled_u_random", d, 0.0, 1.0, steps))
         # one defect pass per chunk, over the assembled operators, none over blocks

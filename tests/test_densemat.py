@@ -183,10 +183,12 @@ class TestEcho:
         (lambda x: haar_unitary(x, 1), "dimension must be an integer from 1 to 256"),
         (lambda x: product_state_batch(np.random.default_rng(1), -x, 2),
          "number of states must be a nonnegative integer"),
+        (lambda x: product_state_batch(np.random.default_rng(1), x, 2),
+         "number of states must be a nonnegative integer up to 10000000"),
         (lambda x: run_acceptance(False, x), "local dimension must be an integer from 2 to 16"),
     ], ids=["swap_op", "exp_swap", "SweepSpec steps", "SweepSpec range", "SweepSpec seed",
             "mc samples", "mc samples below", "mc seed", "report tol", "haar_unitary",
-            "product_state_batch", "verify extra d"])
+            "product_state_batch", "product_state_batch above", "verify extra d"])
     def test_long_integers_are_shortened(self, call, message, digits):
         with pytest.raises(ValueError) as err:
             call(10 ** (digits - 1))

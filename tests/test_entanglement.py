@@ -609,6 +609,25 @@ class TestEntanglementReport:
         assert report.unitarity_defect == math.inf
         assert report.e_power is None
 
+    @pytest.mark.parametrize("mat, defect", [
+        (1e200 * np.eye(4), math.inf),
+        # entries 1e200 (1 + i) overflow to inf - inf in U^dag U
+        (1e200 * (1 + 1j) * np.kron([[1, 1], [1, -1]], np.eye(2)), math.nan),
+    ], ids=["inf defect", "nan defect"])
+    def test_failed_gate_recorded_without_warning(self, monkeypatch, mat, defect):
+        # any numpy warning fails the test (pyproject's filterwarnings)
+        gate, tols = entpow.entanglement._gate, []
+
+        def spy(stack, tol):
+            tols.append(tol)
+            return gate(stack, tol)
+
+        monkeypatch.setattr(entpow.entanglement, "_gate", spy)
+        report = entanglement_report(BipartiteOperator(2, mat), tol=0.5)
+        assert tols == [0.5]
+        assert not report.unitarity_ok and report.e_power is None
+        np.testing.assert_equal(report.unitarity_defect, defect)
+
     def test_report_values_are_raw(self):
         # fields must come from the same raw formulas, not clamped copies
         u = haar_op(3, 581)

@@ -1,10 +1,15 @@
 """Every name a module of ``entpow`` imports is used there, only
-``entanglement`` reaches its purity core and unitarity gate, and only
-``operators`` and ``entanglement`` reach the Monte-Carlo sampler.
-Inside ``entanglement`` the gate is reached only by ``_measures`` and
-``_mc_estimates``, and one purity only by ``_purities`` and
-``entanglement_report``, so every scalar measure goes through ``_measures``.
-The package assigns one module-level tolerance, ``densemat.UNITARITY_TOL``.
+``entanglement`` reaches its purity core, and only ``operators`` and
+``entanglement`` reach the Monte-Carlo sampler.  Inside ``entanglement`` one
+purity is reached only by ``_purities`` and ``entanglement_report``, so every
+scalar measure goes through ``_measures``.
+
+The unitarity policy is ``densemat``'s alone: its ``_gate`` is read only by
+``_measures``, ``_mc_estimates`` and ``entanglement_report`` in
+``entanglement`` and by ``ControlledUSpec`` in ``operators``, and outside
+``densemat`` the defect itself, ``_unitarity_defects``, is read only by
+``verify._controlled_u``, which measures a defect and gates nothing.  The
+package assigns one module-level tolerance, ``densemat.UNITARITY_TOL``.
 
 No linter ships with the project, so this parses each module with ``ast``.
 A name counts as used when the module reads it anywhere or lists it in
@@ -49,8 +54,11 @@ from entpow.verify import CRITERIA
 
 MODULES = sorted(Path(entpow.__file__).parent.glob("*.py"))
 
-# The purity core and its gate, private to ``entanglement``.
-CORE = {"_gate", "_purities", "_purity", "_entanglement", "_power"}
+# The purity core, private to ``entanglement``.
+CORE = {"_purities", "_purity", "_entanglement", "_power"}
+
+# Every module's source, by module name.
+SOURCES = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
 
 # The product-state sampler and the kernel that runs it, private to the
 # module that draws the states and the one that estimates from them.
@@ -181,7 +189,7 @@ def test_only_entanglement_reaches_the_purity_core(path):
 
 @pytest.mark.parametrize("source, found", [
     ("from .entanglement import _measures, entangling_power\n", set()),
-    ("from .entanglement import _gate, _purities\n", {"_gate", "_purities"}),
+    ("from .entanglement import _gate, _purities\n", {"_purities"}),
     ("from .entanglement import _power as p  # noqa: F401\n", {"_power"}),
     ("from . import entanglement\nentanglement._purity(s, 2, 'realign')\n", {"_purity"}),
 ])
@@ -189,9 +197,42 @@ def test_the_core_guard_itself(source, found):
     assert names_reached(source, CORE) == found
 
 
-def test_only_measures_and_mc_estimates_reach_the_gate():
-    source = ENTANGLEMENT.read_text(encoding="utf-8")
-    assert readers(source, "_gate") == {"_measures", "_mc_estimates"}
+def package_readers(sources: dict[str, str], name: str) -> set[str]:
+    """``module.definition`` for each top-level definition, in each module of
+    ``sources``, that ``readers`` finds reading ``name``, with
+    ``module.<attribute>`` for a module that reads it as an attribute."""
+    found = set()
+    for module, source in sources.items():
+        found |= {f"{module}.{top}" for top in readers(source, name)}
+        if any(isinstance(node, ast.Attribute) and node.attr == name
+               for node in ast.walk(ast.parse(source))):
+            found.add(f"{module}.<attribute>")
+    return found
+
+
+def test_every_reader_of_the_gate():
+    assert package_readers(SOURCES, "_gate") == {
+        "entanglement._measures", "entanglement._mc_estimates",
+        "entanglement.entanglement_report", "operators.ControlledUSpec",
+    }
+
+
+def test_only_verify_reads_the_defects_outside_densemat():
+    outside = {module: source for module, source in SOURCES.items() if module != "densemat"}
+    assert package_readers(outside, "_unitarity_defects") == {"verify._controlled_u"}
+
+
+@pytest.mark.parametrize("sources, found", [
+    ({"m": "from .densemat import _gate\ndef f(s):\n    return _gate(s, 0.0)\n"}, {"m.f"}),
+    ({"a": "def f(s):\n    _gate(s, 1e-9)\n", "b": "def _gate(s, tol): pass\n"}, {"a.f"}),
+    ({"m": "class C:\n    def __post_init__(self):\n        _gate(b, TOL)\n"}, {"m.C"}),
+    ({"m": "from . import densemat\ndef f(s):\n    densemat._gate(s, 0.0)\n"},
+     {"m.<attribute>"}),
+    ({"m": "import entpow\ncheck = entpow.densemat._gate\n"}, {"m.<attribute>"}),
+    ({"m": "def f(_gate):\n    pass\n", "n": "x = 1\n"}, set()),
+])
+def test_the_package_reader_guard_itself(sources, found):
+    assert package_readers(sources, "_gate") == found
 
 
 def test_only_purities_and_the_report_reach_one_purity():

@@ -8,6 +8,7 @@ import pytest
 from entpow.densemat import frobenius_norm_sq, unitarity_defect
 from entpow.entanglement import state_linear_entropy
 from entpow.operators import (
+    MAX_MC_SAMPLES,
     ControlledUSpec,
     controlled_u,
     exp_swap,
@@ -184,6 +185,20 @@ class TestControlledU:
         with pytest.raises(ValueError, match="block 0"):
             ControlledUSpec(2, (np.eye(3), np.eye(2)))
 
+    @pytest.mark.parametrize("block, message", [
+        (2.0 * np.eye(2), "block 1 is not unitary: defect 3.000e+00 exceeds 1.0e-09"),
+        ((1 + 1e-8) * np.eye(2), "block 1 is not unitary: defect 2.000e-08 exceeds 1.0e-09"),
+        (1e200 * np.eye(2), "block 1 is not unitary: defect inf exceeds 1.0e-09"),
+    ], ids=["2I", "tiny defect", "overflow"])
+    def test_non_unitary_block_message(self, block, message):
+        with pytest.raises(ValueError) as err:
+            ControlledUSpec(2, (np.eye(2), block))
+        assert str(err.value) == message
+
+    def test_every_shape_checked_before_any_unitarity(self):
+        with pytest.raises(ValueError, match="^block 1 must be 2x2, got 3x3$"):
+            ControlledUSpec(2, (2.0 * np.eye(2), np.eye(3)))
+
 
 class TestHaarUnitary:
     @pytest.mark.parametrize("d_total", [2, 4, 9])
@@ -271,6 +286,8 @@ class TestProductStates:
     @pytest.mark.parametrize("n, d", [
         (5, 1), (5, 17), (5, True), (5, 2.0), (5, "2"), (5, None),
         (-1, 2), (2.5, 2), (True, 2), (False, 2), (np.float64(4), 2), ("4", 2), (None, 2),
+        pytest.param(MAX_MC_SAMPLES + 1, 2, id="MAX_MC_SAMPLES+1"),
+        pytest.param(10**400, 2, id="10**400"),
     ], ids=repr)
     def test_rejected_before_drawing(self, n, d):
         rng = np.random.default_rng(11)
