@@ -43,16 +43,18 @@ _ECHO_DIGITS = 40
 class UnitarityError(ValueError):
     """Raised when an operator fails the unitarity gate.
 
-    Carries the defect (max-abs entry of U^dag U - I) and the tolerance it
-    was checked against.
+    Carries the defect (max-abs entry of U^dag U - I), the tolerance it
+    was checked against and the index, in its stack, of the matrix that
+    failed.
     """
 
-    def __init__(self, defect: float, tol: float):
+    def __init__(self, defect: float, tol: float, index: int = 0):
         super().__init__(
             f"operator is not unitary: defect {defect:.6e} exceeds tolerance {tol:.1e}"
         )
         self.defect = float(defect)
         self.tol = float(tol)
+        self.index = int(index)
 
 
 def _check_local_dim(d) -> int:
@@ -131,8 +133,8 @@ def _gate(stack: np.ndarray, tol: float) -> np.ndarray:
     """The one unitarity gate, for an (n, m, m) stack; returns the defects.
 
     Raises ValueError for a tolerance that is not finite and >= 0, and
-    UnitarityError, with that matrix's own defect, for the first matrix
-    whose defect is not within ``tol``.  A NaN or infinite defect, from
+    UnitarityError, with that matrix's own defect and index, for the first
+    matrix whose defect is not within ``tol``.  A NaN or infinite defect, from
     non-finite entries or overflowing products, never passes.
     """
     # ``defect > tol`` is false for a NaN tol, and an infinite one admits
@@ -144,7 +146,7 @@ def _gate(stack: np.ndarray, tol: float) -> np.ndarray:
     defects = _unitarity_defects(stack)
     bad = np.flatnonzero(~(defects <= tol))
     if bad.size:
-        raise UnitarityError(defects[bad[0]], tol)
+        raise UnitarityError(defects[bad[0]], tol, bad[0])
     return defects
 
 

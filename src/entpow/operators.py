@@ -5,9 +5,10 @@ one-parameter family exp(-i*t*S12) generated by the swap, general
 controlled-U gates and Haar-random unitaries.  Every constructor, and the
 product-state sampler, checks that d is from 2 to 16 before building or
 drawing anything.  Once every block of a controlled-U spec has its shape
-checked, each block passes the one unitarity gate, ``densemat._gate``, at
-``UNITARITY_TOL``; stacked random controlled-U gates pass the same gate
-once, as whole operators, in ``entanglement._measures``, not block by block.
+checked, its blocks pass the one unitarity gate, ``densemat._gate``, at
+``UNITARITY_TOL`` in one call, as one stack, and the first failing block is
+named; stacked random controlled-U gates pass the same gate once, as whole
+operators, in ``entanglement._measures``, not block by block.
 
 Random sampling is deterministic.  ``haar_unitary`` takes an integer seed
 with ``0 <= seed < 2**64``, the one seed range of the package and its
@@ -72,13 +73,11 @@ class ControlledUSpec:
         for n, b in enumerate(blocks):
             if b.shape != (d, d):
                 raise ValueError(f"block {n} must be {d}x{d}, got {b.shape[0]}x{b.shape[1]}")
-        for n, b in enumerate(blocks):
-            try:
-                _gate(b[None], UNITARITY_TOL)
-            except UnitarityError as err:
-                raise ValueError(
-                    f"block {n} is not unitary: defect {err.defect:.3e} exceeds {err.tol:.1e}"
-                ) from None
+        try:
+            _gate(np.stack(blocks), UNITARITY_TOL)
+        except UnitarityError as err:
+            raise ValueError(f"block {err.index} is not unitary: "
+                             f"defect {err.defect:.3e} exceeds {err.tol:.1e}") from None
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "blocks", blocks)
 
@@ -180,7 +179,8 @@ def _haar_stack(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 # The most samples of one Monte-Carlo estimate, and the most states of one
-# ``product_state_batch`` call.
+# ``product_state_batch`` call at d = 2; at local dimension d that call takes
+# at most MAX_MC_SAMPLES * 4 // d**2 states, the same 640 MB of states.
 MAX_MC_SAMPLES = 10_000_000
 
 
@@ -204,15 +204,15 @@ def product_state_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     pipeline each numpy call can wait for the other thread to hand back the
     GIL.
 
-    Raises ValueError, before anything is drawn, unless ``n`` is an integer
-    from 0 to ``MAX_MC_SAMPLES`` and ``d`` an integer from 2 to 16.
+    Raises ValueError, before anything is drawn, unless ``d`` is an integer
+    from 2 to 16 and ``n`` an integer from 0 to ``MAX_MC_SAMPLES * 4 // d**2``:
+    the cap's states at d = 2, so no call asks for more than 640 MB of states.
     """
     d = _check_local_dim(d)
-    if not (_is_int(n) and 0 <= n <= MAX_MC_SAMPLES):
-        raise ValueError(
-            f"number of states must be a nonnegative integer up to {MAX_MC_SAMPLES}, "
-            f"got {_echo(n)}"
-        )
+    limit = MAX_MC_SAMPLES * 4 // (d * d)
+    if not (_is_int(n) and 0 <= n <= limit):
+        raise ValueError(f"number of states must be a nonnegative integer up to {limit}, "
+                         f"got {_echo(n)}")
     n = int(n)
     g = rng.standard_normal((n, 2, 2, d))
     z = np.empty((2, d, n), dtype=np.complex128)

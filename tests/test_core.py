@@ -127,6 +127,15 @@ class TestGate:
         assert err.value.defect == pytest.approx(1.25, abs=1e-12)
         assert err.value.tol == 1e-9
 
+    @pytest.mark.parametrize("bad", [[0], [2], [1, 3], [3]])
+    def test_index_is_the_first_failing_matrix(self, bad):
+        stack = np.stack([haar_unitary(4, s) for s in range(4)])
+        stack[bad] *= 2.0
+        with pytest.raises(UnitarityError) as err:
+            _gate(stack, 1e-9)
+        assert err.value.index == bad[0]
+        assert err.value.defect == pytest.approx(3.0, abs=1e-12)
+
     def test_the_gate_and_its_error_live_in_densemat(self):
         assert UnitarityError is entpow.UnitarityError is entpow.densemat.UnitarityError
         assert UnitarityError.__module__ == "entpow.densemat"

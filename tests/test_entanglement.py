@@ -33,6 +33,7 @@ from entpow.entanglement import (
     McEstimate,
     NormalizationError,
     UnitarityError,
+    _mc_chunk,
     _mc_estimates,
     _sample_entropies,
     entangling_power,
@@ -372,15 +373,22 @@ def mc_peak_bytes(stack, d, n):
 
 
 class TestMonteCarloChunks:
-    """The estimator streams its samples through chunks of _MC_CHUNK_BYTES."""
+    """The estimator streams its samples through chunks of _mc_chunk(d, k) samples."""
+
+    @pytest.mark.parametrize("d, k, samples", [
+        (2, 1, 4096), (3, 1, 2080), (5, 1, 845), (8, 1, 356), (16, 1, 95),
+        (2, 6, 1170), (3, 5, 633),  # the stacks of the verify oracle
+    ])
+    def test_chunk_sizes(self, d, k, samples):
+        assert _mc_chunk(d, k) == samples
 
     @pytest.mark.parametrize("rows", [1, 7, None])
     def test_entropies_do_not_depend_on_chunk_size(self, monkeypatch, rows):
-        d, n = 3, 4000  # three chunks at the default size
+        d, n = 3, 4000  # two chunks at the default size
         stack = np.stack([haar_op(d, 41 + k).mat for k in range(6)])
         refs = [_sample_entropies(u[None], d, n, np.random.default_rng(8))[0] for u in stack]
         # rows=None: the whole run is one chunk
-        monkeypatch.setattr(entpow.entanglement, "_MC_CHUNK_BYTES", 16 * d * d * (rows or n))
+        monkeypatch.setattr(entpow.entanglement, "_mc_chunk", lambda _, k: max(1, (rows or n) // k))
         got = _sample_entropies(stack[:1], d, n, np.random.default_rng(8))
         assert np.max(np.abs(got[0] - refs[0])) <= 2e-15
         # six operators share one stream in chunks of a sixth the samples,
@@ -390,7 +398,7 @@ class TestMonteCarloChunks:
 
     # (d, n, operator seed, sample seed, mean, stderr) of the single-operator
     # estimate, recorded bit for bit before estimates were stacked; each n
-    # spans at least four chunks
+    # spans at least three chunks
     @pytest.mark.parametrize("d, n, op_seed, seed, mean, stderr", [
         (2, 20000, 61, 71, "0x1.b05657362187dp-3", "0x1.e1468680a459ap-11"),
         (3, 6000, 62, 72, "0x1.9b93ef6a830d6p-2", "0x1.4e02f24baa622p-10"),
@@ -401,7 +409,7 @@ class TestMonteCarloChunks:
         assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
 
     def test_fixed_seed_and_count_span_chunks_identically(self):
-        # d=5: 655 samples per chunk, so 2000 samples take four chunks
+        # d=5: 845 samples per chunk, so 2000 samples take three chunks
         u = haar_op(5, 43)
         assert entangling_power_mc(u, 2000, seed=6) == entangling_power_mc(u, 2000, seed=6)
 
@@ -415,6 +423,16 @@ class TestMonteCarloChunks:
         haar = _haar_stack(4, k - 1, np.random.default_rng(3))
         stack = np.concatenate([exp_swap(2, 0.7).mat[None], haar])
         assert mc_peak_bytes(stack, 2, n) <= 8 * k * n + 4 * 2**20
+
+    def test_stacked_peak_memory_at_d3(self):
+        # the verify oracle's d = 3 stack, whose chunks grew most with the rule
+        k, n = 5, 200_000
+        stack = _haar_stack(9, k, np.random.default_rng(5))
+        assert mc_peak_bytes(stack, 3, n) <= 8 * k * n + 4 * 2**20
+
+    def test_peak_memory_at_d16(self):
+        n = 20_000
+        assert mc_peak_bytes(haar_op(16, 48).mat[None], 16, n) <= 8 * n + 4 * 2**20
 
     def test_spread_is_taken_in_place(self):
         # a second (n,) array for the standard deviation would add 8 n bytes
@@ -453,7 +471,7 @@ def sequential_entropies(stack, d, n, rng):
     """The (k, n) entropies by the steps the estimator took on one thread,
     with fresh arrays: each chunk drawn, then evaluated, before the next."""
     k = len(stack)
-    step = max(1, entpow.entanglement._MC_CHUNK_BYTES // (16 * d * d * k))
+    step = _mc_chunk(d, k)
     ops = stack.reshape(k * d * d, d * d)
     entropies = np.empty((k, n))
     for lo in range(0, n, step):
@@ -495,7 +513,7 @@ class TestMonteCarloPipeline:
         # a delayed worker lets the caller finish drawing the next chunk first
         before_each_chunk(monkeypatch, lambda: time.sleep(delay))
         stack = _haar_stack(d * d, k, np.random.default_rng(10 * d + k))
-        n = 3 * max(1, 16384 // (d * d * k)) + 17  # three full chunks and a short one
+        n = 3 * _mc_chunk(d, k) + 17  # three full chunks and a short one
         got = _sample_entropies(stack, d, n, np.random.default_rng(4))
         assert got.tobytes() == sequential_entropies(stack, d, n, np.random.default_rng(4)).tobytes()
 

@@ -9,7 +9,9 @@ The unitarity policy is ``densemat``'s alone: its ``_gate`` is read only by
 ``entanglement`` and by ``ControlledUSpec`` in ``operators``, and outside
 ``densemat`` the defect itself, ``_unitarity_defects``, is read only by
 ``verify._controlled_u``, which measures a defect and gates nothing.  The
-package assigns one module-level tolerance, ``densemat.UNITARITY_TOL``.
+package assigns one module-level tolerance, ``densemat.UNITARITY_TOL``.  The
+Monte-Carlo chunk budget, ``entanglement._MC_CHUNK_BYTES``, is read only by
+the one chunk rule, ``entanglement._mc_chunk``.
 
 No linter ships with the project, so this parses each module with ``ast``.
 A name counts as used when the module reads it anywhere or lists it in
@@ -233,6 +235,18 @@ def test_only_verify_reads_the_defects_outside_densemat():
 ])
 def test_the_package_reader_guard_itself(sources, found):
     assert package_readers(sources, "_gate") == found
+
+
+def test_only_the_chunk_rule_reads_the_chunk_budget():
+    assert package_readers(SOURCES, "_MC_CHUNK_BYTES") == {"entanglement._mc_chunk"}
+
+
+def test_the_chunk_budget_guard_itself():
+    second = "def _sample_entropies(stack, d, n, rng):\n    step = _MC_CHUNK_BYTES // d\n"
+    sources = {**SOURCES, "entanglement": SOURCES["entanglement"] + second}
+    assert package_readers(sources, "_MC_CHUNK_BYTES") == {
+        "entanglement._mc_chunk", "entanglement._sample_entropies",
+    }
 
 
 def test_only_purities_and_the_report_reach_one_purity():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import entpow.densemat
 from entpow.densemat import frobenius_norm_sq, unitarity_defect
 from entpow.entanglement import state_linear_entropy
 from entpow.operators import (
@@ -195,6 +196,24 @@ class TestControlledU:
             ControlledUSpec(2, (np.eye(2), block))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_blocks_are_gated_in_one_defect_pass(self, monkeypatch, d):
+        shapes = []
+        defects = entpow.densemat._unitarity_defects
+
+        def counting(stack):
+            shapes.append(stack.shape)
+            return defects(stack)
+
+        monkeypatch.setattr(entpow.densemat, "_unitarity_defects", counting)
+        ControlledUSpec(d, tuple(haar_unitary(d, s) for s in range(d)))
+        assert shapes == [(d, d, d)]
+
+    def test_first_failing_block_is_named(self):
+        blocks = (np.eye(3), 3.0 * np.eye(3), 2.0 * np.eye(3))
+        with pytest.raises(ValueError, match="^block 1 is not unitary: defect 8.000e"):
+            ControlledUSpec(3, blocks)
+
     def test_every_shape_checked_before_any_unitarity(self):
         with pytest.raises(ValueError, match="^block 1 must be 2x2, got 3x3$"):
             ControlledUSpec(2, (2.0 * np.eye(2), np.eye(3)))
@@ -288,6 +307,8 @@ class TestProductStates:
         (-1, 2), (2.5, 2), (True, 2), (False, 2), (np.float64(4), 2), ("4", 2), (None, 2),
         pytest.param(MAX_MC_SAMPLES + 1, 2, id="MAX_MC_SAMPLES+1"),
         pytest.param(10**400, 2, id="10**400"),
+        # the cap is on bytes of states: MAX_MC_SAMPLES * 4 // d**2 states
+        (156_251, 16), (2_500_001, 4),
     ], ids=repr)
     def test_rejected_before_drawing(self, n, d):
         rng = np.random.default_rng(11)
@@ -295,6 +316,15 @@ class TestProductStates:
         with pytest.raises(ValueError, match="local dimension must be|number of states must be"):
             product_state_batch(rng, n, d)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("n, d, limit", [
+        (10_000_001, 2, 10_000_000), (4_444_445, 3, 4_444_444), (156_251, 16, 156_250),
+    ])
+    def test_limit_is_named_for_the_dimension(self, n, d, limit):
+        message = f"number of states must be a nonnegative integer up to {limit}, got {n}"
+        with pytest.raises(ValueError) as err:
+            product_state_batch(np.random.default_rng(11), n, d)
+        assert str(err.value) == message
 
     def test_numpy_integers_accepted(self):
         got = product_state_batch(np.random.default_rng(4), np.int64(9), np.uint8(3))
