@@ -136,13 +136,12 @@ def cmd_eval(path: str, mc: bool, mc_samples: int, seed: int, tol: float) -> int
 
 
 def cmd_sweep(spec: SweepSpec, out: str) -> int:
-    """Write the sweep CSV to ``out`` ('-' for stdout)."""
-    text = render_csv(sweep_rows(spec))
+    """Write the sweep CSV to ``out`` ('-' for stdout), opened before any row is computed."""
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(render_csv(sweep_rows(spec)))
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.write(render_csv(sweep_rows(spec)))
     return EXIT_OK
 
 

@@ -5,17 +5,19 @@ row-major (C) order.  Every public function validates its input and raises
 ``ValueError`` on dimension mismatches and on entries that are non-finite,
 strings, bytes or None, or not convertible to complex; nothing is ever
 broadcast silently.  Sizes stay small (at most 256 x 256), so no blocking or
-sparsity is needed.  Every input rule of the package --
-``_is_int``, ``_is_finite``, ``_check_local_dim`` -- is written here once,
-and every rule's message shows the rejected value through ``_echo``.  So is
+sparsity is needed.  The input rules several modules share -- ``_is_int``,
+``_is_finite``, ``_check_local_dim`` -- are written here once, and every
+numeric rule's message shows the rejected value through ``_echo``.  So is
 the one unitarity policy: ``_gate`` compares the defect of every operator
-stack, controlled-U block and report with its tolerance.
+stack, controlled-U block and report with its tolerance.  So are the byte
+budgets and ``_spans``, which cuts every operator stack and Monte-Carlo chunk.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -35,6 +37,17 @@ UNITARITY_TOL = 1e-9
 # constructors, sweeps, operator files, extra verify dimensions): d = 16 gives
 # the 256 x 256 operators this kernel is sized for (1 MiB each).
 _MAX_D = 16
+
+# Byte budgets, each defined here once.  Operator entries per stack, in sweeps
+# and verify's criteria: 256 operators at d = 2, 16 at d = 4, 1 from d = 8.
+_STACK_BYTES = 64 * 1024
+# Every array one Monte-Carlo chunk allocates.  One chunk is evaluated on the
+# worker thread of an estimate while the next is drawn; a chunk costs the
+# pipeline a thread handoff, so chunks are few and large.
+_MC_CHUNK_BYTES = 2 * 1024 * 1024
+# The states of one ``product_state_batch`` call, 16 d^2 bytes each: the
+# 10,000,000 states of the largest Monte-Carlo estimate at d = 2.
+_STATE_BYTES = 640_000_000
 
 # Digits beyond which ``_echo`` shortens an integer.
 _ECHO_DIGITS = 40
@@ -148,6 +161,19 @@ def _gate(stack: np.ndarray, tol: float) -> np.ndarray:
     if bad.size:
         raise UnitarityError(defects[bad[0]], tol, bad[0])
     return defects
+
+
+def _operator_bytes(d: int) -> int:
+    """Bytes of the entries of one operator at local dimension d: 16 d^4."""
+    return 16 * d**4
+
+
+def _spans(n: int, item_bytes: int, budget: int) -> Iterator[tuple[int, int]]:
+    """(lo, hi) bounds of spans of ``max(1, budget // item_bytes)`` of n items of
+    ``item_bytes`` bytes each, the last one possibly shorter: the one rule that
+    turns a byte budget into chunks.  Lazy: nothing it keeps grows with n."""
+    step = max(1, budget // item_bytes)
+    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 def _is_int(x) -> bool:

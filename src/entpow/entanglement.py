@@ -45,19 +45,20 @@ A definition-level Monte-Carlo estimate of the entangling power is provided
 as an independent cross-check of the closed formula: it averages the linear
 entropy of U applied to seeded Haar-random product states.  One private
 kernel estimates a (k, d^2, d^2) stack of operators on one shared stream of
-states: the samples stream through chunks whose arrays take about 2 MiB
-together, counted over every array a chunk allocates -- one draw, one GEMM
-for all k operators and one purity reduction per chunk, on arrays made for
-that chunk -- so its memory is 8 bytes per sample per operator plus a few
-chunks, and the sample count is capped at ``MAX_MC_SAMPLES``.  Each
-estimate runs one worker thread beside the caller: the caller draws chunk
-i+1 while the worker evaluates chunk i, so one chunk is in flight beside the
-one being drawn, and the estimate is bitwise that of evaluating the chunks
-one after the other.  A chunk costs a thread handoff, so chunks are sized
-by memory rather than kept small.  The sampler hands each chunk over as the
-transposed view of a (d^2, s) buffer, so the GEMM reads a C-contiguous
-operand.  ``entangling_power_mc`` is that kernel on a stack of one, and
-``verify`` runs it on each dimension's stack of oracle operators.
+states: the samples stream through chunks whose arrays take about
+``densemat._MC_CHUNK_BYTES`` (2 MiB) together, counted over every array a
+chunk allocates -- one draw, one GEMM for all k operators and one purity
+reduction per chunk, on arrays made for that chunk -- so its memory is 8
+bytes per sample per operator plus a few chunks, and the sample count is
+capped at ``MAX_MC_SAMPLES``.  Each estimate runs one worker thread beside
+the caller: the caller draws chunk i+1 while the worker evaluates chunk i,
+so one chunk is in flight beside the one being drawn, and the estimate is
+bitwise that of evaluating the chunks one after the other.  A chunk costs
+a thread handoff, so chunks are sized by memory rather than kept small.  The
+sampler hands each chunk over as the transposed view of a (d^2, s) buffer,
+so the GEMM reads a C-contiguous operand.  ``entangling_power_mc`` is that
+kernel on a stack of one, and ``verify`` runs it on each dimension's stack
+of oracle operators.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import UNITARITY_TOL, UnitarityError, _check_local_dim, _echo, _gate, _is_int
-from .densemat import as_complex_matrix, frobenius_norm_sq
+from .densemat import UNITARITY_TOL, _MC_CHUNK_BYTES, UnitarityError, _check_local_dim, _echo
+from .densemat import _gate, _is_int, _spans, as_complex_matrix, frobenius_norm_sq
 from .operators import MAX_MC_SAMPLES, _check_seed, product_state_batch
 from .rearrange import BipartiteOperator, _rearrange
 
@@ -89,11 +90,6 @@ __all__ = [
 
 MIN_MC_SAMPLES = 100
 DEFAULT_MC_SAMPLES = 50_000
-
-# Bytes of the arrays one Monte-Carlo chunk allocates, read only by ``_mc_chunk``.
-# One chunk is evaluated on the worker thread of an estimate while the next is
-# drawn; a chunk costs the pipeline a thread handoff, so chunks are few and large.
-_MC_CHUNK_BYTES = 2 * 1024 * 1024
 
 
 class NormalizationError(ValueError):
@@ -370,27 +366,29 @@ def _sample_entropies(stack: np.ndarray, d: int, n: int, rng: np.random.Generato
     """Linear entropies of each U of an (k, d^2, d^2) stack applied to the
     same n sampled product states, as a (k, n) array.
 
-    Samples are drawn and evaluated in chunks of ``_mc_chunk(d, k)``
-    samples, sized by every array a chunk allocates; the sampler's draw
-    order makes the states those of one call.  The calling thread draws
-    chunk i+1 while one worker thread, which lives for this call, runs
-    ``_entropy_kernel`` on chunk i and writes that chunk's slice of the
-    result.  Only the caller touches ``rng``, and the kernel shares nothing
-    with it but that slice, so the draws and each chunk's arithmetic, and
-    with them the bits, are those of drawing and evaluating the chunks one
-    after the other.  An exception in the kernel is raised here, after the
-    worker has stopped.
+    Samples are drawn and evaluated in the chunks ``_spans`` cuts at
+    ``_MC_CHUNK_BYTES``; the sampler's draw order makes the states those of
+    one call.  The calling thread draws chunk i+1 while one worker thread,
+    which lives for this call, runs ``_entropy_kernel`` on chunk i and writes
+    that chunk's slice of the result.  Only the caller touches ``rng``, and
+    the kernel shares nothing with it but that slice, so the draws and each
+    chunk's arithmetic, and with them the bits, are those of drawing and
+    evaluating the chunks one after the other.  An exception in the kernel is
+    raised here, after the worker has stopped.
     """
     # imported here, not with the package: ``import entpow`` stays without it
     from concurrent.futures import ThreadPoolExecutor
 
     k = len(stack)
-    step = _mc_chunk(d, k)
+    # Per sample, the kernel's four (k, d^2) complex arrays (the coefficients,
+    # their conjugate, rho and the product added to it) take 64 k d^2 bytes,
+    # the state 16 d^2, and the sampler's draw and its two complex (2, d)
+    # copies 96 d: 4096 samples at d = 2 for one operator, 845 at d = 5.
+    spans = _spans(n, 64 * k * d * d + 16 * d * d + 96 * d, _MC_CHUNK_BYTES)
     entropies = np.empty((k, n))
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="entpow-mc") as worker:
         done = None
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
+        for lo, hi in spans:
             # a one-item list: the kernel takes the states out of it, so that
             # they are freed after its GEMM whatever the threads' timing
             chunk = [product_state_batch(rng, hi - lo, d)]
@@ -399,19 +397,6 @@ def _sample_entropies(stack: np.ndarray, d: int, n: int, rng: np.random.Generato
             done = worker.submit(_entropy_kernel, stack, d, chunk, entropies[:, lo:hi])
         done.result()
     return entropies
-
-
-def _mc_chunk(d: int, k: int) -> int:
-    """Samples per Monte-Carlo chunk for a stack of k operators at local
-    dimension d: ``_MC_CHUNK_BYTES`` over what one sample costs across the
-    arrays made for its chunk, at least one.
-
-    Per sample, the kernel's four (k, d^2) complex arrays (the coefficients,
-    their conjugate, rho and the product added to it) take 64 k d^2 bytes,
-    the state 16 d^2, and the sampler's draw and its two complex (2, d)
-    copies 96 d: 4096 samples at d = 2 for one operator, 845 at d = 5.
-    """
-    return max(1, _MC_CHUNK_BYTES // (64 * k * d * d + 16 * d * d + 96 * d))
 
 
 def _entropy_kernel(stack: np.ndarray, d: int, chunk: list, out: np.ndarray) -> None:

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import UNITARITY_TOL, _MAX_D, UnitarityError, _check_local_dim, _echo, _gate
-from .densemat import _is_finite, _is_int, as_complex_matrix
+from .densemat import UNITARITY_TOL, _MAX_D, _STATE_BYTES, UnitarityError, _check_local_dim
+from .densemat import _echo, _gate, _is_finite, _is_int, as_complex_matrix
 from .rearrange import BipartiteOperator, _rearrange
 
 __all__ = [
@@ -178,9 +178,8 @@ def _haar_stack(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diag / np.abs(diag))[:, None, :]
 
 
-# The most samples of one Monte-Carlo estimate, and the most states of one
-# ``product_state_batch`` call at d = 2; at local dimension d that call takes
-# at most MAX_MC_SAMPLES * 4 // d**2 states, the same 640 MB of states.
+# The most samples of one Monte-Carlo estimate; ``densemat._STATE_BYTES``
+# caps one ``product_state_batch`` call at this many states at d = 2.
 MAX_MC_SAMPLES = 10_000_000
 
 
@@ -205,11 +204,11 @@ def product_state_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     GIL.
 
     Raises ValueError, before anything is drawn, unless ``d`` is an integer
-    from 2 to 16 and ``n`` an integer from 0 to ``MAX_MC_SAMPLES * 4 // d**2``:
-    the cap's states at d = 2, so no call asks for more than 640 MB of states.
+    from 2 to 16 and ``n`` an integer from 0 to the states of 16 d^2 bytes
+    that fit ``densemat._STATE_BYTES``, 640 MB: ``MAX_MC_SAMPLES`` at d = 2.
     """
     d = _check_local_dim(d)
-    limit = MAX_MC_SAMPLES * 4 // (d * d)
+    limit = _STATE_BYTES // (16 * d * d)
     if not (_is_int(n) and 0 <= n <= limit):
         raise ValueError(f"number of states must be a nonnegative integer up to {limit}, "
                          f"got {_echo(n)}")

@@ -3,10 +3,10 @@
 Rows are evaluated in chunks: each chunk of operators is built as one
 (n, d^2, d^2) stack and goes once through ``entanglement._measures``, which
 gates the stack and returns its three measures.  A chunk holds at most
-``_CHUNK_BYTES`` of operator entries, which bounds memory whatever
-``steps`` is.  The random families draw every instance from one generator
-seeded with ``seed``, in row order, sample-major, so the rows do not depend
-on where the chunks split.
+``densemat._STACK_BYTES`` of operator entries, whatever ``steps`` is; the
+rows themselves are all held, so memory grows with ``steps``.  The random
+families draw every instance from one generator seeded with ``seed``, in row
+order, sample-major, so the rows do not depend on where the chunks split.
 
 Output is locale-independent by construction: '.' decimal separator, LF
 line endings, floats at 17 significant digits.  A fixed spec always
@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import _check_local_dim, _echo, _is_finite, _is_int
+from .densemat import _STACK_BYTES, _check_local_dim, _echo, _is_finite, _is_int
+from .densemat import _operator_bytes, _spans
 from .entanglement import _measures
 # Not called here: perfbench's tracing test checks that it wraps and restores
 # this binding.
@@ -34,10 +35,6 @@ __all__ = ["FAMILIES", "SweepSpec", "sweep_rows", "render_csv"]
 FAMILIES = ("exp_swap", "controlled_u_random", "haar")
 
 CSV_HEADER = "param,e_op,e_op_swapped,e_power"
-
-# Bytes of operator entries per stack, in sweeps and in verify's criteria:
-# 256 operators at d=2, 16 at d=4, 1 from d=8.
-_CHUNK_BYTES = 64 * 1024
 
 # Largest accepted step count, so that no flag makes time unbounded; d is
 # capped by densemat._check_local_dim.
@@ -86,7 +83,7 @@ def sweep_rows(spec: SweepSpec) -> list[tuple[float, float, float, float]]:
     # drawn from only by the random families; exp_swap builds none
     rng = None if spec.family == "exp_swap" else np.random.default_rng(spec.seed)
     rows = []
-    for lo, hi in _chunks(d, spec.steps):
+    for lo, hi in _spans(spec.steps, _operator_bytes(d), _STACK_BYTES):
         e, e_swapped, e_p = _measures(_stack(spec, params, rng, lo, hi), d)
         rows += zip(params[lo:hi].tolist(), e.tolist(), e_swapped.tolist(), e_p.tolist())
     return rows
@@ -100,13 +97,6 @@ def render_csv(rows) -> str:
     """
     flat = tuple(itertools.chain.from_iterable(rows))
     return f"{CSV_HEADER}\n" + "%.17g,%.17g,%.17g,%.17g\n" * (len(flat) // 4) % flat
-
-
-def _chunks(d: int, n: int) -> list[tuple[int, int]]:
-    """(lo, hi) bounds that split n operators at local dimension d into stacks
-    of at most ``_CHUNK_BYTES`` of entries, at least one operator each."""
-    step = max(1, _CHUNK_BYTES // (16 * d**4))
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def _stack(

@@ -9,7 +9,7 @@ the suite's one seed rule, and every random draw of the criterion comes from
 it; new rows go at the end, so each row keeps its draws.  ``run_acceptance``
 (behind ``entpow verify``) and ``tests/test_acceptance.py`` both call it.
 The four criteria over many random operators draw them sample-major, in stacks
-of at most ``sweep._CHUNK_BYTES`` of entries, so their values do not depend
+of at most ``densemat._STACK_BYTES`` of entries, so their values do not depend
 on where stacks split; each puts its last one through the scalar public API.
 Controlled-U and local invariance get their measures from the gated call of
 sweeps, ``entanglement._measures``.  The Monte-Carlo oracle stacks its
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densemat import _check_local_dim, _unitarity_defects
+from .densemat import _STACK_BYTES, _check_local_dim, _operator_bytes, _spans, _unitarity_defects
 from .entanglement import DEFAULT_MC_SAMPLES, _check_mc_samples, _mc_estimates, _measures
 from .entanglement import entangling_power, operator_entanglement
 from .entanglement import swap_entanglement
@@ -35,7 +35,7 @@ from .operators import ControlledUSpec, controlled_u, exp_swap, haar_unitary, sw
 from .operators import DEFAULT_SEED, _check_seed, _haar_stack, _random_controlled_u_stack
 from .rearrange import _AXES, BipartiteOperator, _rearrange
 from .rearrange import partial_transpose_first, realign, swap_left
-from .sweep import SweepSpec, _chunks, render_csv, sweep_rows
+from .sweep import SweepSpec, render_csv, sweep_rows
 
 __all__ = ["CRITERIA", "CheckResult", "run_acceptance"]
 
@@ -172,7 +172,7 @@ def _sqrt_swap(run: _Run, rng: np.random.Generator) -> float:
 def _controlled_u(run: _Run, rng: np.random.Generator) -> float:
     devs = []
     for d in run.gate_dims:
-        for lo, hi in _chunks(d, _CONTROLLED_U_GATES):
+        for lo, hi in _spans(_CONTROLLED_U_GATES, _operator_bytes(d), _STACK_BYTES):
             gates = _random_controlled_u_stack(d, hi - lo, rng)
             e, e_swapped, e_p = _measures(gates, d)
             devs += [e_p - (d / (d + 1)) ** 2 * e, e_swapped - (1 - 1 / d**2),
@@ -191,7 +191,7 @@ def _cnot(run: _Run, rng: np.random.Generator) -> float:
 def _fan_identity(run: _Run, rng: np.random.Generator) -> float:
     mismatches = 0
     for d in run.family_dims:
-        for lo, hi in _chunks(d, _FAN_UNITARIES):
+        for lo, hi in _spans(_FAN_UNITARIES, _operator_bytes(d), _STACK_BYTES):
             u = _haar_stack(d * d, hi - lo, rng)
             lhs = _rearrange(_rearrange(u, d, "swap_left"), d, "realign")  # (S12 U)^R = S12 U^T1
             rhs = _rearrange(_rearrange(u, d, "partial_transpose_first"), d, "swap_left")
@@ -204,7 +204,7 @@ def _fan_identity(run: _Run, rng: np.random.Generator) -> float:
 def _structural(run: _Run, rng: np.random.Generator) -> float:
     mismatches = 0
     for d in run.family_dims:
-        for lo, hi in _chunks(d, _STRUCTURAL_MATRICES):
+        for lo, hi in _spans(_STRUCTURAL_MATRICES, _operator_bytes(d), _STACK_BYTES):
             m = rng.standard_normal((hi - lo, d * d, d * d, 2)).view(np.complex128)[..., 0]
             m[:, 0] = -0.0  # signed zeros, which any arithmetic (even + 0.0) would turn into 0.0
             sq, bad = _sorted_sq(m), np.zeros(hi - lo, dtype=bool)
@@ -235,7 +235,7 @@ def _local_invariance(run: _Run, rng: np.random.Generator) -> float:
     for d in run.gate_dims:
         # the factors (A, B, C, D) of all n tuples first, then the n operators U
         local = _haar_stack(d, 4 * _LOCAL_TUPLES, rng).reshape(_LOCAL_TUPLES, 4, d, d)
-        for lo, hi in _chunks(d, _LOCAL_TUPLES):
+        for lo, hi in _spans(_LOCAL_TUPLES, _operator_bytes(d), _STACK_BYTES):
             u = _haar_stack(d * d, hi - lo, rng)
             ab, cd = np.einsum("nkij,nkab->kniajb", local[lo:hi, ::2], local[lo:hi, 1::2])
             rotated = ab.reshape(u.shape) @ u @ cd.reshape(u.shape)  # (A (x) B) U (C (x) D)

@@ -290,6 +290,15 @@ class TestSweep:
         assert b"\r" not in data
         assert data.endswith(b"\n")
 
+    def test_unwritable_out_fails_before_any_row(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(entpow.cli, "sweep_rows", fail_if_called)
+        path = tmp_path / "no" / "such" / "x.csv"
+        code, out, err = run(capsys, "sweep", "--family", "haar", "--d", "3",
+                             "--steps", "300000", "--out", str(path))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == f"entpow: error: [Errno 2] No such file or directory: {str(path)!r}\n"
+        assert not path.parent.exists()
+
     def test_stdout_and_file_agree(self, tmp_path, capsys):
         args = ["sweep", "--family", "exp_swap", "--d", "2", "--steps", "3"]
         out_file = tmp_path / "c.csv"

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entpow.densemat
 import entpow.sweep
@@ -34,7 +36,20 @@ SEEDS = [0, 1, 7, 20070209, 2**64 - 1]
 
 def chunk_rows(d):
     """Rows per chunk at the default budget."""
-    return max(1, entpow.sweep._CHUNK_BYTES // (16 * d**4))
+    return max(1, entpow.densemat._STACK_BYTES // (16 * d**4))
+
+
+def count_stacks(monkeypatch):
+    """A list that gets one entry for each stack a sweep evaluates."""
+    stacks = []
+    measures = entpow.sweep._measures
+
+    def counting(stack, d):
+        stacks.append(len(stack))
+        return measures(stack, d)
+
+    monkeypatch.setattr(entpow.sweep, "_measures", counting)
+    return stacks
 
 
 def haar_reference(m, rng):
@@ -180,9 +195,14 @@ class TestChunkedSweep:
     def test_rows_do_not_depend_on_chunking(self, monkeypatch, family, d):
         spec = SweepSpec(family, d, 0.0, math.pi, 23, seed=5)
         reference = sweep_rows(spec)
-        for budget in (1, 7 * 16 * d**4, 10**9):  # one row, seven rows, one chunk
-            monkeypatch.setattr(entpow.sweep, "_CHUNK_BYTES", budget)
+        stacks = count_stacks(monkeypatch)
+        # one row, seven rows, one chunk: 23, 4 and 1 stacks
+        for budget, n_stacks in ((1, 23), (7 * 16 * d**4, 4), (10**9, 1)):
+            stacks.clear()
+            monkeypatch.setattr(entpow.sweep, "_STACK_BYTES", budget)
             assert sweep_rows(spec) == reference
+            # the patch reached the sweep: a budget that was not read fails here
+            assert len(stacks) == n_stacks
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_one_gate_per_random_controlled_u_stack(self, monkeypatch, d):
@@ -201,6 +221,25 @@ class TestChunkedSweep:
 
     def test_default_chunk_sizes(self):
         assert [chunk_rows(d) for d in (2, 3, 4, 8, 16)] == [256, 50, 16, 1, 1]
+
+
+class TestSweepRange:
+    """Every row's measures lie in their ranges: 0 <= E, E(S12 U) <= 1 - 1/d^2
+    and 0 <= e_p <= (d - 1)/(d + 1), up to rounding."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=15, deadline=None)
+    @given(steps=st.integers(1, 40), seed=st.integers(0, 2**64 - 1),
+           start=st.floats(-1e3, 1e3), width=st.floats(0.0, 1e3))
+    def test_rows_stay_in_range(self, family, d, steps, seed, start, width):
+        rows = sweep_rows(SweepSpec(family, d, start, start + width, steps, seed))
+        assert len(rows) == steps
+        e_max, p_max = 1 - 1 / d**2, (d - 1) / (d + 1)
+        for _, e, e_swapped, e_p in rows:
+            assert -1e-12 <= e <= e_max + 1e-12
+            assert -1e-12 <= e_swapped <= e_max + 1e-12
+            assert -1e-12 <= e_p <= p_max + 1e-12
 
 
 class TestSweepSeed:

@@ -1,10 +1,17 @@
 """Tests for the dense matrix kernel."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import entpow.entanglement
+import entpow.sweep
 from entpow.densemat import (
     _echo,
+    _spans,
     as_complex_matrix,
     frobenius_norm_sq,
     unitarity_defect,
@@ -12,6 +19,7 @@ from entpow.densemat import (
 from entpow.entanglement import entangling_power_mc, entanglement_report, state_linear_entropy
 from entpow.operators import (
     ControlledUSpec,
+    _haar_stack,
     exp_swap,
     haar_unitary,
     max_entangled_projector,
@@ -19,7 +27,7 @@ from entpow.operators import (
     swap_op,
 )
 from entpow.rearrange import BipartiteOperator
-from entpow.sweep import SweepSpec
+from entpow.sweep import SweepSpec, sweep_rows
 from entpow.verify import run_acceptance
 
 
@@ -212,3 +220,73 @@ class TestEcho:
         digits = str(abs(x))
         sign = "-" if x < 0 else ""
         assert _echo(x) == f"{sign}{digits[:12]}... ({len(digits)} digits)"
+
+
+class TestSpans:
+    """``_spans``, the one rule that cuts n items into chunks of at most a byte budget."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 3000), item_bytes=st.integers(1, 2**21),
+           budget=st.integers(0, 2**25))
+    def test_spans_cover_the_items_in_full_spans_within_budget(self, n, item_bytes, budget):
+        spans = list(_spans(n, item_bytes, budget))
+        # contiguous, nonempty and covering [0, n) exactly
+        bounds = [0] + [hi for _, hi in spans]
+        assert [lo for lo, _ in spans] == bounds[:-1]
+        assert bounds[-1] == n
+        sizes = [hi - lo for lo, hi in spans]
+        assert all(size >= 1 for size in sizes)
+        # within the budget, unless a span holds one item
+        assert all(size * item_bytes <= budget or size == 1 for size in sizes)
+        # every span but the last is full: one more item would not fit, or one
+        # item alone does not
+        assert len(set(sizes[:-1])) <= 1
+        assert all((size + 1) * item_bytes > budget for size in sizes[:-1])
+        assert all(size >= sizes[-1] for size in sizes)
+
+    @pytest.mark.parametrize("item_bytes, budget", [(1, 1), (16, 2**16), (2**20, 1)])
+    def test_no_items_give_no_spans(self, item_bytes, budget):
+        assert list(_spans(0, item_bytes, budget)) == []
+
+    @pytest.mark.parametrize("per_span", [100, 1000])
+    def test_memory_does_not_grow_with_n(self, per_span):
+        # 10**7 items in 100,000 or 10,000 spans: a list of their bounds
+        # would take about 11 MB or 1.1 MB, where walking them one at a time
+        # holds one span
+        n = 10**7
+        tracemalloc.start()
+        try:
+            spans = _spans(n, 16, 16 * per_span)
+            first = last = next(spans)
+            for last in spans:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (first, last) == ((0, per_span), (n - per_span, n))
+        assert peak <= 16 * 1024
+
+    # Items per chunk of every caller at its default budget: operator stacks
+    # of a sweep (and of verify's criteria) by d, Monte-Carlo chunks by d and
+    # the number k of operators that share them.
+    @pytest.mark.parametrize("caller, d, k, size", [
+        ("sweep", 2, 1, 256), ("sweep", 3, 1, 50), ("sweep", 4, 1, 16), ("sweep", 5, 1, 6),
+        ("sweep", 7, 1, 1), ("sweep", 16, 1, 1),
+        ("mc", 2, 1, 4096), ("mc", 3, 1, 2080), ("mc", 5, 1, 845), ("mc", 8, 1, 356),
+        ("mc", 16, 1, 95), ("mc", 2, 6, 1170), ("mc", 3, 5, 633),
+    ])
+    def test_chunk_sizes(self, monkeypatch, caller, d, k, size):
+        # the sizes the caller evaluates for size + 1 items: a full chunk and one item
+        sizes = []
+        if caller == "sweep":
+            measures = entpow.sweep._measures
+            monkeypatch.setattr(entpow.sweep, "_measures",
+                                lambda stack, d: sizes.append(len(stack)) or measures(stack, d))
+            sweep_rows(SweepSpec("haar", d, 0.0, 1.0, size + 1))
+        else:
+            draw = entpow.entanglement.product_state_batch
+            monkeypatch.setattr(entpow.entanglement, "product_state_batch",
+                                lambda rng, n, d: sizes.append(n) or draw(rng, n, d))
+            stack = _haar_stack(d * d, k, np.random.default_rng(d))
+            entpow.entanglement._sample_entropies(stack, d, size + 1, np.random.default_rng(1))
+        assert sizes == [size, 1]

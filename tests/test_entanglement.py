@@ -25,6 +25,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import entpow.densemat
 import entpow.entanglement
 from entpow.densemat import unitarity_defect
 from entpow.entanglement import (
@@ -33,7 +34,6 @@ from entpow.entanglement import (
     McEstimate,
     NormalizationError,
     UnitarityError,
-    _mc_chunk,
     _mc_estimates,
     _sample_entropies,
     entangling_power,
@@ -372,29 +372,59 @@ def mc_peak_bytes(stack, d, n):
         tracemalloc.stop()
 
 
+def sample_bytes(d, k):
+    """Bytes one sample costs across the arrays of a chunk, for a stack of k
+    operators: 64 k d^2 for the kernel, 16 d^2 for the state, 96 d for the draw."""
+    return 64 * k * d * d + 16 * d * d + 96 * d
+
+
+def mc_chunk(d, k):
+    """Samples per Monte-Carlo chunk at the default budget."""
+    return max(1, entpow.densemat._MC_CHUNK_BYTES // sample_bytes(d, k))
+
+
+def count_chunks(monkeypatch):
+    """A list that gets each chunk's sample count as the estimator draws it."""
+    chunks = []
+    draw = entpow.entanglement.product_state_batch
+
+    def counting(rng, n, d):
+        chunks.append(n)
+        return draw(rng, n, d)
+
+    monkeypatch.setattr(entpow.entanglement, "product_state_batch", counting)
+    return chunks
+
+
 class TestMonteCarloChunks:
-    """The estimator streams its samples through chunks of _mc_chunk(d, k) samples."""
+    """The estimator streams its samples through chunks of mc_chunk(d, k) samples."""
 
     @pytest.mark.parametrize("d, k, samples", [
         (2, 1, 4096), (3, 1, 2080), (5, 1, 845), (8, 1, 356), (16, 1, 95),
         (2, 6, 1170), (3, 5, 633),  # the stacks of the verify oracle
     ])
     def test_chunk_sizes(self, d, k, samples):
-        assert _mc_chunk(d, k) == samples
+        assert mc_chunk(d, k) == samples
 
     @pytest.mark.parametrize("rows", [1, 7, None])
     def test_entropies_do_not_depend_on_chunk_size(self, monkeypatch, rows):
-        d, n = 3, 4000  # two chunks at the default size
+        d, n = 3, 4000  # two chunks at the default size, eight for six operators
         stack = np.stack([haar_op(d, 41 + k).mat for k in range(6)])
         refs = [_sample_entropies(u[None], d, n, np.random.default_rng(8))[0] for u in stack]
-        # rows=None: the whole run is one chunk
-        monkeypatch.setattr(entpow.entanglement, "_mc_chunk", lambda _, k: max(1, (rows or n) // k))
+        chunks = count_chunks(monkeypatch)
+        # a budget of one sample, of seven samples of one operator, and of the
+        # whole run in one chunk
+        budget = {1: 1, 7: 7 * sample_bytes(d, 1), None: 10**9}[rows]
+        monkeypatch.setattr(entpow.entanglement, "_MC_CHUNK_BYTES", budget)
         got = _sample_entropies(stack[:1], d, n, np.random.default_rng(8))
         assert np.max(np.abs(got[0] - refs[0])) <= 2e-15
-        # six operators share one stream in chunks of a sixth the samples,
-        # and each row is still its own operator's entropies
+        # six operators share one stream in chunks of at most a sixth the
+        # samples, and each row is still its own operator's entropies
+        single = len(chunks)
         stacked = _sample_entropies(stack, d, n, np.random.default_rng(8))
         assert np.max(np.abs(stacked - refs)) <= 2e-15
+        # the patch reached the estimator: a budget that was not read fails here
+        assert (single, len(chunks) - single) == {1: (n, n), 7: (572, n), None: (1, 1)}[rows]
 
     # (d, n, operator seed, sample seed, mean, stderr) of the single-operator
     # estimate, recorded bit for bit before estimates were stacked; each n
@@ -471,7 +501,7 @@ def sequential_entropies(stack, d, n, rng):
     """The (k, n) entropies by the steps the estimator took on one thread,
     with fresh arrays: each chunk drawn, then evaluated, before the next."""
     k = len(stack)
-    step = _mc_chunk(d, k)
+    step = mc_chunk(d, k)
     ops = stack.reshape(k * d * d, d * d)
     entropies = np.empty((k, n))
     for lo in range(0, n, step):
@@ -513,7 +543,7 @@ class TestMonteCarloPipeline:
         # a delayed worker lets the caller finish drawing the next chunk first
         before_each_chunk(monkeypatch, lambda: time.sleep(delay))
         stack = _haar_stack(d * d, k, np.random.default_rng(10 * d + k))
-        n = 3 * _mc_chunk(d, k) + 17  # three full chunks and a short one
+        n = 3 * mc_chunk(d, k) + 17  # three full chunks and a short one
         got = _sample_entropies(stack, d, n, np.random.default_rng(4))
         assert got.tobytes() == sequential_entropies(stack, d, n, np.random.default_rng(4)).tobytes()
 

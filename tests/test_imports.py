@@ -9,9 +9,14 @@ The unitarity policy is ``densemat``'s alone: its ``_gate`` is read only by
 ``entanglement`` and by ``ControlledUSpec`` in ``operators``, and outside
 ``densemat`` the defect itself, ``_unitarity_defects``, is read only by
 ``verify._controlled_u``, which measures a defect and gates nothing.  The
-package assigns one module-level tolerance, ``densemat.UNITARITY_TOL``.  The
-Monte-Carlo chunk budget, ``entanglement._MC_CHUNK_BYTES``, is read only by
-the one chunk rule, ``entanglement._mc_chunk``.
+package assigns one module-level tolerance, ``densemat.UNITARITY_TOL``.
+
+Every byte budget is assigned once, in ``densemat``; the only other
+module-level byte constant is the operator file's size cap.  The two chunk
+budgets reach the package only as the budget argument of ``densemat._spans``,
+the one chunk rule and the one stepped ``range``, so no module turns a
+budget into a count of its own.  ``verify`` imports nothing private from
+``sweep``.
 
 No linter ships with the project, so this parses each module with ``ast``.
 A name counts as used when the module reads it anywhere or lists it in
@@ -66,6 +71,9 @@ SOURCES = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
 # module that draws the states and the one that estimates from them.
 MC_SAMPLER = {"product_state_batch", "_sample_entropies"}
 MC_SAMPLER_HOMES = {"operators.py", "entanglement.py"}
+
+# The byte budgets that ``densemat._spans`` cuts into chunks.
+CHUNK_BUDGETS = {"_STACK_BYTES", "_MC_CHUNK_BYTES"}
 
 # Top-level packages that start threads, imported only by ``entanglement``.
 THREADS = {"threading", "concurrent"}
@@ -138,13 +146,46 @@ def generator_calls(source: str) -> list[str]:
     return found
 
 
-def tolerances(path: Path) -> set[str]:
-    """``module:NAME`` for each module-level assignment of a ``*_TOL`` name."""
+def constants(path: Path, suffix: str = "_TOL") -> set[str]:
+    """``module:NAME`` for each module-level assignment of a name ending in ``suffix``."""
     body = ast.parse(path.read_text(encoding="utf-8")).body
     targets = [t for node in body if isinstance(node, ast.Assign) for t in node.targets]
     targets += [node.target for node in body if isinstance(node, ast.AnnAssign)]
     return {f"{path.stem}:{t.id}" for t in targets
-            if isinstance(t, ast.Name) and t.id.endswith("_TOL")}
+            if isinstance(t, ast.Name) and t.id.endswith(suffix)}
+
+
+def def_name(top: ast.stmt) -> str:
+    return getattr(top, "name", "<module>")
+
+
+def called(node: ast.AST, name: str) -> bool:
+    """Whether ``node`` is a call of ``name``, bare or as an attribute."""
+    return isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None))
+
+
+def budget_readers(sources: dict[str, str], names: set[str]) -> set[str]:
+    """``module.definition`` for each read of a name of ``names``, bare or as
+    an attribute, that is not itself an argument of a ``_spans`` call."""
+    found = set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            passed = {id(arg) for node in ast.walk(top) if called(node, "_spans")
+                      for arg in node.args + [kw.value for kw in node.keywords]}
+            for node in ast.walk(top):
+                read = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                        else getattr(node, "attr", None))
+                if read in names and id(node) not in passed:
+                    found.add(f"{module}.{def_name(top)}")
+    return found
+
+
+def stepped_ranges(sources: dict[str, str]) -> set[str]:
+    """``module.definition`` for each ``range`` call with a step: a chunk loop."""
+    return {f"{module}.{def_name(top)}" for module, source in sources.items()
+            for top in ast.parse(source).body
+            for node in ast.walk(top) if called(node, "range") and len(node.args) == 3}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -237,16 +278,52 @@ def test_the_package_reader_guard_itself(sources, found):
     assert package_readers(sources, "_gate") == found
 
 
-def test_only_the_chunk_rule_reads_the_chunk_budget():
-    assert package_readers(SOURCES, "_MC_CHUNK_BYTES") == {"entanglement._mc_chunk"}
+def test_every_byte_budget_is_assigned_once_in_densemat():
+    assert set().union(*(constants(path, "_BYTES") for path in MODULES)) == {
+        "densemat:_STACK_BYTES", "densemat:_MC_CHUNK_BYTES", "densemat:_STATE_BYTES",
+        "opfile:_MAX_BYTES",
+    }
+
+
+def test_only_spans_turns_a_chunk_budget_into_chunks():
+    assert budget_readers(SOURCES, CHUNK_BUDGETS) == set()
+    assert stepped_ranges(SOURCES) == {"densemat._spans"}
+
+
+def test_verify_imports_nothing_private_from_sweep():
+    names = [alias.name for node in ast.walk(ast.parse(SOURCES["verify"]))
+             if isinstance(node, ast.ImportFrom) and node.module == "sweep"
+             for alias in node.names]
+    assert names and [name for name in names if name.startswith("_")] == []
 
 
 def test_the_chunk_budget_guard_itself():
-    second = "def _sample_entropies(stack, d, n, rng):\n    step = _MC_CHUNK_BYTES // d\n"
+    # a second chunk rule, beside the callers that hand the budget to _spans
+    second = "def _chunk(d, k):\n    return max(1, _MC_CHUNK_BYTES // (64 * k * d * d))\n"
     sources = {**SOURCES, "entanglement": SOURCES["entanglement"] + second}
-    assert package_readers(sources, "_MC_CHUNK_BYTES") == {
-        "entanglement._mc_chunk", "entanglement._sample_entropies",
-    }
+    assert budget_readers(sources, CHUNK_BUDGETS) == {"entanglement._chunk"}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(n, d):\n    return _spans(n, 16 * d**4, _STACK_BYTES)\n", set()),
+    ("def f(n):\n    return densemat._spans(n, 16, budget=densemat._MC_CHUNK_BYTES)\n", set()),
+    ("def f(n):\n    return _spans(n, _STACK_BYTES // 16, 1)\n", {"m.f"}),
+    ("def f(n):\n    return _spans(n, 16, 2 * _STACK_BYTES)\n", {"m.f"}),
+    ("def f():\n    return entpow.sweep._STACK_BYTES\n", {"m.f"}),
+    ("BUDGET = _MC_CHUNK_BYTES\n", {"m.<module>"}),
+    ("from .densemat import _STACK_BYTES  # noqa: F401\n_STACK_BYTES = 1\n", set()),
+])
+def test_the_budget_reader_guard_itself(source, found):
+    assert budget_readers({"m": source}, CHUNK_BUDGETS) == found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(n, s):\n    return [(lo, lo + s) for lo in range(0, n, s)]\n", {"m.f"}),
+    ("class C:\n    def g(self):\n        for i in range(2, 9, 3): pass\n", {"m.C"}),
+    ("def f(n):\n    return list(range(n)), range(1, n)\n", set()),
+])
+def test_the_chunk_loop_guard_itself(source, found):
+    assert stepped_ranges({"m": source}) == found
 
 
 def test_only_purities_and_the_report_reach_one_purity():
@@ -266,7 +343,7 @@ def test_the_reader_guard_itself(source, found):
 
 
 def test_one_module_level_tolerance():
-    assert set().union(*map(tolerances, MODULES)) == {"densemat:UNITARITY_TOL"}
+    assert set().union(*map(constants, MODULES)) == {"densemat:UNITARITY_TOL"}
 
 
 @pytest.mark.parametrize("source, found", [
@@ -279,7 +356,7 @@ def test_one_module_level_tolerance():
 def test_the_tolerance_guard_itself(tmp_path, source, found):
     path = tmp_path / "m.py"
     path.write_text(source, encoding="utf-8")
-    assert tolerances(path) == found
+    assert constants(path) == found
 
 
 @pytest.mark.parametrize(

@@ -307,7 +307,7 @@ class TestProductStates:
         (-1, 2), (2.5, 2), (True, 2), (False, 2), (np.float64(4), 2), ("4", 2), (None, 2),
         pytest.param(MAX_MC_SAMPLES + 1, 2, id="MAX_MC_SAMPLES+1"),
         pytest.param(10**400, 2, id="10**400"),
-        # the cap is on bytes of states: MAX_MC_SAMPLES * 4 // d**2 states
+        # the cap is 640 MB of states, 16 d^2 bytes each: MAX_MC_SAMPLES * 4 // d**2
         (156_251, 16), (2_500_001, 4),
     ], ids=repr)
     def test_rejected_before_drawing(self, n, d):
@@ -324,6 +324,15 @@ class TestProductStates:
         message = f"number of states must be a nonnegative integer up to {limit}, got {n}"
         with pytest.raises(ValueError) as err:
             product_state_batch(np.random.default_rng(11), n, d)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_limit_is_the_cap_on_state_bytes_at_every_d(self, d):
+        # 640 MB of states at any d: MAX_MC_SAMPLES of them at d = 2
+        limit = MAX_MC_SAMPLES * 4 // d**2
+        message = f"number of states must be a nonnegative integer up to {limit}, got {limit + 1}"
+        with pytest.raises(ValueError) as err:
+            product_state_batch(np.random.default_rng(11), limit + 1, d)
         assert str(err.value) == message
 
     def test_numpy_integers_accepted(self):

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entpow.entanglement
-import entpow.sweep
 import entpow.verify
 from entpow.entanglement import UnitarityError, entangling_power, operator_entanglement
 from entpow.rearrange import BipartiteOperator
@@ -38,10 +37,24 @@ def run():
 
 @pytest.mark.parametrize("key", BATCHED)
 def test_worst_does_not_depend_on_stack_size(monkeypatch, run, key):
+    # record every stack bound the criterion asks the chunk rule for
+    stacks = []
+    spans = entpow.verify._spans
+
+    def recording(*args):
+        got = list(spans(*args))
+        stacks.extend(got)
+        return got
+
+    monkeypatch.setattr(entpow.verify, "_spans", recording)
     reference = _worst(run, ROW[key])
+    default = len(stacks)
     for budget in (1, 10**9):  # one operator per stack, one stack per dimension
-        monkeypatch.setattr(entpow.sweep, "_CHUNK_BYTES", budget)
+        stacks.clear()
+        monkeypatch.setattr(entpow.verify, "_STACK_BYTES", budget)
         assert _worst(run, ROW[key]) == reference
+        # the patch reached the criterion: a budget that was not read fails here
+        assert len(stacks) != default
 
 
 @pytest.mark.parametrize("key", ["controlled_u_theorem", "local_unitary_invariance"])
