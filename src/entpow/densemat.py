@@ -5,10 +5,10 @@ row-major (C) order.  Every public function validates its input and raises
 ``ValueError`` on dimension mismatches and on entries that are non-finite,
 strings, bytes or None, or not convertible to complex; nothing is ever
 broadcast silently.  Sizes stay small (at most 256 x 256), so no blocking or
-sparsity is needed.  The input rules several modules share -- ``_is_int``,
-``_is_finite``, ``_check_local_dim`` -- are written here once, and every
-numeric rule's message shows the rejected value through ``_echo``.  So is
-the one unitarity policy: ``_gate`` compares the defect of every operator
+sparsity is needed.  The input rules several modules share -- ``_check_int``,
+the one integer rule, ``_is_finite``, ``_check_local_dim`` -- are written here
+once, and every rule's message shows the rejected value through ``_echo``.
+So is the one unitarity policy: ``_gate`` compares the defect of every operator
 stack, controlled-U block and report with its tolerance.  So are the byte
 budgets and ``_spans``, which cuts every operator stack and Monte-Carlo chunk.
 """
@@ -71,10 +71,8 @@ class UnitarityError(ValueError):
 
 
 def _check_local_dim(d) -> int:
-    """``d`` as an int, if a non-bool Python or NumPy integer from 2 to ``_MAX_D``."""
-    if not (_is_int(d) and 2 <= d <= _MAX_D):
-        raise ValueError(f"local dimension must be an integer from 2 to {_MAX_D}, got {_echo(d)}")
-    return int(d)
+    """``d`` as an int, if an integer from 2 to ``_MAX_D``, by ``_check_int``."""
+    return _check_int(d, 2, _MAX_D, "local dimension")
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -153,9 +151,7 @@ def _gate(stack: np.ndarray, tol: float) -> np.ndarray:
     # ``defect > tol`` is false for a NaN tol, and an infinite one admits
     # every operator, so either would let any input past the gate.
     if not (_is_finite(tol) and tol >= 0):
-        raise ValueError(
-            f"unitarity tolerance must be finite and nonnegative, got {_echo(tol, str)}"
-        )
+        raise ValueError(f"unitarity tolerance must be finite and nonnegative, got {_echo(tol)}")
     defects = _unitarity_defects(stack)
     bad = np.flatnonzero(~(defects <= tol))
     if bad.size:
@@ -176,9 +172,12 @@ def _spans(n: int, item_bytes: int, budget: int) -> Iterator[tuple[int, int]]:
     return ((lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
-def _is_int(x) -> bool:
-    """Whether ``x`` is a Python or NumPy integer; a bool is not one."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+def _check_int(x, lo: int, hi: int, name: str) -> int:
+    """``x`` as a Python int, if a Python or NumPy integer, not a bool, from
+    ``lo`` to ``hi``: the one integer rule and message of every integer input."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool) and lo <= int(x) <= hi:
+        return int(x)
+    raise ValueError(f"{name} must be an integer from {lo} to {hi}, got {_echo(x)}")
 
 
 def _is_finite(x) -> bool:
@@ -189,15 +188,18 @@ def _is_finite(x) -> bool:
         return False
 
 
-def _echo(x, conv=repr) -> str:
-    """``conv(x)`` for an input rule's message, with an integer of more than
-    ``_ECHO_DIGITS`` digits shortened to its leading digits and digit count.
+def _echo(x) -> str:
+    """``repr(x)`` for an input rule's message, a NumPy scalar shown as its
+    Python value, with an integer of more than ``_ECHO_DIGITS`` digits
+    shortened to its leading digits and digit count.
 
     Python refuses to convert an integer past 4300 digits to text, and any
     integer that long is a mistake, not a value to read back.
     """
+    if isinstance(x, np.generic):
+        x = x.item()
     if not (isinstance(x, int) and abs(x) >= 10**_ECHO_DIGITS):
-        return conv(x)
+        return repr(x)
     a = abs(x)
     n = int(math.log10(a)) + 1  # the digit count, up to the rounding of log10
     n += (a >= 10**n) - (a < 10 ** (n - 1))

@@ -68,9 +68,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import UNITARITY_TOL, _MC_CHUNK_BYTES, UnitarityError, _check_local_dim, _echo
-from .densemat import _gate, _is_int, _spans, as_complex_matrix, frobenius_norm_sq
-from .operators import MAX_MC_SAMPLES, _check_seed, product_state_batch
+from .densemat import UNITARITY_TOL, _MC_CHUNK_BYTES, UnitarityError, _check_int
+from .densemat import _check_local_dim, _gate, _spans, as_complex_matrix, frobenius_norm_sq
+from .operators import _check_seed, product_state_batch
 from .rearrange import BipartiteOperator, _rearrange
 
 __all__ = [
@@ -88,8 +88,10 @@ __all__ = [
     "entanglement_report",
 ]
 
+# ``densemat._STATE_BYTES`` holds the ``MAX_MC_SAMPLES`` states of one draw at d = 2.
 MIN_MC_SAMPLES = 100
 DEFAULT_MC_SAMPLES = 50_000
+MAX_MC_SAMPLES = 10_000_000
 
 
 class NormalizationError(ValueError):
@@ -240,9 +242,9 @@ def entangling_power_mc(
     ------
     ValueError
         If ``n_samples`` is not an integer from ``MIN_MC_SAMPLES`` (100) to
-        ``MAX_MC_SAMPLES`` (10,000,000), ``seed`` is not an integer with
-        ``0 <= seed < 2**64``, or ``tol`` is not a finite number >= 0; all
-        three are checked before anything is drawn.
+        ``MAX_MC_SAMPLES`` (10,000,000), ``seed`` is not an integer from 0
+        to 2**64 - 1, or ``tol`` is not a finite number >= 0; all three are
+        checked before anything is drawn.
     UnitarityError
         If the unitarity defect of ``u`` exceeds ``tol``.
     """
@@ -291,16 +293,9 @@ def _measures(stack: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
     return _entanglement(tr_r, d), _entanglement(tr_t, d), _power(tr_r, tr_t, d)
 
 
-def _check_mc_samples(n_samples: int) -> None:
-    """Raise ValueError unless ``n_samples`` is an integer within the MC limits."""
-    if not _is_int(n_samples):
-        raise ValueError(f"number of samples must be an integer, got {_echo(n_samples)}")
-    if n_samples < MIN_MC_SAMPLES:
-        raise ValueError(f"need at least {MIN_MC_SAMPLES} samples, got {_echo(n_samples, str)}")
-    if n_samples > MAX_MC_SAMPLES:
-        raise ValueError(
-            f"at most {MAX_MC_SAMPLES} samples are allowed, got {_echo(n_samples, str)}"
-        )
+def _check_mc_samples(n_samples) -> int:
+    """``n_samples`` as an int, if an integer within the MC limits, by ``_check_int``."""
+    return _check_int(n_samples, MIN_MC_SAMPLES, MAX_MC_SAMPLES, "number of samples")
 
 
 def _purity(stack: np.ndarray, d: int, move: str) -> np.ndarray:
@@ -341,8 +336,8 @@ def _mc_estimates(
     order, before anything is drawn, and raises as ``entangling_power_mc``
     does.  Each estimate is its own row's n-sample mean and standard error.
     """
-    _check_mc_samples(n_samples)
-    _check_seed(seed)
+    n_samples = _check_mc_samples(n_samples)
+    seed = _check_seed(seed)
     _gate(stack, tol)
     entropies = _sample_entropies(stack, d, n_samples, np.random.default_rng(seed))
     estimates = []
@@ -356,8 +351,8 @@ def _mc_estimates(
         estimates.append(McEstimate(
             mean=float(mean),
             stderr=std / math.sqrt(n_samples),
-            n_samples=int(n_samples),
-            seed=int(seed),
+            n_samples=n_samples,
+            seed=seed,
         ))
     return estimates
 

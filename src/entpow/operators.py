@@ -4,15 +4,16 @@ Covers the swap operator, the maximally entangled projector, the
 one-parameter family exp(-i*t*S12) generated by the swap, general
 controlled-U gates and Haar-random unitaries.  Every constructor, and the
 product-state sampler, checks that d is from 2 to 16 before building or
-drawing anything.  Once every block of a controlled-U spec has its shape
-checked, its blocks pass the one unitarity gate, ``densemat._gate``, at
+drawing anything, by the one integer rule ``densemat._check_int``, which
+checks every integer input.  Once every block of a controlled-U spec has its
+shape checked, its blocks pass the one unitarity gate, ``densemat._gate``, at
 ``UNITARITY_TOL`` in one call, as one stack, and the first failing block is
 named; stacked random controlled-U gates pass the same gate once, as whole
 operators, in ``entanglement._measures``, not block by block.
 
 Random sampling is deterministic.  ``haar_unitary`` takes an integer seed
-with ``0 <= seed < 2**64``, the one seed range of the package and its
-command line, checked before anything is drawn, and seeds a fresh
+from 0 to 2**64 - 1, the one seed range of the package and its command
+line, checked by ``_check_seed`` before anything is drawn, and seeds a fresh
 ``numpy.random.default_rng`` (PCG64) generator with it, so identical seeds
 give bitwise identical output.  The stacked samplers -- Haar unitaries and
 the Monte-Carlo estimator's product states, ``product_state_batch`` -- draw
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import UNITARITY_TOL, _MAX_D, _STATE_BYTES, UnitarityError, _check_local_dim
-from .densemat import _echo, _gate, _is_finite, _is_int, as_complex_matrix
+from .densemat import UNITARITY_TOL, _MAX_D, _STATE_BYTES, UnitarityError, _check_int
+from .densemat import _check_local_dim, _echo, _gate, _is_finite, as_complex_matrix
 from .rearrange import BipartiteOperator, _rearrange
 
 __all__ = [
@@ -47,10 +48,8 @@ DEFAULT_SEED = 1
 
 
 def _check_seed(seed) -> int:
-    """``seed`` as an int, if a non-bool integer with 0 <= seed < 2**64."""
-    if not (_is_int(seed) and 0 <= seed < 2**64):
-        raise ValueError(f"seed must be a nonnegative 64-bit integer, got {_echo(seed)}")
-    return int(seed)
+    """``seed`` as an int, if an integer from 0 to 2**64 - 1, by ``_check_int``."""
+    return _check_int(seed, 0, 2**64 - 1, "seed")
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,15 +125,11 @@ def haar_unitary(d_total: int, seed: int) -> np.ndarray:
     phase convention under which the distribution is exactly Haar.
 
     Raises ValueError, before anything is drawn, unless ``d_total`` is an
-    integer from 1 to 256 (d = 16 on each side) and ``seed`` an integer with
-    ``0 <= seed < 2**64``.
+    integer from 1 to 256 (d = 16 on each side) and ``seed`` an integer from
+    0 to 2**64 - 1.
     """
-    if not (_is_int(d_total) and 1 <= d_total <= _MAX_D**2):
-        raise ValueError(
-            f"dimension must be an integer from 1 to {_MAX_D**2}, got {_echo(d_total)}"
-        )
-    _check_seed(seed)
-    return _haar_stack(int(d_total), 1, np.random.default_rng(seed))[0]
+    d_total = _check_int(d_total, 1, _MAX_D**2, "dimension")
+    return _haar_stack(d_total, 1, np.random.default_rng(_check_seed(seed)))[0]
 
 
 def _exp_swap_stack(d: int, ts: np.ndarray) -> np.ndarray:
@@ -178,11 +173,6 @@ def _haar_stack(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diag / np.abs(diag))[:, None, :]
 
 
-# The most samples of one Monte-Carlo estimate; ``densemat._STATE_BYTES``
-# caps one ``product_state_batch`` call at this many states at d = 2.
-MAX_MC_SAMPLES = 10_000_000
-
-
 def product_state_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """n Haar-random product states |psi1>|psi2>, one per row of an (n, d^2) array.
 
@@ -205,14 +195,10 @@ def product_state_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 
     Raises ValueError, before anything is drawn, unless ``d`` is an integer
     from 2 to 16 and ``n`` an integer from 0 to the states of 16 d^2 bytes
-    that fit ``densemat._STATE_BYTES``, 640 MB: ``MAX_MC_SAMPLES`` at d = 2.
+    that fit ``densemat._STATE_BYTES``, 640 MB: the Monte-Carlo cap at d = 2.
     """
     d = _check_local_dim(d)
-    limit = _STATE_BYTES // (16 * d * d)
-    if not (_is_int(n) and 0 <= n <= limit):
-        raise ValueError(f"number of states must be a nonnegative integer up to {limit}, "
-                         f"got {_echo(n)}")
-    n = int(n)
+    n = _check_int(n, 0, _STATE_BYTES // (16 * d * d), "number of states")
     g = rng.standard_normal((n, 2, 2, d))
     z = np.empty((2, d, n), dtype=np.complex128)
     z.real = g[:, :, 0].transpose(1, 2, 0)

@@ -24,7 +24,8 @@ Python ints do.  A matrix the reader declines (any malformed one, and one
 with an integer beyond float range) is scanned by ``json`` into lists and
 walked row by row and entry by entry; the walk reports the first bad row or
 entry in row-major order.  Documents longer than 16 MiB (bytes, or
-characters for text input) are rejected before they are parsed.  ``d`` and
+characters for text input) are rejected before they are parsed, and an
+integer too long for Python to convert from text is malformed.  ``d`` and
 finiteness are checked by the ``densemat`` rules, with the messages of
 every other entry point; every rejection is a ``ValueError``.
 """
@@ -33,11 +34,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from json.decoder import JSONObject
 
 import numpy as np
 
-from .densemat import _check_local_dim
+from .densemat import _check_local_dim, _echo
 from .rearrange import BipartiteOperator
 
 __all__ = ["read_operator_file", "serialize_operator"]
@@ -70,6 +72,11 @@ def read_operator_file(content: bytes | str) -> tuple[BipartiteOperator, str | N
     except json.JSONDecodeError as e:
         # str(e) already carries "line L column C"
         raise ValueError(f"malformed operator file: {e}") from None
+    except ValueError:
+        # json's one other error: an integer too long to convert from text,
+        # whose own message advises a Python call
+        message = f"an integer has more than {sys.get_int_max_str_digits()} digits"
+        raise ValueError(f"malformed operator file: {message}") from None
     except RecursionError:
         raise ValueError("malformed operator file: nesting too deep") from None
 
@@ -117,7 +124,7 @@ def serialize_operator(op: BipartiteOperator, name: str | None = None) -> str:
 def _check_name(name):
     """``name`` itself, if None or text: the one label rule of reader and writer."""
     if name is not None and not isinstance(name, str):
-        raise ValueError(f"'name' must be text, got {name!r}")
+        raise ValueError(f"'name' must be text, got {_echo(name)}")
     return name
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import _STACK_BYTES, _check_local_dim, _echo, _is_finite, _is_int
+from .densemat import _STACK_BYTES, _check_int, _check_local_dim, _echo, _is_finite
 from .densemat import _operator_bytes, _spans
 from .entanglement import _measures
 # Not called here: perfbench's tracing test checks that it wraps and restores
@@ -64,12 +64,11 @@ class SweepSpec:
                 f"unknown family {self.family!r}; valid families: {', '.join(FAMILIES)}"
             )
         object.__setattr__(self, "d", _check_local_dim(self.d))
-        if not (_is_int(self.steps) and 1 <= self.steps <= _MAX_STEPS):
-            raise ValueError(f"steps must be from 1 to {_MAX_STEPS}, got {_echo(self.steps, str)}")
+        object.__setattr__(self, "steps", _check_int(self.steps, 1, _MAX_STEPS, "steps"))
         start, end = self.param_start, self.param_end
         finite = _is_finite(start) and _is_finite(end)
         if finite and start > end:
-            raise ValueError(f"param_start {_echo(start, str)} exceeds param_end {_echo(end, str)}")
+            raise ValueError(f"param_start {_echo(start)} exceeds param_end {_echo(end)}")
         # the width too, in Python floats: a NumPy subtraction that overflows warns
         if not (finite and math.isfinite(float(end) - float(start))):
             raise ValueError(f"parameter range must be finite, got {_echo(start)} to {_echo(end)}")

@@ -42,6 +42,14 @@ def cnot_file(tmp_path):
     path.write_text(serialize_operator(CNOT, name="cnot"))
     return str(path)
 
+# Operator files with a 5000-digit integer as d, as the name and as an entry.
+_DIGITS = "7" * 5000
+LONG_INTEGER_FILES = [
+    serialize_operator(swap_op(2)).replace('"d": 2', f'"d": {_DIGITS}'),
+    serialize_operator(swap_op(2), "swap").replace('"swap"', _DIGITS),
+    serialize_operator(swap_op(2)).replace("[1, 0]", f"[{_DIGITS}, 0]", 1),
+]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -183,7 +191,8 @@ class TestEval:
         code, out, err = run(capsys, "eval", cnot_file, "--mc", "--mc-samples", "10000001")
         assert code == EXIT_VALIDATION
         assert out == ""
-        assert err == "entpow: error: at most 10000000 samples are allowed, got 10000001\n"
+        assert err == ("entpow: error: number of samples must be an integer from 100 to 10000000, "
+                       "got 10000001\n")
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_mc_seed_outside_64_bits_prints_no_measures(self, capsys, cnot_file, monkeypatch, seed):
@@ -191,7 +200,7 @@ class TestEval:
         monkeypatch.setattr(entpow.cli, "entanglement_report", fail_if_called)
         code, out, err = run(capsys, "eval", cnot_file, "--mc", "--seed", seed)
         assert code == EXIT_VALIDATION and out == ""
-        assert err == f"entpow: error: seed must be a nonnegative 64-bit integer, got {seed}\n"
+        assert err == f"entpow: error: seed must be an integer from 0 to {2**64 - 1}, got {seed}\n"
 
     def test_mc_accepts_the_largest_64_bit_seed(self, capsys, cnot_file):
         code, out, _ = run(capsys, "eval", cnot_file, "--mc", "--mc-samples", "200",
@@ -216,7 +225,12 @@ class TestEval:
          "entry at row 0, column 0 is out of float range"),
         ("[" * 100_000, "malformed operator file: nesting too deep"),
         ('{"d": 17, "matrix": []}', "local dimension must be an integer from 2 to 16, got 17"),
-    ], ids=["huge-int", "deep-nesting", "d-17"])
+        # past Python's limit on the digits of an integer read from text: the
+        # message names the limit, not a Python call that raises it
+        *[(text, f"malformed operator file: an integer has more than "
+                 f"{sys.get_int_max_str_digits()} digits") for text in LONG_INTEGER_FILES],
+    ], ids=["huge-int", "deep-nesting", "d-17", "5000-digit-d", "5000-digit-name",
+            "5000-digit-entry"])
     def test_out_of_range_file_exits_1(self, capsys, monkeypatch, tmp_path, content, message):
         monkeypatch.setattr(entpow.cli, "entanglement_report", fail_if_called)
         path = tmp_path / "bad.json"
@@ -338,7 +352,8 @@ class TestSweep:
         monkeypatch.setattr(entpow.cli, "sweep_rows", fail_if_called)
         for steps in ("0", "1000001"):
             code, _, err = run(capsys, "sweep", "--family", "exp_swap", "--d", "2", "--steps", steps)
-            assert code == EXIT_VALIDATION and "steps must be from 1 to 1000000" in err
+            message = f"steps must be an integer from 1 to 1000000, got {steps}"
+            assert code == EXIT_VALIDATION and err == f"entpow: error: {message}\n"
         for d in ("1", "17"):
             code, _, err = run(capsys, "sweep", "--family", "exp_swap", "--d", d, "--steps", "3")
             assert code == EXIT_VALIDATION and "dimension must be an integer from 2 to 16" in err
@@ -361,7 +376,7 @@ class TestSweep:
     def test_seed_outside_64_bits_rejected(self, capsys, seed):
         code, out, err = run(capsys, "sweep", "--family", "haar", "--d", "2", "--seed", seed)
         assert code == EXIT_VALIDATION
-        assert "64-bit" in err
+        assert err == f"entpow: error: seed must be an integer from 0 to {2**64 - 1}, got {seed}\n"
         assert out == ""
 
     def test_missing_required_flags(self, capsys):
@@ -416,7 +431,8 @@ class TestVerify:
         monkeypatch.setattr(entpow.entanglement, "product_state_batch", fail_if_called)
         code, _, err = run(capsys, "verify", "--mc", "--mc-samples", "10000001")
         assert code == EXIT_VALIDATION
-        assert err == "entpow: error: at most 10000000 samples are allowed, got 10000001\n"
+        assert err == ("entpow: error: number of samples must be an integer from 100 to 10000000, "
+                       "got 10000001\n")
 
     def test_bad_dimension_rejected(self, capsys, monkeypatch):
         monkeypatch.setattr(entpow.verify, "_new_run", fail_if_called)
@@ -434,13 +450,15 @@ class TestVerify:
         for mc in ([], ["--mc"]):
             code, out, err = run(capsys, "verify", *mc, "--seed", seed)
             assert code == EXIT_VALIDATION and out == ""
-            assert err == f"entpow: error: seed must be a nonnegative 64-bit integer, got {seed}\n"
+            assert err == f"entpow: error: seed must be an integer from 0 to {2**64 - 1}, got {seed}\n"
 
     @pytest.mark.parametrize("extra_d", [1, 17, 200, 3.5, np.int64(17), True])
     def test_library_rejects_extra_d_before_building(self, monkeypatch, extra_d):
         monkeypatch.setattr(entpow.verify, "swap_op", fail_if_called)
         monkeypatch.setattr(entpow.verify, "_new_run", fail_if_called)
-        message = f"local dimension must be an integer from 2 to 16, got {extra_d!r}"
+        # a NumPy integer is shown as its Python value, whatever numpy's repr
+        shown = extra_d.item() if isinstance(extra_d, np.generic) else extra_d
+        message = f"local dimension must be an integer from 2 to 16, got {shown!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             entpow.verify.run_acceptance(extra_d=extra_d)
 

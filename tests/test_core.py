@@ -2,6 +2,7 @@
 chunked sweeps, each checked against the scalar path it replaces."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -245,12 +246,17 @@ class TestSweepRange:
 class TestSweepSeed:
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
     def test_out_of_range_rejected(self, seed):
-        with pytest.raises(ValueError, match="64-bit"):
+        message = f"seed must be an integer from 0 to 18446744073709551615, got {seed}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SweepSpec("haar", 2, 0.0, 1.0, 3, seed=seed)
 
-    @pytest.mark.parametrize("seed", [None, True, 1.0, "1", np.float64(1)])
-    def test_non_integer_rejected(self, seed):
-        with pytest.raises(ValueError, match="64-bit"):
+    # shown by repr: a string with its quotes, a NumPy float as its Python value
+    @pytest.mark.parametrize("seed, shown", [(None, "None"), (True, "True"), (1.0, "1.0"),
+                                             ("1", "'1'"), (np.float64(1), "1.0")],
+                             ids=["None", "True", "1.0_0", "1", "1.0_1"])
+    def test_non_integer_rejected(self, seed, shown):
+        message = f"seed must be an integer from 0 to 18446744073709551615, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SweepSpec("haar", 2, 0.0, 1.0, 3, seed=seed)
 
     def test_largest_seed_accepted(self):

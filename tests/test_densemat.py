@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import entpow.entanglement
 import entpow.sweep
 from entpow.densemat import (
+    _check_int,
     _echo,
     _spans,
     as_complex_matrix,
@@ -181,18 +182,22 @@ class TestEcho:
     @pytest.mark.parametrize("call, message", [
         (swap_op, "local dimension must be an integer from 2 to 16"),
         (lambda x: exp_swap(2, x), "parameter t must be finite"),
-        (lambda x: SweepSpec("haar", 2, 0.0, 1.0, x), "steps must be from 1 to 1000000"),
+        (lambda x: SweepSpec("haar", 2, 0.0, 1.0, x), "steps must be an integer from 1 to 1000000"),
         (lambda x: SweepSpec("haar", 2, x, 1.0, 3), "parameter range must be finite"),
-        (lambda x: SweepSpec("haar", 2, 0.0, 1.0, 3, x), "seed must be a nonnegative"),
-        (lambda x: entangling_power_mc(SWAP, x, 1), "at most 10000000 samples are allowed"),
-        (lambda x: entangling_power_mc(SWAP, -x, 1), "need at least 100 samples"),
-        (lambda x: entangling_power_mc(SWAP, 500, x), "seed must be a nonnegative"),
+        (lambda x: SweepSpec("haar", 2, 0.0, 1.0, 3, x),
+         "seed must be an integer from 0 to 18446744073709551615"),
+        (lambda x: entangling_power_mc(SWAP, x, 1),
+         "number of samples must be an integer from 100 to 10000000"),
+        (lambda x: entangling_power_mc(SWAP, -x, 1),
+         "number of samples must be an integer from 100 to 10000000"),
+        (lambda x: entangling_power_mc(SWAP, 500, x),
+         "seed must be an integer from 0 to 18446744073709551615"),
         (lambda x: entanglement_report(SWAP, tol=x), "unitarity tolerance must be finite"),
         (lambda x: haar_unitary(x, 1), "dimension must be an integer from 1 to 256"),
         (lambda x: product_state_batch(np.random.default_rng(1), -x, 2),
-         "number of states must be a nonnegative integer"),
+         "number of states must be an integer from 0 to 10000000"),
         (lambda x: product_state_batch(np.random.default_rng(1), x, 2),
-         "number of states must be a nonnegative integer up to 10000000"),
+         "number of states must be an integer from 0 to 10000000"),
         (lambda x: run_acceptance(False, x), "local dimension must be an integer from 2 to 16"),
     ], ids=["swap_op", "exp_swap", "SweepSpec steps", "SweepSpec range", "SweepSpec seed",
             "mc samples", "mc samples below", "mc seed", "report tol", "haar_unitary",
@@ -210,7 +215,18 @@ class TestEcho:
 
     @pytest.mark.parametrize("x", [10**40 - 1, -(10**40 - 1), 2**64, np.int64(-5), 1.5, None])
     def test_forty_digits_or_fewer_are_echoed_unchanged(self, x):
-        assert _echo(x) == repr(x) and _echo(x, str) == str(x)
+        # a NumPy integer as its Python value, whatever numpy's repr
+        assert _echo(x) == repr(int(x) if isinstance(x, np.integer) else x)
+
+    @pytest.mark.parametrize("x, shown", [
+        ("3", "'3'"), ("1e-9", "'1e-9'"), (np.float64(1e-9), "1e-09"), (np.float64("nan"), "nan"),
+        (np.uint64(2**64 - 1), "18446744073709551615"), (np.True_, "True"), (np.str_("2"), "'2'"),
+        (3.0, "3.0"), ([1, 2], "[1, 2]"),
+    ], ids=["str", "float str", "np.float64", "np.nan", "np.uint64", "np.True_", "np.str_",
+            "float", "list"])
+    def test_one_form_for_every_value(self, x, shown):
+        # the one echo is repr, with a NumPy scalar shown as its Python value
+        assert _echo(x) == shown
 
     # log10 of a power of ten, or of one less, may round across the integer
     @pytest.mark.parametrize("x", [10**40, 2 * 10**40 - 1, -(10**40), 7**2000, 10**4000 - 1,
@@ -220,6 +236,83 @@ class TestEcho:
         digits = str(abs(x))
         sign = "-" if x < 0 else ""
         assert _echo(x) == f"{sign}{digits[:12]}... ({len(digits)} digits)"
+
+
+SEED_RANGE = (0, 2**64 - 1, "seed")
+
+# Every integer input of the package: the call, and the range and name its
+# rule states.  Each goes through ``densemat._check_int``.
+INTEGER_INPUTS = {
+    "swap_op d": (swap_op, (2, 16, "local dimension")),
+    "haar_unitary d_total": (lambda x: haar_unitary(x, 1), (1, 256, "dimension")),
+    "haar_unitary seed": (lambda x: haar_unitary(4, x), SEED_RANGE),
+    "product_state_batch n": (lambda x: product_state_batch(np.random.default_rng(1), x, 2),
+                              (0, 10_000_000, "number of states")),
+    "SweepSpec steps": (lambda x: SweepSpec("haar", 2, 0.0, 1.0, x), (1, 1_000_000, "steps")),
+    "SweepSpec seed": (lambda x: SweepSpec("haar", 2, 0.0, 1.0, 3, x), SEED_RANGE),
+    "entangling_power_mc n_samples": (lambda x: entangling_power_mc(SWAP, x, 1),
+                                      (100, 10_000_000, "number of samples")),
+    "entangling_power_mc seed": (lambda x: entangling_power_mc(SWAP, 500, x), SEED_RANGE),
+    "run_acceptance extra_d": (lambda x: run_acceptance(False, x), (2, 16, "local dimension")),
+    "run_acceptance mc_samples": (lambda x: run_acceptance(True, None, x),
+                                  (100, 10_000_000, "number of samples")),
+    "run_acceptance seed": (lambda x: run_acceptance(False, None, 50_000, x), SEED_RANGE),
+}
+
+
+class TestCheckInt:
+    """``_check_int`` is the one integer rule: every integer input rejects a
+    bool, a string, a float, None and an integer outside its range with one
+    message form, showing the value by ``repr`` (strings quoted, NumPy
+    scalars as plain numbers, long integers shortened)."""
+
+    # None is no extra dimension at all, so run_acceptance's extra_d takes it
+    @pytest.mark.parametrize("entry, value, shown", [
+        pytest.param(entry, value, shown, id=f"{entry}-{label}")
+        for entry in INTEGER_INPUTS
+        for label, value, shown in [
+            ("True", True, lambda lo: "True"),
+            ("str", "3", lambda lo: "'3'"),
+            ("float", 3.0, lambda lo: "3.0"),
+            ("None", None, lambda lo: "None"),
+            ("np.int64(lo - 1)", np.int64, lambda lo: str(lo - 1)),
+            ("10**400", 10**400, lambda lo: "100000000000... (401 digits)"),
+        ]
+        if (entry, value) != ("run_acceptance extra_d", None)
+    ])
+    def test_every_integer_input_has_the_one_message(self, monkeypatch, entry, value, shown):
+        monkeypatch.setattr(entpow.entanglement, "product_state_batch", fail_if_drawn)
+        call, (lo, hi, name) = INTEGER_INPUTS[entry]
+        x = np.int64(lo - 1) if value is np.int64 else value
+        with pytest.raises(ValueError) as err:
+            call(x)
+        assert str(err.value) == f"{name} must be an integer from {lo} to {hi}, got {shown(lo)}"
+
+    @pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(0)], ids=repr)
+    def test_numpy_seeds_are_accepted(self, seed):
+        assert haar_unitary(4, seed).tobytes() == haar_unitary(4, int(seed)).tobytes()
+        spec = SweepSpec("haar", 2, 0.0, 1.0, 3, seed)
+        assert sweep_rows(spec) == sweep_rows(SweepSpec("haar", 2, 0.0, 1.0, 3, int(seed)))
+        assert entangling_power_mc(SWAP, 100, seed) == entangling_power_mc(SWAP, 100, int(seed))
+
+    def test_steps_are_stored_as_a_python_int(self):
+        spec = SweepSpec("haar", 2, 0.0, 1.0, np.int64(3))
+        assert type(spec.steps) is int and spec.steps == 3
+        assert sweep_rows(spec) == sweep_rows(SweepSpec("haar", 2, 0.0, 1.0, 3))
+
+    @pytest.mark.parametrize("x", [np.uint8(0), np.int64(7), np.uint64(2**64 - 1), 2**64 - 1])
+    def test_accepted_values_come_back_as_python_ints(self, x):
+        got = _check_int(x, 0, 2**64 - 1, "value")
+        assert type(got) is int and got == int(x)
+
+    @pytest.mark.parametrize("x", [np.True_, np.float64(3.0), 2**64, -1])
+    def test_the_bounds_and_types_are_exact(self, x):
+        with pytest.raises(ValueError, match="^value must be an integer from 0 to "):
+            _check_int(x, 0, 2**64 - 1, "value")
+
+
+def fail_if_drawn(*args, **kwargs):
+    raise AssertionError("drew samples past validation")
 
 
 class TestSpans:

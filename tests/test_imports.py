@@ -34,8 +34,12 @@ for it.
 Only ``opfile`` imports ``json``: the operator file format, and how it is
 parsed, is that module's alone.
 
-Only ``densemat`` names ``np.integer``: every other module asks its
-``_is_int`` whether a value is a non-bool Python or NumPy integer.
+Every integer input passes the one integer rule, ``densemat._check_int``,
+which alone names ``np.integer`` and alone words an integer rule's message;
+the named rules for the local dimension, the seed and the Monte-Carlo sample
+count call it, as do the few inputs with a range of their own.  Its message
+shows the value through ``_echo``, which has one form and so one parameter.
+The Monte-Carlo sample counts are assigned once, in ``entanglement``.
 
 ``verify`` builds a generator in one place, from the run's seed and the
 criterion's row, never from an integer literal, so every random criterion
@@ -83,8 +87,14 @@ ENTANGLEMENT = Path(entpow.__file__).parent / "entanglement.py"
 # The one module that reads and writes JSON.
 JSON_HOME = "opfile.py"
 
-# The one module that names ``np.integer``, in its integer test ``_is_int``.
+# The one module that names ``np.integer``, in its integer rule ``_check_int``.
 INTEGER_HOME = "densemat.py"
+
+# Every definition that calls the integer rule: each integer input's rule.
+INTEGER_RULES = {
+    "densemat._check_local_dim", "operators._check_seed", "operators.haar_unitary",
+    "operators.product_state_batch", "sweep.SweepSpec", "entanglement._check_mc_samples",
+}
 
 VERIFY = Path(entpow.__file__).parent / "verify.py"
 
@@ -443,9 +453,113 @@ def test_only_densemat_names_the_numpy_integer_type(path):
     ("from numpy import integer as i  # noqa: F401\n", {"integer"}),
     ("from .densemat import _is_int\n_is_int(x)\n", set()),
     ("'an integer from 2 to 16'\nnp.int64(3)\n", set()),
+    ("from .densemat import _check_int\n_check_int(x, 2, 16, 'd')\n", set()),
 ])
 def test_the_integer_guard_itself(source, found):
     assert names_reached(source, {"integer"}) == found
+
+
+def integer_type_namers(sources: dict[str, str]) -> list[str]:
+    """``module.definition`` for each naming of ``integer``, as a name, an
+    attribute or an imported name, one entry per naming."""
+    found = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            for node in ast.walk(top):
+                names = ([alias.name for alias in node.names]
+                         if isinstance(node, (ast.Import, ast.ImportFrom))
+                         else [getattr(node, "id", getattr(node, "attr", None))])
+                found += [f"{module}.{def_name(top)}" for name in names if name == "integer"]
+    return found
+
+
+def integer_messages(sources: dict[str, str]) -> set[str]:
+    """``module.definition`` for each ``raise`` whose text says something
+    "must be" an integer: a rule's own wording of an integer message."""
+    found = set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Raise):
+                    text = " ".join(n.value for n in ast.walk(node)
+                                    if isinstance(n, ast.Constant) and isinstance(n.value, str))
+                    if "must be" in text and "integer" in text:
+                        found.add(f"{module}.{def_name(top)}")
+    return found
+
+
+def parameters(source: str, name: str) -> list[str]:
+    """Parameter names of each top-level function ``name`` in ``source``."""
+    return [arg.arg for top in ast.parse(source).body
+            if isinstance(top, ast.FunctionDef) and top.name == name
+            for arg in top.args.posonlyargs + top.args.args + top.args.kwonlyargs]
+
+
+def test_np_integer_is_named_once_in_the_integer_rule():
+    assert integer_type_namers(SOURCES) == ["densemat._check_int"]
+
+
+def test_every_integer_rule_calls_the_one_rule():
+    assert package_readers(SOURCES, "_check_int") == INTEGER_RULES
+
+
+def test_only_the_one_rule_words_an_integer_message():
+    assert integer_messages(SOURCES) == {"densemat._check_int"}
+
+
+def test_the_integer_test_is_gone():
+    assert [module for module, source in SOURCES.items() if "_is_int" in source] == []
+
+
+def test_echo_has_one_form():
+    assert parameters(SOURCES["densemat"], "_echo") == ["x"]
+
+
+def test_the_sample_counts_are_assigned_once_in_entanglement():
+    assert set().union(*(constants(path, "_MC_SAMPLES") for path in MODULES)) == {
+        "entanglement:MIN_MC_SAMPLES", "entanglement:DEFAULT_MC_SAMPLES",
+        "entanglement:MAX_MC_SAMPLES",
+    }
+
+
+def test_the_one_rule_guards_themselves():
+    # a second integer rule, of the kind the one rule replaced
+    second = ("def _check_steps(n):\n"
+              "    if not (isinstance(n, (int, np.integer)) and 1 <= n <= 9):\n"
+              "        raise ValueError(f'steps must be a positive integer, got {n}')\n")
+    sources = {**SOURCES, "sweep": SOURCES["sweep"] + second}
+    assert integer_type_namers(sources) == ["densemat._check_int", "sweep._check_steps"]
+    assert integer_messages(sources) == {"densemat._check_int", "sweep._check_steps"}
+    # a rule that stops calling the one rule
+    bypass = SOURCES["operators"].replace("_check_int(seed,", "int(seed,")
+    assert package_readers({**SOURCES, "operators": bypass}, "_check_int") == (
+        INTEGER_RULES - {"operators._check_seed"})
+    # a second echo convention
+    echo = SOURCES["densemat"].replace("def _echo(x)", "def _echo(x, conv=repr)")
+    assert parameters(echo, "_echo") == ["x", "conv"]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(x):\n    return isinstance(x, np.integer)\n", ["m.f"]),
+    ("from numpy import integer  # noqa: F401\n", ["m.<module>"]),
+    ("def f(x):\n    return numpy.integer, np.integer\n", ["m.f", "m.f"]),
+    ("def f(x):\n    return np.int64(x), 'an integer'\n", []),
+])
+def test_the_integer_type_guard_itself(source, found):
+    assert integer_type_namers({"m": source}) == found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(n):\n    raise ValueError(f'{n} must be an integer from 1 to 9')\n", {"m.f"}),
+    ("class C:\n    def g(self):\n        raise ValueError('d must be a whole integer')\n",
+     {"m.C"}),
+    ("def f(n):\n    raise ValueError(f'steps must be from 1 to 9, got {n}')\n", set()),
+    ("def f():\n    raise ValueError('malformed: an integer has more than 4300 digits')\n",
+     set()),
+    ('def f(n):\n    """n must be an integer."""\n    return n\n', set()),
+])
+def test_the_integer_message_guard_itself(source, found):
+    assert integer_messages({"m": source}) == found
 
 
 def test_verify_builds_one_generator_from_no_literal_seed():

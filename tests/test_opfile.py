@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import entpow.opfile
-from entpow.densemat import _MAX_D
+from entpow.densemat import _MAX_D, _echo
 from entpow.opfile import _MAX_BYTES, _walk, read_operator_file, serialize_operator
 from entpow.operators import ControlledUSpec, controlled_u, haar_unitary, swap_op
 from entpow.rearrange import BipartiteOperator
@@ -317,6 +318,26 @@ class TestErrors:
             with pytest.raises(ValueError, match="row 1, column 2"):
                 read_operator_file(doc(2, rows))
 
+    @pytest.mark.parametrize("position", ["d", "name", "entry"])
+    def test_integer_past_the_digit_limit(self, position):
+        # Python's own message would advise calling sys.set_int_max_str_digits
+        digits = "7" * 5000
+        text = {
+            "d": serialize_operator(swap_op(2)).replace('"d": 2', f'"d": {digits}'),
+            "name": serialize_operator(swap_op(2), "swap").replace('"swap"', digits),
+            "entry": serialize_operator(swap_op(2)).replace("[1, 0]", f"[{digits}, 0]", 1),
+        }[position]
+        limit = sys.get_int_max_str_digits()
+        message = f"malformed operator file: an integer has more than {limit} digits"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_operator_file(text)
+        assert outcome(reference_read, text) == ("error", message)
+
+    def test_writer_echoes_a_long_integer_name(self):
+        message = "'name' must be text, got 100000000000... (5001 digits)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            serialize_operator(swap_op(2), name=10**5000)
+
     def test_non_finite_entry_located(self):
         rows = zeros_matrix(4)
         rows[3] = list(rows[3])
@@ -341,6 +362,9 @@ def reference_read(text):
         document = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"malformed operator file: {e}") from None
+    except ValueError:
+        raise ValueError(f"malformed operator file: an integer has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
         raise ValueError("malformed operator file: nesting too deep") from None
     if not isinstance(document, dict):
@@ -350,10 +374,10 @@ def reference_read(text):
             raise ValueError(f"operator file is missing required key '{key}'")
     d = document["d"]
     if not isinstance(d, int) or isinstance(d, bool) or not 2 <= d <= _MAX_D:
-        raise ValueError(f"local dimension must be an integer from 2 to {_MAX_D}, got {d!r}")
+        raise ValueError(f"local dimension must be an integer from 2 to {_MAX_D}, got {_echo(d)}")
     name = document.get("name")
     if name is not None and not isinstance(name, str):
-        raise ValueError(f"'name' must be text, got {name!r}")
+        raise ValueError(f"'name' must be text, got {_echo(name)}")
     n = d * d
     matrix = document["matrix"]
     if not isinstance(matrix, list) or len(matrix) != n:
