@@ -194,13 +194,17 @@ def _echo(x) -> str:
     shortened to its leading digits and digit count.
 
     Python refuses to convert an integer past 4300 digits to text, and any
-    integer that long is a mistake, not a value to read back.
+    integer that long is a mistake, not a value to read back: in a container
+    it gives a stand-in that names the type.  A long double is shown by ``str``.
     """
     if isinstance(x, np.generic):
         x = x.item()
-    if not (isinstance(x, int) and abs(x) >= 10**_ECHO_DIGITS):
-        return repr(x)
-    a = abs(x)
-    n = int(math.log10(a)) + 1  # the digit count, up to the rounding of log10
-    n += (a >= 10**n) - (a < 10 ** (n - 1))
-    return f"{'-' if x < 0 else ''}{a // 10 ** (n - 12)}... ({n} digits)"
+    if isinstance(x, int) and abs(x) >= 10**_ECHO_DIGITS:
+        a = abs(x)
+        n = int(math.log10(a)) + 1  # the digit count, up to the rounding of log10
+        n += (a >= 10**n) - (a < 10 ** (n - 1))
+        return f"{'-' if x < 0 else ''}{a // 10 ** (n - 12)}... ({n} digits)"
+    try:
+        return str(x) if isinstance(x, np.generic) else repr(x)
+    except ValueError:  # an integer past the digit limit, inside a container
+        return f"a {type(x).__name__} too long to show"

@@ -27,7 +27,8 @@ with E(S12) = 1 - 1/d^2.  This equals
 
 Every measure comes from two purities, Tr[(U^R U^R^dag)^2] and
 Tr[(U^T1 U^T1^dag)^2], computed by one batched core over an (n, d^2, d^2)
-stack of operators: the stack is rearranged with reshape/transpose, the
+stack of operators, whose functions take the stack alone and read d from its
+shape: the stack is rearranged with reshape/transpose, the
 Gram products M M^dag are formed in one batched product, and each
 Tr[(M M^dag)^2] is the sum of |g|^2 over the Hermitian Gram matrix, taken
 with a vectorised reduction.  ``_measures`` is the one gated call from a
@@ -176,7 +177,7 @@ def operator_entanglement(u: BipartiteOperator) -> float:
     UnitarityError
         If the unitarity defect of ``u`` exceeds ``UNITARITY_TOL``.
     """
-    return float(_measures(u.mat[None], u.d)[0][0])
+    return float(_measures(u.mat[None])[0][0])
 
 
 def swapped_operator_entanglement(u: BipartiteOperator) -> float:
@@ -185,7 +186,7 @@ def swapped_operator_entanglement(u: BipartiteOperator) -> float:
     Equals ``operator_entanglement(swap_left(u))``: two routes to the same
     number, via S12 (S12 U)^R = U^T1.  Gated as ``operator_entanglement`` is.
     """
-    return float(_measures(u.mat[None], u.d)[1][0])
+    return float(_measures(u.mat[None])[1][0])
 
 
 def swap_entanglement(d: int) -> float:
@@ -212,7 +213,7 @@ def entangling_power(u: BipartiteOperator) -> float:
     UnitarityError
         If the unitarity defect of ``u`` exceeds ``UNITARITY_TOL``.
     """
-    return float(_measures(u.mat[None], u.d)[2][0])
+    return float(_measures(u.mat[None])[2][0])
 
 
 def entangling_power_mc(
@@ -248,7 +249,7 @@ def entangling_power_mc(
     UnitarityError
         If the unitarity defect of ``u`` exceeds ``tol``.
     """
-    return _mc_estimates(u.mat[None], u.d, n_samples, seed, tol)[0]
+    return _mc_estimates(u.mat[None], n_samples, seed, tol)[0]
 
 
 def entanglement_report(u: BipartiteOperator, tol: float = UNITARITY_TOL) -> EntanglementReport:
@@ -271,8 +272,8 @@ def entanglement_report(u: BipartiteOperator, tol: float = UNITARITY_TOL) -> Ent
     except UnitarityError as err:
         defect, ok = err.defect, False
     with np.errstate(over="ignore", invalid="ignore"):
-        tr_r, tr_t = _purities(stack, d)
-        tr_rs = _purity(_rearrange(stack, d, "swap_right"), d, "realign")
+        tr_r, tr_t = _purities(stack)
+        tr_rs = _purity(_rearrange(stack, "swap_right"), "realign")
     return EntanglementReport(
         d=d,
         e_op=float(_entanglement(tr_r, d)[0]),
@@ -285,11 +286,12 @@ def entanglement_report(u: BipartiteOperator, tol: float = UNITARITY_TOL) -> Ent
     )
 
 
-def _measures(stack: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
+def _measures(stack: np.ndarray) -> tuple[np.ndarray, ...]:
     """(E(U), E(S12 U), e_p) for each U of an (n, d^2, d^2) stack, which
     passes ``_gate`` at ``UNITARITY_TOL`` first and raises as the gate does."""
     _gate(stack, UNITARITY_TOL)
-    tr_r, tr_t = _purities(stack, d)
+    tr_r, tr_t = _purities(stack)
+    d = math.isqrt(stack.shape[-1])
     return _entanglement(tr_r, d), _entanglement(tr_t, d), _power(tr_r, tr_t, d)
 
 
@@ -298,21 +300,21 @@ def _check_mc_samples(n_samples) -> int:
     return _check_int(n_samples, MIN_MC_SAMPLES, MAX_MC_SAMPLES, "number of samples")
 
 
-def _purity(stack: np.ndarray, d: int, move: str) -> np.ndarray:
+def _purity(stack: np.ndarray, move: str) -> np.ndarray:
     """Tr[(M M^dag)^2] for M the ``move`` of each operator in the stack.
 
     M M^dag is Hermitian, so the trace of its square is the sum of |g|^2
     over its entries: a dot product of the float view with itself.
     """
-    m = _rearrange(stack, d, move)
+    m = _rearrange(stack, move)
     g = m @ m.conj().transpose(0, 2, 1)
     x = g.view(np.float64).reshape(len(g), -1)
     return np.einsum("ni,ni->n", x, x)
 
 
-def _purities(stack: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _purities(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Tr[(U^R U^R^dag)^2], Tr[(U^T1 U^T1^dag)^2]) for each U of the stack."""
-    return _purity(stack, d, "realign"), _purity(stack, d, "partial_transpose_first")
+    return _purity(stack, "realign"), _purity(stack, "partial_transpose_first")
 
 
 def _entanglement(tr: np.ndarray, d: int) -> np.ndarray:
@@ -327,7 +329,7 @@ def _power(tr_r: np.ndarray, tr_t: np.ndarray, d: int) -> np.ndarray:
 
 
 def _mc_estimates(
-    stack: np.ndarray, d: int, n_samples: int, seed: int, tol: float = UNITARITY_TOL
+    stack: np.ndarray, n_samples: int, seed: int, tol: float = UNITARITY_TOL
 ) -> list[McEstimate]:
     """One ``McEstimate`` for each U of an (k, d^2, d^2) stack, all from the
     same ``n_samples`` product states of one generator seeded with ``seed``.
@@ -339,7 +341,7 @@ def _mc_estimates(
     n_samples = _check_mc_samples(n_samples)
     seed = _check_seed(seed)
     _gate(stack, tol)
-    entropies = _sample_entropies(stack, d, n_samples, np.random.default_rng(seed))
+    entropies = _sample_entropies(stack, n_samples, np.random.default_rng(seed))
     estimates = []
     for row in entropies:
         mean = row.mean()
@@ -357,9 +359,9 @@ def _mc_estimates(
     return estimates
 
 
-def _sample_entropies(stack: np.ndarray, d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Linear entropies of each U of an (k, d^2, d^2) stack applied to the
-    same n sampled product states, as a (k, n) array.
+def _sample_entropies(stack: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Linear entropies of each U of a (k, d^2, d^2) stack, d read from its
+    shape, applied to the same n sampled product states, as a (k, n) array.
 
     Samples are drawn and evaluated in the chunks ``_spans`` cuts at
     ``_MC_CHUNK_BYTES``; the sampler's draw order makes the states those of
@@ -374,7 +376,7 @@ def _sample_entropies(stack: np.ndarray, d: int, n: int, rng: np.random.Generato
     # imported here, not with the package: ``import entpow`` stays without it
     from concurrent.futures import ThreadPoolExecutor
 
-    k = len(stack)
+    k, d = len(stack), math.isqrt(stack.shape[-1])
     # Per sample, the kernel's four (k, d^2) complex arrays (the coefficients,
     # their conjugate, rho and the product added to it) take 64 k d^2 bytes,
     # the state 16 d^2, and the sampler's draw and its two complex (2, d)
@@ -389,14 +391,14 @@ def _sample_entropies(stack: np.ndarray, d: int, n: int, rng: np.random.Generato
             chunk = [product_state_batch(rng, hi - lo, d)]
             if done is not None:
                 done.result()
-            done = worker.submit(_entropy_kernel, stack, d, chunk, entropies[:, lo:hi])
+            done = worker.submit(_entropy_kernel, stack, chunk, entropies[:, lo:hi])
         done.result()
     return entropies
 
 
-def _entropy_kernel(stack: np.ndarray, d: int, chunk: list, out: np.ndarray) -> None:
+def _entropy_kernel(stack: np.ndarray, chunk: list, out: np.ndarray) -> None:
     """Pop an (s, d^2) array of states from the list ``chunk`` and write the
-    (k, s) linear entropies of each U of the (k, d^2, d^2) stack to ``out``.
+    (k, s) linear entropies of each U of the (k, d^2, d^2) stack (d from its shape) to ``out``.
 
     One GEMM, of the (k d^2, d^2) stacked operators with the states, gives
     the coefficients C[u, i, j, s] of U|psi_s> with the sample axis last, so
@@ -407,7 +409,7 @@ def _entropy_kernel(stack: np.ndarray, d: int, chunk: list, out: np.ndarray) -> 
     operand, and they are freed as soon as the GEMM has read them.  A stack
     of one takes the steps, and the bits, of a single operator.
     """
-    k, s = len(stack), out.shape[1]
+    k, d, s = len(stack), math.isqrt(stack.shape[-1]), out.shape[1]
     c = (stack.reshape(k * d * d, d * d) @ chunk.pop().T).reshape(k, d, d, s)
     cc = c.conj()
     rho = c[:, :, None, 0] * cc[:, None, :, 0]

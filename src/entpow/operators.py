@@ -66,7 +66,7 @@ class ControlledUSpec:
         d = _check_local_dim(self.d)
         blocks = tuple(map(as_complex_matrix, self.blocks)) if np.iterable(self.blocks) else None
         if blocks is None or len(blocks) != d:
-            got = repr(self.blocks) if blocks is None else len(blocks)
+            got = _echo(self.blocks) if blocks is None else len(blocks)
             raise ValueError(f"controlled-U at local dimension {d} needs exactly {d} blocks, "
                              f"got {got}")
         for n, b in enumerate(blocks):
@@ -85,7 +85,7 @@ def swap_op(d: int) -> BipartiteOperator:
     """The swap operator S12, with entry 1 at [(i,j),(j,i)] and 0 elsewhere:
     the identity with its rows moved by ``swap_left``."""
     d = _check_local_dim(d)
-    return BipartiteOperator(d, _rearrange(np.eye(d * d, dtype=complex)[None], d, "swap_left")[0])
+    return BipartiteOperator(d, _rearrange(np.eye(d * d, dtype=complex)[None], "swap_left")[0])
 
 
 def max_entangled_projector(d: int) -> BipartiteOperator:
@@ -95,7 +95,7 @@ def max_entangled_projector(d: int) -> BipartiteOperator:
     realignment of the identity, divided by d.
     """
     d = _check_local_dim(d)
-    return BipartiteOperator(d, _rearrange(np.eye(d * d, dtype=complex)[None], d, "realign")[0] / d)
+    return BipartiteOperator(d, _rearrange(np.eye(d * d, dtype=complex)[None], "realign")[0] / d)
 
 
 def exp_swap(d: int, t: float) -> BipartiteOperator:

@@ -227,7 +227,7 @@ def _parse_entry(cell, r: int, c: int) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell)
     ):
         raise ValueError(
-            f"entry at row {r}, column {c} must be a [re, im] pair of numbers, got {cell!r}"
+            f"entry at row {r}, column {c} must be a [re, im] pair of numbers, got {_echo(cell)}"
         )
     try:
         return complex(cell[0], cell[1])

@@ -12,6 +12,7 @@ identity) hold bitwise, not merely to a tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,10 +111,11 @@ def swap_right(u: BipartiteOperator) -> BipartiteOperator:
 
 
 def _moved(u: BipartiteOperator, move: str) -> BipartiteOperator:
-    return BipartiteOperator(u.d, _rearrange(u.mat[None], u.d, move)[0])
+    return BipartiteOperator(u.d, _rearrange(u.mat[None], move)[0])
 
 
-def _rearrange(stack: np.ndarray, d: int, move: str) -> np.ndarray:
-    """Apply ``move`` to every matrix of an (n, d^2, d^2) stack."""
-    n = d * d
+def _rearrange(stack: np.ndarray, move: str) -> np.ndarray:
+    """Apply ``move`` to every matrix of an (n, d^2, d^2) stack, whose shape fixes d."""
+    n = stack.shape[-1]
+    d = math.isqrt(n)
     return stack.reshape(-1, d, d, d, d).transpose(_STACK_AXES[move]).reshape(-1, n, n)

@@ -61,7 +61,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(
-                f"unknown family {self.family!r}; valid families: {', '.join(FAMILIES)}"
+                f"unknown family {_echo(self.family)}; valid families: {', '.join(FAMILIES)}"
             )
         object.__setattr__(self, "d", _check_local_dim(self.d))
         object.__setattr__(self, "steps", _check_int(self.steps, 1, _MAX_STEPS, "steps"))
@@ -83,7 +83,7 @@ def sweep_rows(spec: SweepSpec) -> list[tuple[float, float, float, float]]:
     rng = None if spec.family == "exp_swap" else np.random.default_rng(spec.seed)
     rows = []
     for lo, hi in _spans(spec.steps, _operator_bytes(d), _STACK_BYTES):
-        e, e_swapped, e_p = _measures(_stack(spec, params, rng, lo, hi), d)
+        e, e_swapped, e_p = _measures(_stack(spec, params, rng, lo, hi))
         rows += zip(params[lo:hi].tolist(), e.tolist(), e_swapped.tolist(), e_p.tolist())
     return rows
 

@@ -174,10 +174,10 @@ def _controlled_u(run: _Run, rng: np.random.Generator) -> float:
     for d in run.gate_dims:
         for lo, hi in _spans(_CONTROLLED_U_GATES, _operator_bytes(d), _STACK_BYTES):
             gates = _random_controlled_u_stack(d, hi - lo, rng)
-            e, e_swapped, e_p = _measures(gates, d)
+            e, e_swapped, e_p = _measures(gates)
             devs += [e_p - (d / (d + 1)) ** 2 * e, e_swapped - (1 - 1 / d**2),
                      # the partial transpose of a controlled-U is again unitary
-                     _unitarity_defects(_rearrange(gates, d, "partial_transpose_first"))]
+                     _unitarity_defects(_rearrange(gates, "partial_transpose_first"))]
     devs.append(entangling_power(BipartiteOperator(d, gates[-1])) - e_p[-1])
     return _max_abs(*devs)
 
@@ -193,8 +193,8 @@ def _fan_identity(run: _Run, rng: np.random.Generator) -> float:
     for d in run.family_dims:
         for lo, hi in _spans(_FAN_UNITARIES, _operator_bytes(d), _STACK_BYTES):
             u = _haar_stack(d * d, hi - lo, rng)
-            lhs = _rearrange(_rearrange(u, d, "swap_left"), d, "realign")  # (S12 U)^R = S12 U^T1
-            rhs = _rearrange(_rearrange(u, d, "partial_transpose_first"), d, "swap_left")
+            lhs = _rearrange(_rearrange(u, "swap_left"), "realign")  # (S12 U)^R = S12 U^T1
+            rhs = _rearrange(_rearrange(u, "partial_transpose_first"), "swap_left")
             mismatches += sum(x.tobytes() != y.tobytes() for x, y in zip(lhs, rhs))
     u = BipartiteOperator(d, u[-1])
     lhs = swap_left(realign(swap_left(u))).mat
@@ -209,8 +209,8 @@ def _structural(run: _Run, rng: np.random.Generator) -> float:
             m[:, 0] = -0.0  # signed zeros, which any arithmetic (even + 0.0) would turn into 0.0
             sq, bad = _sorted_sq(m), np.zeros(hi - lo, dtype=bool)
             for move in _AXES:
-                moved = _rearrange(m, d, move)
-                bad |= [x.tobytes() != y.tobytes() for x, y in zip(_rearrange(moved, d, move), m)]
+                moved = _rearrange(m, move)
+                bad |= [x.tobytes() != y.tobytes() for x, y in zip(_rearrange(moved, move), m)]
                 bad |= np.any(_sorted_sq(moved) != sq, axis=1)
             mismatches += int(bad.sum())
     u = BipartiteOperator(d, m[-1])
@@ -224,8 +224,8 @@ def _mc_oracle(run: _Run, rng: np.random.Generator) -> float:
               3: _haar_stack(9, _MC_HAAR, rng)}
     devs = []
     for d, stack in stacks.items():
-        e_p = _measures(stack, d)[2]
-        ests = _mc_estimates(stack, d, run.mc_samples, int(rng.bit_generator.random_raw()))
+        e_p = _measures(stack)[2]
+        ests = _mc_estimates(stack, run.mc_samples, int(rng.bit_generator.random_raw()))
         devs += [abs(e.mean - p) / max(5 * e.stderr, 0.01) for e, p in zip(ests, e_p)]
     return _max_abs(devs)
 
@@ -239,7 +239,7 @@ def _local_invariance(run: _Run, rng: np.random.Generator) -> float:
             u = _haar_stack(d * d, hi - lo, rng)
             ab, cd = np.einsum("nkij,nkab->kniajb", local[lo:hi, ::2], local[lo:hi, 1::2])
             rotated = ab.reshape(u.shape) @ u @ cd.reshape(u.shape)  # (A (x) B) U (C (x) D)
-            (e, _, e_p), (rot_e, _, rot_p) = _measures(u, d), _measures(rotated, d)
+            (e, _, e_p), (rot_e, _, rot_p) = _measures(u), _measures(rotated)
             devs += [rot_e - e, rot_p - e_p]
     devs.append(entangling_power(BipartiteOperator(d, rotated[-1])) - e_p[-1])
     return _max_abs(*devs)
@@ -249,7 +249,7 @@ def _determinism(run: _Run, rng: np.random.Generator) -> float:
     spec = SweepSpec("controlled_u_random", 2, 0.0, 1.0, 6, run.seed)
     u = haar_unitary(9, run.seed)[None]
     csv_differs = render_csv(sweep_rows(spec)) != render_csv(sweep_rows(spec))
-    mc_differs = _mc_estimates(u, 3, 10000, run.seed) != _mc_estimates(u, 3, 10000, run.seed)
+    mc_differs = _mc_estimates(u, 10000, run.seed) != _mc_estimates(u, 10000, run.seed)
     return float(csv_differs + mc_differs)
 
 

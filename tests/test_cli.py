@@ -497,9 +497,9 @@ class TestVerify:
         seeds = []
         estimate = entpow.verify._mc_estimates
 
-        def recording(stack, d, n_samples, seed):
+        def recording(stack, n_samples, seed):
             seeds.append(seed)
-            return estimate(stack, d, n_samples, seed)
+            return estimate(stack, n_samples, seed)
 
         monkeypatch.setattr(entpow.verify, "_mc_estimates", recording)
         results = entpow.verify.run_acceptance(include_mc=True, mc_samples=100, seed=2**64 - 1)

@@ -45,9 +45,9 @@ def count_stacks(monkeypatch):
     stacks = []
     measures = entpow.sweep._measures
 
-    def counting(stack, d):
+    def counting(stack):
         stacks.append(len(stack))
-        return measures(stack, d)
+        return measures(stack)
 
     monkeypatch.setattr(entpow.sweep, "_measures", counting)
     return stacks
@@ -128,7 +128,7 @@ class TestHaarMoments:
 
     def test_mean_measures_at_d2(self):
         d = 2
-        e, _, e_p = _measures(_haar_stack(d * d, 20000, np.random.default_rng([2000, d])), d)
+        e, _, e_p = _measures(_haar_stack(d * d, 20000, np.random.default_rng([2000, d])))
         assert abs(z_score(e, (d * d - 1) / (d * d + 1))) <= 5
         assert abs(z_score(e_p, (d - 1) ** 2 / (d * d + 1))) <= 5
 

@@ -1,5 +1,6 @@
 """Tests for the dense matrix kernel."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -199,9 +200,12 @@ class TestEcho:
         (lambda x: product_state_batch(np.random.default_rng(1), x, 2),
          "number of states must be an integer from 0 to 10000000"),
         (lambda x: run_acceptance(False, x), "local dimension must be an integer from 2 to 16"),
+        (lambda x: SweepSpec(x, 2, 0.0, 1.0, 3), "unknown family"),
+        (lambda x: ControlledUSpec(2, x), "controlled-U at local dimension 2 needs exactly 2"),
     ], ids=["swap_op", "exp_swap", "SweepSpec steps", "SweepSpec range", "SweepSpec seed",
             "mc samples", "mc samples below", "mc seed", "report tol", "haar_unitary",
-            "product_state_batch", "product_state_batch above", "verify extra d"])
+            "product_state_batch", "product_state_batch above", "verify extra d",
+            "SweepSpec family", "ControlledUSpec blocks"])
     def test_long_integers_are_shortened(self, call, message, digits):
         with pytest.raises(ValueError) as err:
             call(10 ** (digits - 1))
@@ -226,6 +230,26 @@ class TestEcho:
             "float", "list"])
     def test_one_form_for_every_value(self, x, shown):
         # the one echo is repr, with a NumPy scalar shown as its Python value
+        assert _echo(x) == shown
+
+    # ``.item()`` keeps a long double a NumPy scalar where it is wider than a
+    # float, and its repr then depends on the numpy version
+    @pytest.mark.parametrize("call, message", [
+        (lambda: SweepSpec("haar", 2, np.longdouble(2), 1.0, 3),
+         "param_start 2.0 exceeds param_end 1.0"),
+        (lambda: exp_swap(2, np.longdouble("inf")), "parameter t must be finite, got inf"),
+        (lambda: entanglement_report(SWAP, tol=np.clongdouble(1)),
+         "unitarity tolerance must be finite and nonnegative, got (1+0j)"),
+    ], ids=["SweepSpec longdouble", "exp_swap longdouble", "clongdouble"])
+    def test_long_doubles_are_shown_by_str(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize("x, shown", [
+        ([10**5000], "a list too long to show"), ((1, -(10**5000)), "a tuple too long to show"),
+        ({"k": [10**4301]}, "a dict too long to show"),
+    ], ids=["list", "tuple", "nested dict"])
+    def test_a_container_past_the_digit_limit_names_its_type(self, x, shown):
         assert _echo(x) == shown
 
     # log10 of a power of ten, or of one less, may round across the integer
@@ -374,12 +398,12 @@ class TestSpans:
         if caller == "sweep":
             measures = entpow.sweep._measures
             monkeypatch.setattr(entpow.sweep, "_measures",
-                                lambda stack, d: sizes.append(len(stack)) or measures(stack, d))
+                                lambda stack: sizes.append(len(stack)) or measures(stack))
             sweep_rows(SweepSpec("haar", d, 0.0, 1.0, size + 1))
         else:
             draw = entpow.entanglement.product_state_batch
             monkeypatch.setattr(entpow.entanglement, "product_state_batch",
                                 lambda rng, n, d: sizes.append(n) or draw(rng, n, d))
             stack = _haar_stack(d * d, k, np.random.default_rng(d))
-            entpow.entanglement._sample_entropies(stack, d, size + 1, np.random.default_rng(1))
+            entpow.entanglement._sample_entropies(stack, size + 1, np.random.default_rng(1))
         assert sizes == [size, 1]

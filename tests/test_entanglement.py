@@ -319,19 +319,19 @@ class TestMonteCarlo:
         with pytest.raises(UnitarityError):
             entangling_power_mc(bad, 500, seed=1)
         with pytest.raises(UnitarityError):  # one bad operator stops a whole stack
-            _mc_estimates(np.stack([CNOT.mat, bad.mat]), 2, 500, seed=1)
+            _mc_estimates(np.stack([CNOT.mat, bad.mat]), 500, seed=1)
 
     def test_statistics_wiring(self):
         # mean and stderr must be exactly those of the sampled entropies
         u = exp_swap(2, 0.7)
         est = entangling_power_mc(u, 500, seed=123)
-        entropies = _sample_entropies(u.mat[None], 2, 500, np.random.default_rng(123))[0]
+        entropies = _sample_entropies(u.mat[None], 500, np.random.default_rng(123))[0]
         assert est.mean == float(entropies.mean())
         assert est.stderr == float(entropies.std(ddof=1)) / math.sqrt(500)
         # and, for a stack, each operator's estimate is that of its own row
         stack = np.stack([u.mat, CNOT.mat, haar_op(2, 9).mat])
-        rows = _sample_entropies(stack, 2, 500, np.random.default_rng(123))
-        for est, row in zip(_mc_estimates(stack, 2, 500, seed=123), rows, strict=True):
+        rows = _sample_entropies(stack, 500, np.random.default_rng(123))
+        for est, row in zip(_mc_estimates(stack, 500, seed=123), rows, strict=True):
             assert (est.n_samples, est.seed) == (500, 123)
             assert est.mean == float(row.mean())
             assert est.stderr == float(row.std(ddof=1)) / math.sqrt(500)
@@ -360,14 +360,14 @@ def fail_if_called(*args, **kwargs):
     raise AssertionError("drew samples past validation")
 
 
-def mc_peak_bytes(stack, d, n):
+def mc_peak_bytes(stack, n):
     """Traced peak of one n-sample estimate of every operator of a stack,
     after a warm-up call, so that first-call allocations fall outside the
     window."""
-    _mc_estimates(stack, d, 1000, seed=1)
+    _mc_estimates(stack, 1000, seed=1)
     tracemalloc.start()
     try:
-        _mc_estimates(stack, d, n, seed=1)
+        _mc_estimates(stack, n, seed=1)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -411,18 +411,18 @@ class TestMonteCarloChunks:
     def test_entropies_do_not_depend_on_chunk_size(self, monkeypatch, rows):
         d, n = 3, 4000  # two chunks at the default size, eight for six operators
         stack = np.stack([haar_op(d, 41 + k).mat for k in range(6)])
-        refs = [_sample_entropies(u[None], d, n, np.random.default_rng(8))[0] for u in stack]
+        refs = [_sample_entropies(u[None], n, np.random.default_rng(8))[0] for u in stack]
         chunks = count_chunks(monkeypatch)
         # a budget of one sample, of seven samples of one operator, and of the
         # whole run in one chunk
         budget = {1: 1, 7: 7 * sample_bytes(d, 1), None: 10**9}[rows]
         monkeypatch.setattr(entpow.entanglement, "_MC_CHUNK_BYTES", budget)
-        got = _sample_entropies(stack[:1], d, n, np.random.default_rng(8))
+        got = _sample_entropies(stack[:1], n, np.random.default_rng(8))
         assert np.max(np.abs(got[0] - refs[0])) <= 2e-15
         # six operators share one stream in chunks of at most a sixth the
         # samples, and each row is still its own operator's entropies
         single = len(chunks)
-        stacked = _sample_entropies(stack, d, n, np.random.default_rng(8))
+        stacked = _sample_entropies(stack, n, np.random.default_rng(8))
         assert np.max(np.abs(stacked - refs)) <= 2e-15
         # the patch reached the estimator: a budget that was not read fails here
         assert (single, len(chunks) - single) == {1: (n, n), 7: (572, n), None: (1, 1)}[rows]
@@ -446,29 +446,29 @@ class TestMonteCarloChunks:
 
     def test_peak_memory_is_the_entropies_plus_one_chunk(self):
         n = 200_000
-        assert mc_peak_bytes(haar_op(5, 47).mat[None], 5, n) <= 8 * n + 4 * 2**20
+        assert mc_peak_bytes(haar_op(5, 47).mat[None], n) <= 8 * n + 4 * 2**20
 
     def test_stacked_peak_memory_is_the_entropies_plus_one_chunk(self):
         # six operators, the largest stack of the verify oracle
         k, n = 6, 200_000
         haar = _haar_stack(4, k - 1, np.random.default_rng(3))
         stack = np.concatenate([exp_swap(2, 0.7).mat[None], haar])
-        assert mc_peak_bytes(stack, 2, n) <= 8 * k * n + 4 * 2**20
+        assert mc_peak_bytes(stack, n) <= 8 * k * n + 4 * 2**20
 
     def test_stacked_peak_memory_at_d3(self):
         # the verify oracle's d = 3 stack, whose chunks grew most with the rule
         k, n = 5, 200_000
         stack = _haar_stack(9, k, np.random.default_rng(5))
-        assert mc_peak_bytes(stack, 3, n) <= 8 * k * n + 4 * 2**20
+        assert mc_peak_bytes(stack, n) <= 8 * k * n + 4 * 2**20
 
     def test_peak_memory_at_d16(self):
         n = 20_000
-        assert mc_peak_bytes(haar_op(16, 48).mat[None], 16, n) <= 8 * n + 4 * 2**20
+        assert mc_peak_bytes(haar_op(16, 48).mat[None], n) <= 8 * n + 4 * 2**20
 
     def test_spread_is_taken_in_place(self):
         # a second (n,) array for the standard deviation would add 8 n bytes
         n = 1_000_000
-        assert mc_peak_bytes(exp_swap(2, 0.7).mat[None], 2, n) <= 8 * n + 2 * 2**20
+        assert mc_peak_bytes(exp_swap(2, 0.7).mat[None], n) <= 8 * n + 2 * 2**20
 
     @pytest.mark.parametrize("n", [MAX_MC_SAMPLES + 1, 10**12])
     def test_sample_cap(self, monkeypatch, n):
@@ -547,7 +547,7 @@ class TestMonteCarloPipeline:
         before_each_chunk(monkeypatch, lambda: time.sleep(delay))
         stack = _haar_stack(d * d, k, np.random.default_rng(10 * d + k))
         n = 3 * mc_chunk(d, k) + 17  # three full chunks and a short one
-        got = _sample_entropies(stack, d, n, np.random.default_rng(4))
+        got = _sample_entropies(stack, n, np.random.default_rng(4))
         assert got.tobytes() == sequential_entropies(stack, d, n, np.random.default_rng(4)).tobytes()
 
     @pytest.mark.parametrize("fail_at", [1, 3, 5])
@@ -590,7 +590,7 @@ class TestMonteCarloPipeline:
         got = [None] * 4
 
         def estimate(s):
-            got[s] = _sample_entropies(stack, 3, 5000, np.random.default_rng(s))
+            got[s] = _sample_entropies(stack, 5000, np.random.default_rng(s))
 
         callers = [threading.Thread(target=estimate, args=(s,)) for s in range(4)]
         interval = sys.getswitchinterval()
@@ -610,7 +610,7 @@ class TestMonteCarloPipeline:
         # bound of the undelayed test still holds
         before_each_chunk(monkeypatch, lambda: time.sleep(0.001))
         n = 1_000_000
-        assert mc_peak_bytes(exp_swap(2, 0.7).mat[None], 2, n) <= 8 * n + 2 * 2**20
+        assert mc_peak_bytes(exp_swap(2, 0.7).mat[None], n) <= 8 * n + 2 * 2**20
 
 
 class TestEntanglementReport:

@@ -49,6 +49,13 @@ Settings with one value in use are constants, not parameters: among the
 public functions only ``entanglement_report`` and ``entangling_power_mc``
 take a unitarity tolerance (the other measures gate at ``UNITARITY_TOL``),
 and every criterion of ``verify.CRITERIA`` takes exactly ``(run, rng)``.
+
+A value the inputs fix is not asked for: no function takes an operator stack
+(a parameter ``stack`` or ``blocks``) together with a local dimension ``d``,
+because the stack's shape already fixes d.
+
+Every rejected value is shown by one function, ``densemat._echo``: no other
+definition formats a value with ``!r`` or calls ``repr``.
 """
 
 import ast
@@ -244,7 +251,7 @@ def test_only_entanglement_reaches_the_purity_core(path):
     ("from .entanglement import _measures, entangling_power\n", set()),
     ("from .entanglement import _gate, _purities\n", {"_purities"}),
     ("from .entanglement import _power as p  # noqa: F401\n", {"_power"}),
-    ("from . import entanglement\nentanglement._purity(s, 2, 'realign')\n", {"_purity"}),
+    ("from . import entanglement\nentanglement._purity(s, 'realign')\n", {"_purity"}),
 ])
 def test_the_core_guard_itself(source, found):
     assert names_reached(source, CORE) == found
@@ -385,9 +392,9 @@ def test_verify_estimates_only_through_the_stacked_estimator():
     ("from .entanglement import _mc_estimates\n", set()),
     ("from .operators import product_state_batch as draw  # noqa: F401\n",
      {"product_state_batch"}),
-    ("from . import entanglement\nentanglement._sample_entropies(s, 2, 100, rng)\n",
+    ("from . import entanglement\nentanglement._sample_entropies(s, 100, rng)\n",
      {"_sample_entropies"}),
-    ("def _sample_entropies(stack, d, n, rng): pass\n_sample_entropies(s, 2, 100, rng)\n",
+    ("def _sample_entropies(stack, n, rng): pass\n_sample_entropies(s, 100, rng)\n",
      {"_sample_entropies"}),
 ])
 def test_the_sampler_guard_itself(source, found):
@@ -630,3 +637,70 @@ def test_the_criterion_signature_guard_itself(source, found):
     namespace = {}
     exec(source, namespace)
     assert off_signature([("a", "title", 0, namespace["worst"])]) == found
+
+
+def stack_and_dimension_takers(sources: dict[str, str]) -> set[str]:
+    """``module.function`` for each function, at any depth, with a parameter
+    named ``stack`` or ``blocks`` and one named ``d``."""
+    found = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+                if names & {"stack", "blocks"} and "d" in names:
+                    found.add(f"{module}.{getattr(node, 'name', '<lambda>')}")
+    return found
+
+
+def test_no_function_takes_a_stack_and_its_dimension():
+    assert stack_and_dimension_takers(SOURCES) == set()
+
+
+def test_the_stack_dimension_guard_on_the_package():
+    # the rearrangement as it was, with d beside the stack whose shape fixes it
+    old = SOURCES["rearrange"].replace("def _rearrange(stack: np.ndarray, move: str)",
+                                       "def _rearrange(stack: np.ndarray, d: int, move: str)")
+    assert old != SOURCES["rearrange"]
+    assert stack_and_dimension_takers({**SOURCES, "rearrange": old}) == {"rearrange._rearrange"}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(stack, move): pass\n", set()),
+    ("def f(stack: np.ndarray, d: int, move: str): pass\n", {"m.f"}),
+    ("def f(blocks, *, d=2): pass\n", {"m.f"}),
+    ("def f(stack, /, d): pass\n", {"m.f"}),
+    ("class C:\n    def g(self, stack, n, d): pass\n", {"m.g"}),
+    ("def f(u):\n    def g(stack, d): pass\n", {"m.g"}),
+    ("check = lambda stack, d: None\n", {"m.<lambda>"}),
+    ("def f(d, n, rng): pass\ndef g(stack, n, rng): pass\n", set()),
+    ("def f(stack, dim): pass\n", set()),
+])
+def test_the_stack_dimension_guard_itself(source, found):
+    assert stack_and_dimension_takers({"m": source}) == found
+
+
+def repr_echoes(sources: dict[str, str]) -> set[str]:
+    """``module.definition`` for each ``!r`` conversion or ``repr`` call."""
+    found = set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
+                        or called(node, "repr")):
+                    found.add(f"{module}.{def_name(top)}")
+    return found
+
+
+def test_only_echo_shows_a_value_by_repr():
+    assert repr_echoes(SOURCES) == {"densemat._echo"}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(x):\n    raise ValueError(f'bad {x!r}')\n", {"m.f"}),
+    ("class C:\n    def g(self):\n        return repr(self.x)\n", {"m.C"}),
+    ("MESSAGE = f'{NAME!r}'\n", {"m.<module>"}),
+    ("def f(x):\n    raise ValueError(f'bad {_echo(x)}, {x!s}, {x:.3e}')\n", set()),
+])
+def test_the_repr_guard_itself(source, found):
+    assert repr_echoes({"m": source}) == found

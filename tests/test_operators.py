@@ -1,6 +1,7 @@
 """Tests for operator constructors and seeded samplers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -172,9 +173,12 @@ class TestControlledU:
         with pytest.raises(ValueError, match="exactly 3 blocks"):
             ControlledUSpec(3, (np.eye(3), np.eye(3)))
 
-    @pytest.mark.parametrize("blocks", [None, 5, 2.0], ids=repr)
-    def test_blocks_that_are_no_sequence_rejected(self, blocks):
-        with pytest.raises(ValueError, match=f"exactly 2 blocks, got {blocks!r}$"):
+    @pytest.mark.parametrize("blocks, shown", [
+        (None, "None"), (5, "5"), (2.0, "2.0"), (np.float64(2), "2.0"),
+    ], ids=["None", "5", "2.0", "np.float64(2.0)"])
+    def test_blocks_that_are_no_sequence_rejected(self, blocks, shown):
+        # echoed as every input rule echoes: a NumPy scalar as its Python value
+        with pytest.raises(ValueError, match=f"exactly 2 blocks, got {re.escape(shown)}$"):
             ControlledUSpec(2, blocks)
 
     def test_non_unitary_block_named(self):

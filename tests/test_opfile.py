@@ -338,6 +338,20 @@ class TestErrors:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             serialize_operator(swap_op(2), name=10**5000)
 
+    def test_writer_names_a_container_holding_a_long_integer(self):
+        # repr of the list would raise Python's advice on the digit limit
+        message = "'name' must be text, got a list too long to show"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            serialize_operator(swap_op(2), name=[10**5000])
+
+    def test_a_long_integer_cell_is_echoed_short(self):
+        text = doc(2, with_cell(zeros_matrix(4), 1, 2, 10**45))
+        message = ("entry at row 1, column 2 must be a [re, im] pair of numbers, "
+                   "got 100000000000... (46 digits)")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_operator_file(text)
+        assert outcome(reference_read, text) == ("error", message)
+
     def test_non_finite_entry_located(self):
         rows = zeros_matrix(4)
         rows[3] = list(rows[3])

@@ -1,9 +1,13 @@
-"""README.md names no private code that is gone.
+"""README.md names no private code that is gone, and its Library example runs.
 
 Every private name the README writes in a code span, as `_name`,
 `_name(...)` or `module._name`, is defined somewhere in ``src/entpow``.
 The shorthand `partial_transpose_first`/`_second` is a suffix, not a name,
 so a code span right after a ``/`` is not read.
+
+The fenced ``python`` block under "## Library" is run statement by
+statement, and each expression statement whose line ends in a comment must
+show, by ``repr``, the value that comment states.
 """
 
 import ast
@@ -67,3 +71,38 @@ def test_the_readme_guard_itself(markdown, found):
 def test_the_definition_guard_itself():
     source = "def _f():\n    _local = 1\nclass _C:\n    _ATTR = 2\n_g = _h = None\nuse(_read)\n"
     assert defined_names([source]) == {"_f", "_local", "_C", "_ATTR", "_g", "_h"}
+
+
+def library_block(markdown: str) -> str:
+    """The first fenced ``python`` block after the "## Library" heading."""
+    section = markdown.split("\n## Library\n", 1)[1]
+    return re.search(r"^```python\n(.*?)^```", section, re.DOTALL | re.MULTILINE).group(1)
+
+
+def stated_and_shown(block: str) -> list[tuple[str, str]]:
+    """Run ``block``; for each expression statement with a comment on its last
+    line, (the comment's text, the ``repr`` of the expression's value)."""
+    namespace, lines, found = {}, block.splitlines(), []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "<README>", "eval"), namespace)
+            comment = lines[node.end_lineno - 1].partition("#")[2].strip()
+            if comment:
+                found.append((comment, repr(value)))
+        else:
+            exec(compile(ast.Module([node], []), "<README>", "exec"), namespace)
+    return found
+
+
+def test_the_library_example_gives_the_values_it_states():
+    block = library_block(README.read_text(encoding="utf-8"))
+    assert stated_and_shown(block) == [
+        ("0.16666666666666669", "0.16666666666666669"),
+        ("True", "True"),
+    ]
+
+
+def test_the_library_example_guard_itself():
+    markdown = ("## CLI\n```python\n1 / 0\n```\n## Library\n\n```python\n"
+                "x = 2  # two\nx + 1    # 4\nx\n[x,\n x]  # [2, 2]\n```\n")
+    assert stated_and_shown(library_block(markdown)) == [("4", "3"), ("[2, 2]", "[2, 2]")]

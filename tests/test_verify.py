@@ -4,6 +4,7 @@ comparisons and the unitarity gate inside a stack; for its seed tree,
 which gives criterion k the generator ``[seed, k]``; and for the counts its
 titles name, which must be the counts the criteria evaluate."""
 
+import math
 import re
 
 import numpy as np
@@ -63,9 +64,9 @@ def test_batched_measures_equal_the_scalar_api(monkeypatch, run, key):
     seen = []
     measures = entpow.verify._measures
 
-    def recording(stack, d):
-        e, e_swapped, e_p = measures(stack, d)
-        seen.append((stack.copy(), d, e, e_p))
+    def recording(stack):
+        e, e_swapped, e_p = measures(stack)
+        seen.append((stack.copy(), math.isqrt(stack.shape[-1]), e, e_p))
         return e, e_swapped, e_p
 
     monkeypatch.setattr(entpow.verify, "_measures", recording)
@@ -81,8 +82,8 @@ def test_batched_measures_equal_the_scalar_api(monkeypatch, run, key):
 def test_structural_involutions_see_signed_zeros(monkeypatch, run):
     rearrange = entpow.verify._rearrange
 
-    def adds_zero(stack, d, move):
-        moved = rearrange(stack, d, move)
+    def adds_zero(stack, move):
+        moved = rearrange(stack, move)
         if move == "realign":
             moved[0] += 0.0  # -0.0 becomes 0.0; no value changes
         return moved
@@ -176,10 +177,10 @@ def operators_evaluated(monkeypatch, run, key) -> dict:
     seen, moved = {}, []  # both keep their stacks alive, so no id is reused
     with monkeypatch.context() as m:
         for name in ("_measures", "_rearrange", "_mc_estimates"):
-            def recording(stack, d, *args, name=name, original=getattr(entpow.verify, name)):
+            def recording(stack, *args, name=name, original=getattr(entpow.verify, name)):
                 if not any(stack is x for x in moved):
-                    seen[id(stack)] = stack, d
-                out = original(stack, d, *args)
+                    seen[id(stack)] = stack, math.isqrt(stack.shape[-1])
+                out = original(stack, *args)
                 if name == "_rearrange":
                     moved.append(out)
                 return out
