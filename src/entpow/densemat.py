@@ -5,9 +5,9 @@ row-major (C) order.  Every public function validates its input and raises
 ``ValueError`` on dimension mismatches and on entries that are non-finite,
 strings, bytes or None, or not convertible to complex; nothing is ever
 broadcast silently.  Sizes stay small (at most 256 x 256), so no blocking or
-sparsity is needed.  The input rules several modules share -- ``_check_int``,
-the one integer rule, ``_is_finite``, ``_check_local_dim`` -- are written here
-once, and every rule's message shows the rejected value through ``_echo``.
+sparsity is needed.  The input rules several modules share -- ``_check_int``
+and ``_check_real``, the one integer and real rules, ``_check_local_dim`` --
+are written here once, and every rule's message shows the value by ``_echo``.
 So is the one unitarity policy: ``_gate`` compares the defect of every operator
 stack, controlled-U block and report with its tolerance.  So are the byte
 budgets and ``_spans``, which cuts every operator stack and Monte-Carlo chunk.
@@ -49,8 +49,8 @@ _MC_CHUNK_BYTES = 2 * 1024 * 1024
 # 10,000,000 states of the largest Monte-Carlo estimate at d = 2.
 _STATE_BYTES = 640_000_000
 
-# Digits beyond which ``_echo`` shortens an integer.
-_ECHO_DIGITS = 40
+# Longest text ``_echo`` shows whole: any integer of up to 40 digits, signed.
+_ECHO_CHARS = 41
 
 
 class UnitarityError(ValueError):
@@ -143,15 +143,16 @@ def _unitarity_defects(stack: np.ndarray) -> np.ndarray:
 def _gate(stack: np.ndarray, tol: float) -> np.ndarray:
     """The one unitarity gate, for an (n, m, m) stack; returns the defects.
 
-    Raises ValueError for a tolerance that is not finite and >= 0, and
-    UnitarityError, with that matrix's own defect and index, for the first
-    matrix whose defect is not within ``tol``.  A NaN or infinite defect, from
-    non-finite entries or overflowing products, never passes.
+    Raises ValueError for a tolerance that ``_check_real`` rejects or that is
+    negative, and UnitarityError, with that matrix's own defect and index, for
+    the first matrix whose defect is not within ``tol``.  A NaN or infinite
+    defect, from non-finite entries or overflowing products, never passes.
     """
     # ``defect > tol`` is false for a NaN tol, and an infinite one admits
     # every operator, so either would let any input past the gate.
-    if not (_is_finite(tol) and tol >= 0):
-        raise ValueError(f"unitarity tolerance must be finite and nonnegative, got {_echo(tol)}")
+    tol = _check_real(tol, "unitarity tolerance")
+    if tol < 0:
+        raise ValueError(f"unitarity tolerance must be nonnegative, got {_echo(tol)}")
     defects = _unitarity_defects(stack)
     bad = np.flatnonzero(~(defects <= tol))
     if bad.size:
@@ -180,31 +181,34 @@ def _check_int(x, lo: int, hi: int, name: str) -> int:
     raise ValueError(f"{name} must be an integer from {lo} to {hi}, got {_echo(x)}")
 
 
-def _is_finite(x) -> bool:
-    """Whether ``x`` is a finite real that fits a float; a bool, a string or None is not one."""
+def _check_real(x, name: str) -> float:
+    """``x`` as a Python float, if a real number, not a bool, whose float value
+    is finite: the one real rule and message of every real input.  Compare the
+    float, never ``x``: a NumPy scalar warns against a large Python float."""
     try:
-        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-    except OverflowError:
-        return False
+        if isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(float(x)):
+            return float(x)
+    except OverflowError:  # an int or a Fraction beyond float range
+        pass
+    raise ValueError(f"{name} must be a finite number, got {_echo(x)}")
 
 
 def _echo(x) -> str:
     """``repr(x)`` for an input rule's message, a NumPy scalar shown as its
-    Python value, with an integer of more than ``_ECHO_DIGITS`` digits
-    shortened to its leading digits and digit count.
+    Python value; text of more than ``_ECHO_CHARS`` characters is shortened
+    to its leading characters and its length.
 
     Python refuses to convert an integer past 4300 digits to text, and any
-    integer that long is a mistake, not a value to read back: in a container
-    it gives a stand-in that names the type.  A long double is shown by ``str``.
+    integer that long is a mistake: alone or in a container it gives a
+    stand-in that names the type.  A long double is shown by ``str``.
     """
     if isinstance(x, np.generic):
         x = x.item()
-    if isinstance(x, int) and abs(x) >= 10**_ECHO_DIGITS:
-        a = abs(x)
-        n = int(math.log10(a)) + 1  # the digit count, up to the rounding of log10
-        n += (a >= 10**n) - (a < 10 ** (n - 1))
-        return f"{'-' if x < 0 else ''}{a // 10 ** (n - 12)}... ({n} digits)"
     try:
-        return str(x) if isinstance(x, np.generic) else repr(x)
-    except ValueError:  # an integer past the digit limit, inside a container
-        return f"a {type(x).__name__} too long to show"
+        text = str(x) if isinstance(x, np.generic) else repr(x)
+    except ValueError:  # an integer past the digit limit
+        kind = type(x).__name__
+        return f"{'an' if kind[0] in 'aeiou' else 'a'} {kind} too long to show"
+    if len(text) <= _ECHO_CHARS:
+        return text
+    return f"{text[:12]}... ({len(text)} characters)"

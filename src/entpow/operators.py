@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densemat import UNITARITY_TOL, _MAX_D, _STATE_BYTES, UnitarityError, _check_int
-from .densemat import _check_local_dim, _echo, _gate, _is_finite, as_complex_matrix
+from .densemat import _check_local_dim, _check_real, _echo, _gate, as_complex_matrix
 from .rearrange import BipartiteOperator, _rearrange
 
 __all__ = [
@@ -101,13 +101,12 @@ def max_entangled_projector(d: int) -> BipartiteOperator:
 def exp_swap(d: int, t: float) -> BipartiteOperator:
     """The swap-generated unitary exp(-i*t*S12) = cos(t) I - i sin(t) S12.
 
-    One-parameter group in t; at t = pi/4 this is the sqrt-of-swap gate,
-    at t = pi/2 it equals -i S12.
+    One-parameter group in t, a float by ``densemat._check_real``; at
+    t = pi/4 this is the sqrt-of-swap gate, at t = pi/2 it equals -i S12.
     """
     d = _check_local_dim(d)
-    if not _is_finite(t):
-        raise ValueError(f"parameter t must be finite, got {_echo(t)}")
-    return BipartiteOperator(d, _exp_swap_stack(d, np.array([float(t)]))[0])
+    t = _check_real(t, "parameter t")
+    return BipartiteOperator(d, _exp_swap_stack(d, np.array([t]))[0])
 
 
 def controlled_u(spec: ControlledUSpec) -> BipartiteOperator:

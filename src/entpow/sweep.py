@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import _STACK_BYTES, _check_int, _check_local_dim, _echo, _is_finite
+from .densemat import _STACK_BYTES, _check_int, _check_local_dim, _check_real, _echo
 from .densemat import _operator_bytes, _spans
 from .entanglement import _measures
 # Not called here: perfbench's tracing test checks that it wraps and restores
@@ -32,7 +32,15 @@ from .operators import _random_controlled_u_stack
 
 __all__ = ["FAMILIES", "SweepSpec", "sweep_rows", "render_csv"]
 
-FAMILIES = ("exp_swap", "controlled_u_random", "haar")
+# Each family's builder of the (n, d^2, d^2) stack of n rows, from d, their
+# parameters and the sweep's generator, which has drawn every earlier row.
+_BUILDERS = {
+    "exp_swap": lambda d, params, rng: _exp_swap_stack(d, params),
+    "controlled_u_random": lambda d, params, rng: _random_controlled_u_stack(d, len(params), rng),
+    "haar": lambda d, params, rng: _haar_stack(d * d, len(params), rng),
+}
+
+FAMILIES = tuple(_BUILDERS)
 
 CSV_HEADER = "param,e_op,e_op_swapped,e_power"
 
@@ -48,7 +56,8 @@ class SweepSpec:
     For ``exp_swap`` the parameter is the angle t.  The random families
     draw one instance per grid point, in row order, from one PCG64
     generator seeded with ``seed``; the parameter column merely labels the
-    row.
+    row.  ``param_start`` and ``param_end`` are stored as the Python floats
+    that the one real rule, ``densemat._check_real``, returns.
     """
 
     family: str
@@ -65,13 +74,15 @@ class SweepSpec:
             )
         object.__setattr__(self, "d", _check_local_dim(self.d))
         object.__setattr__(self, "steps", _check_int(self.steps, 1, _MAX_STEPS, "steps"))
-        start, end = self.param_start, self.param_end
-        finite = _is_finite(start) and _is_finite(end)
-        if finite and start > end:
+        start = _check_real(self.param_start, "param_start")
+        end = _check_real(self.param_end, "param_end")
+        if start > end:
             raise ValueError(f"param_start {_echo(start)} exceeds param_end {_echo(end)}")
-        # the width too, in Python floats: a NumPy subtraction that overflows warns
-        if not (finite and math.isfinite(float(end) - float(start))):
+        # the width of two finite floats can still overflow
+        if not math.isfinite(end - start):
             raise ValueError(f"parameter range must be finite, got {_echo(start)} to {_echo(end)}")
+        object.__setattr__(self, "param_start", start)
+        object.__setattr__(self, "param_end", end)
         _check_seed(self.seed)
 
 
@@ -79,11 +90,10 @@ def sweep_rows(spec: SweepSpec) -> list[tuple[float, float, float, float]]:
     """Evaluate the sweep: one (param, E(U), E(S12 U), e_p) tuple per grid point."""
     d = spec.d
     params = np.linspace(spec.param_start, spec.param_end, spec.steps)
-    # drawn from only by the random families; exp_swap builds none
-    rng = None if spec.family == "exp_swap" else np.random.default_rng(spec.seed)
+    build, rng = _BUILDERS[spec.family], np.random.default_rng(spec.seed)
     rows = []
     for lo, hi in _spans(spec.steps, _operator_bytes(d), _STACK_BYTES):
-        e, e_swapped, e_p = _measures(_stack(spec, params, rng, lo, hi))
+        e, e_swapped, e_p = _measures(build(d, params[lo:hi], rng))
         rows += zip(params[lo:hi].tolist(), e.tolist(), e_swapped.tolist(), e_p.tolist())
     return rows
 
@@ -97,16 +107,3 @@ def render_csv(rows) -> str:
     flat = tuple(itertools.chain.from_iterable(rows))
     return f"{CSV_HEADER}\n" + "%.17g,%.17g,%.17g,%.17g\n" * (len(flat) // 4) % flat
 
-
-def _stack(
-    spec: SweepSpec, params: np.ndarray, rng: np.random.Generator | None, lo: int, hi: int
-) -> np.ndarray:
-    """Operators of rows lo..hi-1 as an (hi - lo, d^2, d^2) stack; the
-    random families draw them from ``rng``, which must have drawn rows
-    0..lo-1 already."""
-    d = spec.d
-    if spec.family == "exp_swap":
-        return _exp_swap_stack(d, params[lo:hi])
-    if spec.family == "haar":
-        return _haar_stack(d * d, hi - lo, rng)
-    return _random_controlled_u_stack(d, hi - lo, rng)

@@ -125,7 +125,7 @@ class TestEval:
     def test_negative_tolerance_rejected(self, capsys, swap_file):
         code, _, err = run(capsys, "eval", swap_file, "--tol", "-1")
         assert code == EXIT_VALIDATION
-        assert "nonnegative" in err
+        assert err == "entpow: error: unitarity tolerance must be nonnegative, got -1.0\n"
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
     def test_non_finite_tolerance_rejected(self, capsys, tmp_path, tol):
@@ -134,7 +134,7 @@ class TestEval:
         path.write_text(serialize_operator(BipartiteOperator(2, np.ones((4, 4)))))
         code, out, err = run(capsys, "eval", str(path), f"--tol={tol}")
         assert code == EXIT_VALIDATION
-        assert "finite" in err
+        assert err == f"entpow: error: unitarity tolerance must be a finite number, got {tol}\n"
         assert "e_p" not in out
 
     def test_cnot_full_output(self, capsys, cnot_file):
@@ -371,6 +371,15 @@ class TestSweep:
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err == ("entpow: error: parameter range must be finite, "
                        "got -1.7e+308 to 1.7e+308\n")
+
+    @pytest.mark.parametrize("flag, name", [("--start", "param_start"), ("--end", "param_end")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_parameter_rejected(self, capsys, monkeypatch, flag, name, value):
+        monkeypatch.setattr(entpow.cli, "sweep_rows", fail_if_called)
+        code, out, err = run(capsys, "sweep", "--family", "exp_swap", "--d", "2",
+                             f"{flag}={value}", "--steps", "3")
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == f"entpow: error: {name} must be a finite number, got {value}\n"
 
     @pytest.mark.parametrize("seed", [str(2**64), str(2**70), "-1"])
     def test_seed_outside_64_bits_rejected(self, capsys, seed):

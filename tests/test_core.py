@@ -169,10 +169,18 @@ class TestGate:
         with pytest.raises(UnitarityError):
             _gate(stack, 1e9)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, None, "1e-9", True,
-                                     pytest.param(10**400, id="10**400")])
-    def test_rejects_bad_tolerance(self, tol):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
+    @pytest.mark.parametrize("tol, message", [
+        (math.nan, "must be a finite number, got nan"),
+        (math.inf, "must be a finite number, got inf"),
+        (-math.inf, "must be a finite number, got -inf"),
+        (-1.0, "must be nonnegative, got -1.0"),
+        (None, "must be a finite number, got None"),
+        ("1e-9", "must be a finite number, got '1e-9'"),
+        (True, "must be a finite number, got True"),
+        (10**400, "must be a finite number, got 100000000000... (401 characters)"),
+    ], ids=["nan", "inf", "-inf", "-1.0", "None", "1e-9", "True", "10**400"])
+    def test_rejects_bad_tolerance(self, tol, message):
+        with pytest.raises(ValueError, match=f"^unitarity tolerance {re.escape(message)}$"):
             _gate(np.eye(4, dtype=complex)[None], tol)
 
 
@@ -292,11 +300,14 @@ class TestSweepSizeBounds:
         with pytest.raises(ValueError, match="from 1 to 1000000"):
             SweepSpec("haar", 2, 0.0, 1.0, steps)
 
-    @pytest.mark.parametrize("bad", ["0", None, math.nan, -math.inf, [0.0], True,
-                                     pytest.param(10**400, id="10**400")])
-    def test_parameter_range_must_be_finite_numbers(self, bad):
-        for start, end in ((bad, 1.0), (0.0, bad)):
-            with pytest.raises(ValueError, match="parameter range must be finite"):
+    @pytest.mark.parametrize("bad, shown", [
+        ("0", "'0'"), (None, "None"), (math.nan, "nan"), (-math.inf, "-inf"), ([0.0], "[0.0]"),
+        (True, "True"), (10**400, "100000000000... (401 characters)"),
+    ], ids=["0", "None", "nan", "-inf", "bad4", "True", "10**400"])
+    def test_parameter_range_must_be_finite_numbers(self, bad, shown):
+        for start, end, name in ((bad, 1.0, "param_start"), (0.0, bad, "param_end")):
+            message = f"{name} must be a finite number, got {shown}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 SweepSpec("haar", 2, start, end, 3)
 
     @pytest.mark.parametrize("family", FAMILIES)

@@ -1,7 +1,9 @@
 """Tests for the dense matrix kernel."""
 
+import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import entpow.entanglement
 import entpow.sweep
 from entpow.densemat import (
     _check_int,
+    _check_real,
     _echo,
     _spans,
     as_complex_matrix,
@@ -19,6 +22,7 @@ from entpow.densemat import (
     unitarity_defect,
 )
 from entpow.entanglement import entangling_power_mc, entanglement_report, state_linear_entropy
+from entpow.opfile import serialize_operator
 from entpow.operators import (
     ControlledUSpec,
     _haar_stack,
@@ -29,7 +33,7 @@ from entpow.operators import (
     swap_op,
 )
 from entpow.rearrange import BipartiteOperator
-from entpow.sweep import SweepSpec, sweep_rows
+from entpow.sweep import SweepSpec, render_csv, sweep_rows
 from entpow.verify import run_acceptance
 
 
@@ -176,51 +180,85 @@ SWAP = swap_op(2)
 
 
 class TestEcho:
-    """Every input rule shows a rejected integer of more than 40 digits as
-    its leading digits and digit count, in the rule's own message."""
+    """Every input rule shows a rejected value whose text is longer than 41
+    characters as its leading characters and character count, in the rule's
+    own message, and an integer past Python's 4300-digit limit by a stand-in."""
+
+    # each call gets 10**400 or 10**5000, or their negatives where sign is "-"
+    SHOWN = {
+        (401, ""): "100000000000... (401 characters)",
+        (401, "-"): "-10000000000... (402 characters)",
+        (5001, ""): "an int too long to show",
+        (5001, "-"): "an int too long to show",
+    }
 
     @pytest.mark.parametrize("digits", [401, 5001], ids=["10**400", "10**5000"])
-    @pytest.mark.parametrize("call, message", [
-        (swap_op, "local dimension must be an integer from 2 to 16"),
-        (lambda x: exp_swap(2, x), "parameter t must be finite"),
-        (lambda x: SweepSpec("haar", 2, 0.0, 1.0, x), "steps must be an integer from 1 to 1000000"),
-        (lambda x: SweepSpec("haar", 2, x, 1.0, 3), "parameter range must be finite"),
+    @pytest.mark.parametrize("call, message, sign", [
+        (swap_op, "local dimension must be an integer from 2 to 16", ""),
+        (lambda x: exp_swap(2, x), "parameter t must be a finite number", ""),
+        (lambda x: SweepSpec("haar", 2, 0.0, 1.0, x), "steps must be an integer from 1 to 1000000",
+         ""),
+        (lambda x: SweepSpec("haar", 2, x, 1.0, 3), "param_start must be a finite number", ""),
         (lambda x: SweepSpec("haar", 2, 0.0, 1.0, 3, x),
-         "seed must be an integer from 0 to 18446744073709551615"),
+         "seed must be an integer from 0 to 18446744073709551615", ""),
         (lambda x: entangling_power_mc(SWAP, x, 1),
-         "number of samples must be an integer from 100 to 10000000"),
-        (lambda x: entangling_power_mc(SWAP, -x, 1),
-         "number of samples must be an integer from 100 to 10000000"),
+         "number of samples must be an integer from 100 to 10000000", ""),
+        (lambda x: entangling_power_mc(SWAP, x, 1),
+         "number of samples must be an integer from 100 to 10000000", "-"),
         (lambda x: entangling_power_mc(SWAP, 500, x),
-         "seed must be an integer from 0 to 18446744073709551615"),
-        (lambda x: entanglement_report(SWAP, tol=x), "unitarity tolerance must be finite"),
-        (lambda x: haar_unitary(x, 1), "dimension must be an integer from 1 to 256"),
-        (lambda x: product_state_batch(np.random.default_rng(1), -x, 2),
-         "number of states must be an integer from 0 to 10000000"),
+         "seed must be an integer from 0 to 18446744073709551615", ""),
+        (lambda x: entanglement_report(SWAP, tol=x), "unitarity tolerance must be a finite number",
+         ""),
+        (lambda x: haar_unitary(x, 1), "dimension must be an integer from 1 to 256", ""),
         (lambda x: product_state_batch(np.random.default_rng(1), x, 2),
-         "number of states must be an integer from 0 to 10000000"),
-        (lambda x: run_acceptance(False, x), "local dimension must be an integer from 2 to 16"),
-        (lambda x: SweepSpec(x, 2, 0.0, 1.0, 3), "unknown family"),
-        (lambda x: ControlledUSpec(2, x), "controlled-U at local dimension 2 needs exactly 2"),
+         "number of states must be an integer from 0 to 10000000", "-"),
+        (lambda x: product_state_batch(np.random.default_rng(1), x, 2),
+         "number of states must be an integer from 0 to 10000000", ""),
+        (lambda x: run_acceptance(False, x), "local dimension must be an integer from 2 to 16", ""),
+        (lambda x: SweepSpec(x, 2, 0.0, 1.0, 3), "unknown family", ""),
+        (lambda x: ControlledUSpec(2, x), "controlled-U at local dimension 2 needs exactly 2", ""),
     ], ids=["swap_op", "exp_swap", "SweepSpec steps", "SweepSpec range", "SweepSpec seed",
             "mc samples", "mc samples below", "mc seed", "report tol", "haar_unitary",
             "product_state_batch", "product_state_batch above", "verify extra d",
             "SweepSpec family", "ControlledUSpec blocks"])
-    def test_long_integers_are_shortened(self, call, message, digits):
+    def test_long_integers_are_shortened(self, call, message, sign, digits):
         with pytest.raises(ValueError) as err:
-            call(10 ** (digits - 1))
+            call(-(10 ** (digits - 1)) if sign else 10 ** (digits - 1))
         text = str(err.value)
         assert text.startswith(message) and len(text) <= 100
-        assert f"100000000000... ({digits} digits)" in text
+        assert self.SHOWN[digits, sign] in text
+
+    @pytest.mark.parametrize("call, x, message", [
+        (lambda x: exp_swap(2, x), "x" * 10**6,
+         "parameter t must be a finite number, got 'xxxxxxxxxxx... (1000002 characters)"),
+        (lambda x: exp_swap(2, x), {"k": b"\0" * 10**5},
+         "parameter t must be a finite number, got {'k': b'\\x00... (400010 characters)"),
+        (lambda x: serialize_operator(SWAP, name=x), list(range(10**6)),
+         "'name' must be text, got [0, 1, 2, 3,... (7888890 characters)"),
+        (lambda x: serialize_operator(SWAP, name=x), b"y" * 10**6,
+         "'name' must be text, got b'yyyyyyyyyy... (1000003 characters)"),
+    ], ids=["exp_swap str", "exp_swap dict", "name list", "name bytes"])
+    def test_long_strings_and_containers_are_shortened(self, call, x, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(x)
 
     def test_the_param_start_rule_too(self):
-        with pytest.raises(ValueError, match=r"^param_start 100000000000\.\.\. \(301 digits\) exc"):
+        # the order rule shows the floats the real rule returned
+        with pytest.raises(ValueError, match=r"^param_start 1e\+300 exceeds param_end 0\.0$"):
             SweepSpec("haar", 2, 10**300, 0.0, 3)
 
     @pytest.mark.parametrize("x", [10**40 - 1, -(10**40 - 1), 2**64, np.int64(-5), 1.5, None])
     def test_forty_digits_or_fewer_are_echoed_unchanged(self, x):
         # a NumPy integer as its Python value, whatever numpy's repr
         assert _echo(x) == repr(int(x) if isinstance(x, np.integer) else x)
+
+    # 41 characters are shown whole, 42 are cut
+    @pytest.mark.parametrize("x, shown", [
+        (10**40, str(10**40)), ("y" * 39, repr("y" * 39)),
+        (-(10**40), "-10000000000... (42 characters)"), ("y" * 40, "'yyyyyyyyyyy... (42 characters)"),
+    ], ids=["10**40", "str 41", "-10**40", "str 42"])
+    def test_the_cut_is_past_41_characters(self, x, shown):
+        assert _echo(x) == shown
 
     @pytest.mark.parametrize("x, shown", [
         ("3", "'3'"), ("1e-9", "'1e-9'"), (np.float64(1e-9), "1e-09"), (np.float64("nan"), "nan"),
@@ -237,9 +275,9 @@ class TestEcho:
     @pytest.mark.parametrize("call, message", [
         (lambda: SweepSpec("haar", 2, np.longdouble(2), 1.0, 3),
          "param_start 2.0 exceeds param_end 1.0"),
-        (lambda: exp_swap(2, np.longdouble("inf")), "parameter t must be finite, got inf"),
+        (lambda: exp_swap(2, np.longdouble("inf")), "parameter t must be a finite number, got inf"),
         (lambda: entanglement_report(SWAP, tol=np.clongdouble(1)),
-         "unitarity tolerance must be finite and nonnegative, got (1+0j)"),
+         "unitarity tolerance must be a finite number, got (1+0j)"),
     ], ids=["SweepSpec longdouble", "exp_swap longdouble", "clongdouble"])
     def test_long_doubles_are_shown_by_str(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -252,14 +290,9 @@ class TestEcho:
     def test_a_container_past_the_digit_limit_names_its_type(self, x, shown):
         assert _echo(x) == shown
 
-    # log10 of a power of ten, or of one less, may round across the integer
-    @pytest.mark.parametrize("x", [10**40, 2 * 10**40 - 1, -(10**40), 7**2000, 10**4000 - 1,
-                                   10**4000], ids=["10**40", "2*10**40-1", "-10**40", "7**2000",
-                                                   "10**4000-1", "10**4000"])
-    def test_digit_count_and_leading_digits(self, x):
-        digits = str(abs(x))
-        sign = "-" if x < 0 else ""
-        assert _echo(x) == f"{sign}{digits[:12]}... ({len(digits)} digits)"
+    @pytest.mark.parametrize("x", [10**5000, -(10**4301)], ids=["10**5000", "-10**4301"])
+    def test_an_integer_past_the_digit_limit_is_named_too(self, x):
+        assert _echo(x) == "an int too long to show"
 
 
 SEED_RANGE = (0, 2**64 - 1, "seed")
@@ -300,7 +333,7 @@ class TestCheckInt:
             ("float", 3.0, lambda lo: "3.0"),
             ("None", None, lambda lo: "None"),
             ("np.int64(lo - 1)", np.int64, lambda lo: str(lo - 1)),
-            ("10**400", 10**400, lambda lo: "100000000000... (401 digits)"),
+            ("10**400", 10**400, lambda lo: "100000000000... (401 characters)"),
         ]
         if (entry, value) != ("run_acceptance extra_d", None)
     ])
@@ -333,6 +366,92 @@ class TestCheckInt:
     def test_the_bounds_and_types_are_exact(self, x):
         with pytest.raises(ValueError, match="^value must be an integer from 0 to "):
             _check_int(x, 0, 2**64 - 1, "value")
+
+
+
+def sweep_csv(*args) -> str:
+    return render_csv(sweep_rows(SweepSpec(*args)))
+
+
+# A unitary whose defect, 5.6e-16, is not zero, so the tolerance is compared.
+NEAR_UNITARY = BipartiteOperator(2, haar_unitary(4, 1))
+
+# Every real input of the package: the call, what it returns as bits to
+# compare, and the name its rule states.  Each goes through
+# ``densemat._check_real``.
+REAL_INPUTS = {
+    "exp_swap t": (lambda x: exp_swap(2, x).mat.tobytes(), "parameter t"),
+    "SweepSpec param_start": (lambda x: sweep_csv("exp_swap", 2, x, 1e21, 5), "param_start"),
+    "SweepSpec param_end": (lambda x: sweep_csv("exp_swap", 2, -1.0, x, 5), "param_end"),
+    "entanglement_report tol": (lambda x: entanglement_report(NEAR_UNITARY, tol=x),
+                                "unitarity tolerance"),
+    "entangling_power_mc tol": (lambda x: entangling_power_mc(NEAR_UNITARY, 100, 1, tol=x),
+                                "unitarity tolerance"),
+}
+
+
+class TestCheckReal:
+    """``_check_real`` is the one real rule: every real input rejects what is
+    not a real number, a bool and what has no finite float value with one
+    message form, and uses any other real number as its Python float."""
+
+    @pytest.mark.parametrize("entry, value, shown", [
+        pytest.param(entry, value, shown, id=f"{entry}-{label}")
+        for entry in REAL_INPUTS
+        for label, value, shown in [
+            ("None", None, "None"),
+            ("str", "1", "'1'"),
+            ("True", True, "True"),
+            ("nan", math.nan, "nan"),
+            ("inf", math.inf, "inf"),
+            ("-inf", -math.inf, "-inf"),
+            ("10**400", 10**400, "100000000000... (401 characters)"),
+            ("Fraction(10**400)", Fraction(10**400), "Fraction(100... (414 characters)"),
+            ("longdouble 1e4000", np.longdouble("1e4000"), "1e+4000"),
+            ("list", [0.0], "[0.0]"),
+            ("complex", 1 + 0j, "(1+0j)"),
+        ]
+    ])
+    def test_every_real_input_has_the_one_message(self, monkeypatch, entry, value, shown):
+        monkeypatch.setattr(entpow.entanglement, "product_state_batch", fail_if_drawn)
+        call, name = REAL_INPUTS[entry]
+        with pytest.raises(ValueError) as err:
+            call(value)
+        assert str(err.value) == f"{name} must be a finite number, got {shown}"
+
+    @pytest.mark.parametrize("entry, value", [
+        pytest.param(entry, value, id=f"{entry}-{label}")
+        for entry in REAL_INPUTS
+        for label, value in [
+            ("float32", np.float32(0.5)),
+            ("float16", np.float16(0.5)),
+            ("longdouble", np.longdouble(0.5)),
+            ("Fraction", Fraction(1, 2)),
+            ("2**63", 2**63),
+            ("10**20", 10**20),
+        ]
+    ])
+    def test_accepted_values_give_the_bits_of_their_float(self, entry, value):
+        call, _ = REAL_INPUTS[entry]
+        assert call(value) == call(float(value))
+
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.longdouble(0.5), Fraction(1, 2), 2**63],
+                             ids=["float32", "longdouble", "Fraction", "2**63"])
+    def test_sweep_parameters_are_stored_as_python_floats(self, value):
+        spec = SweepSpec("exp_swap", 2, value, value, 3)
+        assert type(spec.param_start) is float and type(spec.param_end) is float
+        assert spec.param_start == spec.param_end == float(value)
+
+    @pytest.mark.parametrize("x", [np.float32(1.5), np.float16(-2.0), np.longdouble(0.25),
+                                   Fraction(-3, 4), 2**63, -0.0, np.int8(-7), 1e308])
+    def test_accepted_values_come_back_as_python_floats(self, x):
+        got = _check_real(x, "value")
+        assert type(got) is float and got == float(x)
+
+    def test_finite_ends_whose_width_overflows_keep_the_range_message(self):
+        with pytest.raises(ValueError, match=r"^parameter range must be finite, got -1e\+308 to "
+                                             r"1e\+308$"):
+            SweepSpec("haar", 2, -(10**308), 10**308, 3)
 
 
 def fail_if_drawn(*args, **kwargs):

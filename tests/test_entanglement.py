@@ -17,6 +17,7 @@ Frozen expected values used here, all hand-derivable:
 
 import itertools
 import math
+import re
 import sys
 import threading
 import time
@@ -173,18 +174,24 @@ class TestOperatorEntanglement:
 
 class TestTolerance:
     ONES = BipartiteOperator(2, np.ones((4, 4)))  # defect 4
-    HUGE = pytest.param(10**400, id="10**400")  # finite, but beyond float range
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12, HUGE])
+    NAN = pytest.param(math.nan, "must be a finite number, got nan", id="nan")
+    INF = pytest.param(math.inf, "must be a finite number, got inf", id="inf")
+    HUGE = pytest.param(10**400, "must be a finite number, got 100000000000... (401 characters)",
+                        id="10**400")  # finite, but beyond float range
+
+    @pytest.mark.parametrize("tol, message", [
+        NAN, INF, pytest.param(-1e-12, "must be nonnegative, got -1e-12", id="-1e-12"), HUGE,
+    ])
     @pytest.mark.parametrize("measure", [entanglement_report])
-    def test_rejected_before_any_value(self, measure, tol):
-        with pytest.raises(ValueError, match="finite and nonnegative") as err:
+    def test_rejected_before_any_value(self, measure, tol, message):
+        with pytest.raises(ValueError, match=f"^unitarity tolerance {re.escape(message)}$") as err:
             measure(self.ONES, tol=tol)
         assert not isinstance(err.value, UnitarityError)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, HUGE])
-    def test_rejected_by_monte_carlo(self, tol):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
+    @pytest.mark.parametrize("tol, message", [NAN, INF, HUGE])
+    def test_rejected_by_monte_carlo(self, tol, message):
+        with pytest.raises(ValueError, match=f"^unitarity tolerance {re.escape(message)}$"):
             entangling_power_mc(self.ONES, 500, seed=1, tol=tol)
 
     def test_zero_tolerance_accepts_exact_unitaries(self):

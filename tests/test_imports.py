@@ -41,6 +41,12 @@ count call it, as do the few inputs with a range of their own.  Its message
 shows the value through ``_echo``, which has one form and so one parameter.
 The Monte-Carlo sample counts are assigned once, in ``entanglement``.
 
+Every real input passes the one real rule, ``densemat._check_real``, which
+alone names ``numbers.Real``; ``exp_swap``'s angle, a sweep's parameter
+range and the unitarity tolerance call it.  Besides it, only the width of a
+sweep's range, two floats the rule returned, is tested with
+``math.isfinite``.
+
 ``verify`` builds a generator in one place, from the run's seed and the
 criterion's row, never from an integer literal, so every random criterion
 draws from the seed its caller gave.
@@ -102,6 +108,9 @@ INTEGER_RULES = {
     "densemat._check_local_dim", "operators._check_seed", "operators.haar_unitary",
     "operators.product_state_batch", "sweep.SweepSpec", "entanglement._check_mc_samples",
 }
+
+# Every definition that calls the real rule: each real input's rule.
+REAL_RULES = {"densemat._gate", "operators.exp_swap", "sweep.SweepSpec"}
 
 VERIFY = Path(entpow.__file__).parent / "verify.py"
 
@@ -466,8 +475,8 @@ def test_the_integer_guard_itself(source, found):
     assert names_reached(source, {"integer"}) == found
 
 
-def integer_type_namers(sources: dict[str, str]) -> list[str]:
-    """``module.definition`` for each naming of ``integer``, as a name, an
+def type_namers(sources: dict[str, str], type_name: str) -> list[str]:
+    """``module.definition`` for each naming of ``type_name``, as a name, an
     attribute or an imported name, one entry per naming."""
     found = []
     for module, source in sources.items():
@@ -476,7 +485,7 @@ def integer_type_namers(sources: dict[str, str]) -> list[str]:
                 names = ([alias.name for alias in node.names]
                          if isinstance(node, (ast.Import, ast.ImportFrom))
                          else [getattr(node, "id", getattr(node, "attr", None))])
-                found += [f"{module}.{def_name(top)}" for name in names if name == "integer"]
+                found += [f"{module}.{def_name(top)}" for name in names if name == type_name]
     return found
 
 
@@ -503,7 +512,7 @@ def parameters(source: str, name: str) -> list[str]:
 
 
 def test_np_integer_is_named_once_in_the_integer_rule():
-    assert integer_type_namers(SOURCES) == ["densemat._check_int"]
+    assert type_namers(SOURCES, "integer") == ["densemat._check_int"]
 
 
 def test_every_integer_rule_calls_the_one_rule():
@@ -535,7 +544,7 @@ def test_the_one_rule_guards_themselves():
               "    if not (isinstance(n, (int, np.integer)) and 1 <= n <= 9):\n"
               "        raise ValueError(f'steps must be a positive integer, got {n}')\n")
     sources = {**SOURCES, "sweep": SOURCES["sweep"] + second}
-    assert integer_type_namers(sources) == ["densemat._check_int", "sweep._check_steps"]
+    assert type_namers(sources, "integer") == ["densemat._check_int", "sweep._check_steps"]
     assert integer_messages(sources) == {"densemat._check_int", "sweep._check_steps"}
     # a rule that stops calling the one rule
     bypass = SOURCES["operators"].replace("_check_int(seed,", "int(seed,")
@@ -553,7 +562,7 @@ def test_the_one_rule_guards_themselves():
     ("def f(x):\n    return np.int64(x), 'an integer'\n", []),
 ])
 def test_the_integer_type_guard_itself(source, found):
-    assert integer_type_namers({"m": source}) == found
+    assert type_namers({"m": source}, "integer") == found
 
 
 @pytest.mark.parametrize("source, found", [
@@ -567,6 +576,58 @@ def test_the_integer_type_guard_itself(source, found):
 ])
 def test_the_integer_message_guard_itself(source, found):
     assert integer_messages({"m": source}) == found
+
+
+def finite_tests(sources: dict[str, str]) -> set[str]:
+    """``module.definition`` for each call of a scalar ``isfinite``, bare or as
+    an attribute of anything but NumPy, whose ``np.isfinite`` tests arrays."""
+    found = set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            for node in ast.walk(top):
+                if called(node, "isfinite") and getattr(
+                        getattr(node.func, "value", None), "id", None) not in {"np", "numpy"}:
+                    found.add(f"{module}.{def_name(top)}")
+    return found
+
+
+def test_numbers_real_is_named_once_in_the_real_rule():
+    assert type_namers(SOURCES, "Real") == ["densemat._check_real"]
+
+
+def test_every_real_rule_calls_the_one_rule():
+    assert package_readers(SOURCES, "_check_real") == REAL_RULES
+
+
+def test_only_the_real_rule_and_the_range_width_test_finiteness():
+    assert finite_tests(SOURCES) == {"densemat._check_real", "sweep.SweepSpec"}
+
+
+def test_the_finiteness_test_is_gone():
+    assert [module for module, source in SOURCES.items() if "_is_finite" in source] == []
+
+
+def test_the_real_rule_guards_themselves():
+    # a hand-written real rule in place of the call, as exp_swap had one
+    call = '    t = _check_real(t, "parameter t")\n'
+    own = ("    if not (isinstance(t, numbers.Real) and math.isfinite(t)):\n"
+           "        raise ValueError(f'parameter t must be finite, got {t}')\n")
+    assert SOURCES["operators"].count(call) == 1
+    sources = {**SOURCES, "operators": SOURCES["operators"].replace(call, own)}
+    assert type_namers(sources, "Real") == ["densemat._check_real", "operators.exp_swap"]
+    assert package_readers(sources, "_check_real") == REAL_RULES - {"operators.exp_swap"}
+    assert finite_tests(sources) == {
+        "densemat._check_real", "operators.exp_swap", "sweep.SweepSpec"}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import math\ndef f(t):\n    return math.isfinite(t)\n", {"m.f"}),
+    ("from math import isfinite\nclass C:\n    ok = isfinite(1.0)\n", {"m.C"}),
+    ("def f(a):\n    return np.isfinite(a).all(), numpy.isfinite(a)\n", set()),
+    ("def f(t):\n    return _check_real(t, 't')\n", set()),
+])
+def test_the_finiteness_guard_itself(source, found):
+    assert finite_tests({"m": source}) == found
 
 
 def test_verify_builds_one_generator_from_no_literal_seed():

@@ -129,9 +129,12 @@ class TestExpSwap:
         with pytest.raises(ValueError, match="finite"):
             exp_swap(2, 10**400)  # a Python integer beyond float range
 
-    @pytest.mark.parametrize("t", [None, "0.5", [0.5], True])
-    def test_rejects_non_numeric_parameter(self, t):
-        with pytest.raises(ValueError, match="parameter t must be finite"):
+    @pytest.mark.parametrize("t, shown", [
+        (None, "None"), ("0.5", "'0.5'"), ([0.5], "[0.5]"), (True, "True"),
+    ], ids=["None", "0.5", "t2", "True"])
+    def test_rejects_non_numeric_parameter(self, t, shown):
+        message = f"parameter t must be a finite number, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             exp_swap(2, t)
 
 
