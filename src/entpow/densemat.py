@@ -42,8 +42,9 @@ _MAX_D = 16
 # and verify's criteria: 256 operators at d = 2, 16 at d = 4, 1 from d = 8.
 _STACK_BYTES = 64 * 1024
 # Every array one Monte-Carlo chunk allocates.  One chunk is evaluated on the
-# worker thread of an estimate while the next is drawn; a chunk costs the
-# pipeline a thread handoff, so chunks are few and large.
+# worker thread of an estimate while the calling thread draws the next, and
+# its states are made by the worker while it keeps up, else by the caller;
+# a chunk costs the pipeline a thread handoff, so chunks are few and large.
 _MC_CHUNK_BYTES = 2 * 1024 * 1024
 # The states of one ``product_state_batch`` call, 16 d^2 bytes each: the
 # 10,000,000 states of the largest Monte-Carlo estimate at d = 2.
@@ -198,17 +199,23 @@ def _echo(x) -> str:
     Python value; text of more than ``_ECHO_CHARS`` characters is shortened
     to its leading characters and its length.
 
+    A list, tuple, dict, set or frozenset of more than ``_ECHO_CHARS`` items
+    has a longer repr than that, which costs time and memory with every item,
+    so it is named by its type and length instead, without building the text.
     Python refuses to convert an integer past 4300 digits to text, and any
     integer that long is a mistake: alone or in a container it gives a
     stand-in that names the type.  A long double is shown by ``str``.
     """
     if isinstance(x, np.generic):
         x = x.item()
+    name = type(x).__name__
+    kind = f"{'an' if name[0] in 'aeiou' else 'a'} {name}"
+    if isinstance(x, (list, tuple, dict, set, frozenset)) and len(x) > _ECHO_CHARS:
+        return f"{kind} of {len(x)} items"
     try:
         text = str(x) if isinstance(x, np.generic) else repr(x)
     except ValueError:  # an integer past the digit limit
-        kind = type(x).__name__
-        return f"{'an' if kind[0] in 'aeiou' else 'a'} {kind} too long to show"
+        return f"{kind} too long to show"
     if len(text) <= _ECHO_CHARS:
         return text
     return f"{text[:12]}... ({len(text)} characters)"

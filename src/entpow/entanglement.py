@@ -52,14 +52,18 @@ chunk allocates -- one draw, one GEMM for all k operators and one purity
 reduction per chunk, on arrays made for that chunk -- so its memory is 8
 bytes per sample per operator plus a few chunks, and the sample count is
 capped at ``MAX_MC_SAMPLES``.  Each estimate runs one worker thread beside
-the caller: the caller draws chunk i+1 while the worker evaluates chunk i,
-so one chunk is in flight beside the one being drawn, and the estimate is
-bitwise that of evaluating the chunks one after the other.  A chunk costs
-a thread handoff, so chunks are sized by memory rather than kept small.  The
-sampler hands each chunk over as the transposed view of a (d^2, s) buffer,
-so the GEMM reads a C-contiguous operand.  ``entangling_power_mc`` is that
-kernel on a stack of one, and ``verify`` runs it on each dimension's stack
-of oracle operators.
+the caller, and only the generator's draw is pinned to the caller: it draws
+chunk i+1 while the worker evaluates chunk i.  The arithmetic that turns a
+draw into product states runs on whichever thread has time for it: while
+the worker keeps up, it is handed each raw draw and makes the states before
+its GEMM; once it falls behind, the caller makes them meanwhile with the
+public sampler, ``product_state_batch``.  Either way one chunk is in flight
+beside the one being drawn, and the estimate is bitwise that of evaluating
+the chunks one after the other.  A chunk costs a thread handoff, so chunks
+are sized by memory rather than kept small.  The finished states of a chunk
+are the transposed view of a (d^2, s) buffer, so the GEMM reads a
+C-contiguous operand.  ``entangling_power_mc`` is that kernel on a stack of
+one, and ``verify`` runs it on each dimension's stack of oracle operators.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ import numpy as np
 
 from .densemat import UNITARITY_TOL, _MC_CHUNK_BYTES, UnitarityError, _check_int
 from .densemat import _check_local_dim, _gate, _spans, as_complex_matrix, frobenius_norm_sq
-from .operators import _check_seed, product_state_batch
+from .operators import _check_seed, _draw_states, _finish_states, product_state_batch
 from .rearrange import BipartiteOperator, _rearrange
 
 __all__ = [
@@ -236,8 +240,10 @@ def entangling_power_mc(
     so memory is 8 bytes per sample for the entropies, whose spread is taken
     in place, plus the chunk being evaluated and the one being drawn: under
     2 MiB at d = 2.  One worker thread, started and joined within the call,
-    evaluates each chunk while the calling thread draws the next; the
-    estimate is bitwise that of a single thread.
+    evaluates each chunk while the calling thread draws the next.  Only the
+    draw stays on the calling thread; the states are made from it by
+    whichever thread has time.  The estimate is bitwise that of a single
+    thread.
 
     Raises
     ------
@@ -367,10 +373,17 @@ def _sample_entropies(stack: np.ndarray, n: int, rng: np.random.Generator) -> np
     ``_MC_CHUNK_BYTES``; the sampler's draw order makes the states those of
     one call.  The calling thread draws chunk i+1 while one worker thread,
     which lives for this call, runs ``_entropy_kernel`` on chunk i and writes
-    that chunk's slice of the result.  Only the caller touches ``rng``, and
-    the kernel shares nothing with it but that slice, so the draws and each
-    chunk's arithmetic, and with them the bits, are those of drawing and
-    evaluating the chunks one after the other.  An exception in the kernel is
+    that chunk's slice of the result.  Where chunk i+1's states are made is
+    decided before it is drawn, by whether the worker had finished chunk
+    i-1 when chunk i was handed over.  If it had, or fewer than two chunks
+    have been handed over, the caller draws with ``_draw_states`` and the
+    worker gets the raw draw and makes the states; if it had not, the caller
+    makes them with ``product_state_batch`` while the worker is busy.  Only
+    the caller touches ``rng``, the states are the same arithmetic,
+    ``_finish_states``, on either thread, and the kernel shares nothing with
+    the caller but its chunk and its slice, so the draws and each chunk's
+    arithmetic, and with them the bits, are those of drawing and evaluating
+    the chunks one after the other.  An exception in the kernel is
     raised here, after the worker has stopped.
     """
     # imported here, not with the package: ``import entpow`` stays without it
@@ -384,12 +397,14 @@ def _sample_entropies(stack: np.ndarray, n: int, rng: np.random.Generator) -> np
     spans = _spans(n, 64 * k * d * d + 16 * d * d + 96 * d, _MC_CHUNK_BYTES)
     entropies = np.empty((k, n))
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="entpow-mc") as worker:
-        done = None
+        done, idle = None, True
         for lo, hi in spans:
-            # a one-item list: the kernel takes the states out of it, so that
-            # they are freed after its GEMM whatever the threads' timing
-            chunk = [product_state_batch(rng, hi - lo, d)]
+            # a one-item list: the kernel takes the draw or the states out of
+            # it, so that they are freed after its GEMM whatever the threads' timing
+            make = _draw_states if idle else product_state_batch
+            chunk = [make(rng, hi - lo, d)]
             if done is not None:
+                idle = done.done()  # whether the worker kept up with the last chunk
                 done.result()
             done = worker.submit(_entropy_kernel, stack, chunk, entropies[:, lo:hi])
         done.result()
@@ -397,18 +412,22 @@ def _sample_entropies(stack: np.ndarray, n: int, rng: np.random.Generator) -> np
 
 
 def _entropy_kernel(stack: np.ndarray, chunk: list, out: np.ndarray) -> None:
-    """Pop an (s, d^2) array of states from the list ``chunk`` and write the
-    (k, s) linear entropies of each U of the (k, d^2, d^2) stack (d from its shape) to ``out``.
+    """Pop the states of one chunk from the list ``chunk`` and write the (k, s)
+    linear entropies of each U of the (k, d^2, d^2) stack (d from its shape) to ``out``.
 
-    One GEMM, of the (k d^2, d^2) stacked operators with the states, gives
-    the coefficients C[u, i, j, s] of U|psi_s> with the sample axis last, so
-    the reduced state rho = C C^dag of every operator and sample is
+    ``chunk`` holds either the (s, d^2) states or the (s, 2, 2, d) draw of
+    ``_draw_states``, which ``_finish_states`` turns into those states here
+    first.  One GEMM, of the (k d^2, d^2) stacked operators with the states,
+    gives the coefficients C[u, i, j, s] of U|psi_s> with the sample axis
+    last, so the reduced state rho = C C^dag of every operator and sample is
     accumulated over j with elementwise products, and its purity is the sum
-    of |rho|^2 over the float view.  The sampler's states are the transposed
-    view of a C-contiguous (d^2, s) buffer, which is the GEMM's right
-    operand, and they are freed as soon as the GEMM has read them.  A stack
-    of one takes the steps, and the bits, of a single operator.
+    of |rho|^2 over the float view.  The states are the transposed view of a
+    C-contiguous (d^2, s) buffer, which is the GEMM's right operand, and
+    they are freed as soon as the GEMM has read them.  A stack of one takes
+    the steps, and the bits, of a single operator.
     """
+    if chunk[0].ndim == 4:  # a draw: the caller left the states to this thread
+        chunk.append(_finish_states(chunk.pop()))
     k, d, s = len(stack), math.isqrt(stack.shape[-1]), out.shape[1]
     c = (stack.reshape(k * d * d, d * d) @ chunk.pop().T).reshape(k, d, d, s)
     cc = c.conj()

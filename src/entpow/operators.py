@@ -18,8 +18,11 @@ line, checked by ``_check_seed`` before anything is drawn, and seeds a fresh
 give bitwise identical output.  The stacked samplers -- Haar unitaries and
 the Monte-Carlo estimator's product states, ``product_state_batch`` -- draw
 from a generator their caller owns, sample-major, so n samples drawn over
-several calls on one generator are bitwise the samples of one call.  No
-shared generator state is kept anywhere.
+several calls on one generator are bitwise the samples of one call.  The
+product states are a draw, ``_draw_states``, and a finish of pure
+arithmetic, ``_finish_states``, which the estimator calls apart, so that
+only the draw needs the generator's thread.  No shared generator state is
+kept anywhere.
 """
 
 from __future__ import annotations
@@ -181,16 +184,20 @@ def product_state_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     sample starts, so n samples drawn over several calls on one generator
     are bitwise the states of one call.
 
-    Every pass after the draw runs with the sample axis last and contiguous:
-    the factors are copied into a (2, d, n) array, each squared norm sums
-    the real parts of conj(z) * z over its d rows in order, and one
-    broadcast product writes the outer product into a (d, d, n) buffer.
-    The result is that buffer's transposed view, so its ``.T`` is the
-    C-contiguous (d^2, n) operand of a GEMM.  Besides the result, at most
-    two arrays of the draw's size, 32 d bytes per sample, are alive at once.
-    The outer product is one call, not d, because in the Monte-Carlo
-    pipeline each numpy call can wait for the other thread to hand back the
-    GIL.
+    The call is the generator's draw, ``_draw_states``, then the arithmetic
+    that makes states of it, ``_finish_states``.  Every pass after the draw
+    runs with the sample axis last and contiguous: the factors are copied
+    into a (2, d, n) array, each squared norm sums the real parts of
+    conj(z) * z over its d rows in order, and one broadcast product writes
+    the outer product into a (d, d, n) buffer.  The result is that buffer's
+    transposed view, so its ``.T`` is the C-contiguous (d^2, n) operand of a
+    GEMM.  Besides the result, at most two arrays of the draw's size, 32 d
+    bytes per sample, are alive at once.  The Monte-Carlo pipeline keeps
+    only the draw on its calling thread, which owns the generator: its
+    worker makes the states of a raw draw while it keeps up, and once it
+    falls behind the caller calls this function instead.  The outer product
+    is one call, not d, because there each numpy call can wait for the
+    other thread to hand back the GIL.
 
     Raises ValueError, before anything is drawn, unless ``d`` is an integer
     from 2 to 16 and ``n`` an integer from 0 to the states of 16 d^2 bytes
@@ -198,11 +205,31 @@ def product_state_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """
     d = _check_local_dim(d)
     n = _check_int(n, 0, _STATE_BYTES // (16 * d * d), "number of states")
-    g = rng.standard_normal((n, 2, 2, d))
+    return _finish_states(_draw_states(rng, n, d))
+
+
+def _draw_states(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """The generator's normals for n product states at local dimension d, as
+    an (n, 2, 2, d) array: sample, factor, real or imaginary part, entry.
+
+    The one home of the draw's layout and of every read of ``rng`` the
+    product states make; n and d are not checked.
+    """
+    return rng.standard_normal((n, 2, 2, d))
+
+
+def _finish_states(draw: np.ndarray) -> np.ndarray:
+    """The product states of an (n, 2, 2, d) draw of ``_draw_states``, n and d
+    read from its shape, as the transposed view of a (d^2, n) buffer.
+
+    Pure arithmetic on the draw, the same on any thread.  The draw is freed
+    here, before the norm, when the caller keeps no reference to it.
+    """
+    n, d = draw.shape[0], draw.shape[-1]
     z = np.empty((2, d, n), dtype=np.complex128)
-    z.real = g[:, :, 0].transpose(1, 2, 0)
-    z.imag = g[:, :, 1].transpose(1, 2, 0)
-    del g
+    z.real = draw[:, :, 0].transpose(1, 2, 0)
+    z.imag = draw[:, :, 1].transpose(1, 2, 0)
+    del draw
     sq = np.conjugate(z)
     np.multiply(sq, z, out=sq)
     norm = sq.real[:, 0] + sq.real[:, 1]

@@ -187,12 +187,15 @@ class TestEval:
         assert abs(mean - 2 / 9) <= 6 * stderr
 
     def test_mc_sample_cap(self, capsys, cnot_file, monkeypatch):
-        monkeypatch.setattr(entpow.entanglement, "product_state_batch", fail_if_called)
+        monkeypatch.setattr(entpow.entanglement, "_draw_states", fail_if_called)
         code, out, err = run(capsys, "eval", cnot_file, "--mc", "--mc-samples", "10000001")
         assert code == EXIT_VALIDATION
         assert out == ""
         assert err == ("entpow: error: number of samples must be an integer from 100 to 10000000, "
                        "got 10000001\n")
+        # the cap itself passes validation and reaches the patched draw
+        with pytest.raises(AssertionError, match="^reached the computation past validation$"):
+            run(capsys, "eval", cnot_file, "--mc", "--mc-samples", "10000000")
 
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_mc_seed_outside_64_bits_prints_no_measures(self, capsys, cnot_file, monkeypatch, seed):
@@ -436,12 +439,16 @@ class TestVerify:
         assert "monte" in out.lower() or "mc" in out.lower()
 
     def test_mc_sample_cap(self, capsys, monkeypatch):
-        monkeypatch.setattr(entpow.verify, "_new_run", fail_if_called)
-        monkeypatch.setattr(entpow.entanglement, "product_state_batch", fail_if_called)
-        code, _, err = run(capsys, "verify", "--mc", "--mc-samples", "10000001")
+        monkeypatch.setattr(entpow.entanglement, "_draw_states", fail_if_called)
+        with monkeypatch.context() as m:
+            m.setattr(entpow.verify, "_new_run", fail_if_called)
+            code, _, err = run(capsys, "verify", "--mc", "--mc-samples", "10000001")
         assert code == EXIT_VALIDATION
         assert err == ("entpow: error: number of samples must be an integer from 100 to 10000000, "
                        "got 10000001\n")
+        # the cap itself passes validation and reaches the patched draw
+        with pytest.raises(AssertionError, match="^reached the computation past validation$"):
+            run(capsys, "verify", "--mc", "--mc-samples", "10000000")
 
     def test_bad_dimension_rejected(self, capsys, monkeypatch):
         monkeypatch.setattr(entpow.verify, "_new_run", fail_if_called)

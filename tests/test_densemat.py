@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -234,7 +235,7 @@ class TestEcho:
         (lambda x: exp_swap(2, x), {"k": b"\0" * 10**5},
          "parameter t must be a finite number, got {'k': b'\\x00... (400010 characters)"),
         (lambda x: serialize_operator(SWAP, name=x), list(range(10**6)),
-         "'name' must be text, got [0, 1, 2, 3,... (7888890 characters)"),
+         "'name' must be text, got a list of 1000000 items"),
         (lambda x: serialize_operator(SWAP, name=x), b"y" * 10**6,
          "'name' must be text, got b'yyyyyyyyyy... (1000003 characters)"),
     ], ids=["exp_swap str", "exp_swap dict", "name list", "name bytes"])
@@ -294,6 +295,31 @@ class TestEcho:
     def test_an_integer_past_the_digit_limit_is_named_too(self, x):
         assert _echo(x) == "an int too long to show"
 
+    # 41 items give a repr past 41 characters, which is cut; 42 items give
+    # the container's type and length
+    @pytest.mark.parametrize("x, shown", [
+        (list(range(41)), "[0, 1, 2, 3,... (154 characters)"),
+        (list(range(42)), "a list of 42 items"), (tuple(range(42)), "a tuple of 42 items"),
+        (dict.fromkeys(range(42)), "a dict of 42 items"), (set(range(42)), "a set of 42 items"),
+        (frozenset(range(42)), "a frozenset of 42 items"), ([10**5000] * 42, "a list of 42 items"),
+    ], ids=["list 41", "list 42", "tuple", "dict", "set", "frozenset", "list of long integers"])
+    def test_a_container_past_41_items_is_named_by_its_length(self, x, shown):
+        assert _echo(x) == shown
+
+    def test_a_long_list_is_echoed_without_its_text(self):
+        # its repr would take 30 million characters and about half a second
+        x = [0] * 10**7
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            shown = _echo(x)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert shown == "a list of 10000000 items"
+        assert peak <= 64 * 1024 and elapsed < 0.1
+
 
 SEED_RANGE = (0, 2**64 - 1, "seed")
 
@@ -338,7 +364,7 @@ class TestCheckInt:
         if (entry, value) != ("run_acceptance extra_d", None)
     ])
     def test_every_integer_input_has_the_one_message(self, monkeypatch, entry, value, shown):
-        monkeypatch.setattr(entpow.entanglement, "product_state_batch", fail_if_drawn)
+        monkeypatch.setattr(entpow.entanglement, "_draw_states", fail_if_drawn)
         call, (lo, hi, name) = INTEGER_INPUTS[entry]
         x = np.int64(lo - 1) if value is np.int64 else value
         with pytest.raises(ValueError) as err:
@@ -413,7 +439,7 @@ class TestCheckReal:
         ]
     ])
     def test_every_real_input_has_the_one_message(self, monkeypatch, entry, value, shown):
-        monkeypatch.setattr(entpow.entanglement, "product_state_batch", fail_if_drawn)
+        monkeypatch.setattr(entpow.entanglement, "_draw_states", fail_if_drawn)
         call, name = REAL_INPUTS[entry]
         with pytest.raises(ValueError) as err:
             call(value)
@@ -520,8 +546,8 @@ class TestSpans:
                                 lambda stack: sizes.append(len(stack)) or measures(stack))
             sweep_rows(SweepSpec("haar", d, 0.0, 1.0, size + 1))
         else:
-            draw = entpow.entanglement.product_state_batch
-            monkeypatch.setattr(entpow.entanglement, "product_state_batch",
+            draw = entpow.entanglement._draw_states
+            monkeypatch.setattr(entpow.entanglement, "_draw_states",
                                 lambda rng, n, d: sizes.append(n) or draw(rng, n, d))
             stack = _haar_stack(d * d, k, np.random.default_rng(d))
             entpow.entanglement._sample_entropies(stack, size + 1, np.random.default_rng(1))

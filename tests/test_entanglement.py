@@ -15,6 +15,7 @@ Frozen expected values used here, all hand-derivable:
   - controlled-U: E(S12 C) = 1 - 1/d^2 and e_p = (d/(d+1))^2 E(C)
 """
 
+import concurrent.futures
 import itertools
 import math
 import re
@@ -392,15 +393,15 @@ def mc_chunk(d, k):
 
 
 def count_chunks(monkeypatch):
-    """A list that gets each chunk's sample count as the estimator draws it."""
+    """A list that gets each chunk's sample count as the estimator draws it,
+    raw for the worker or as the caller's finished states."""
     chunks = []
-    draw = entpow.entanglement.product_state_batch
+    for name in ("_draw_states", "product_state_batch"):
+        def counting(rng, n, d, draw=getattr(entpow.entanglement, name)):
+            chunks.append(n)
+            return draw(rng, n, d)
 
-    def counting(rng, n, d):
-        chunks.append(n)
-        return draw(rng, n, d)
-
-    monkeypatch.setattr(entpow.entanglement, "product_state_batch", counting)
+        monkeypatch.setattr(entpow.entanglement, name, counting)
     return chunks
 
 
@@ -479,14 +480,17 @@ class TestMonteCarloChunks:
 
     @pytest.mark.parametrize("n", [MAX_MC_SAMPLES + 1, 10**12])
     def test_sample_cap(self, monkeypatch, n):
-        monkeypatch.setattr(entpow.entanglement, "product_state_batch", fail_if_called)
+        monkeypatch.setattr(entpow.entanglement, "_draw_states", fail_if_called)
         message = f"number of samples must be an integer from 100 to {MAX_MC_SAMPLES}, got {n}"
         with pytest.raises(ValueError, match=f"^{message}$"):
             entangling_power_mc(CNOT, n, seed=1)
+        # the cap itself passes validation and reaches the patched draw
+        with pytest.raises(AssertionError, match="^drew samples past validation$"):
+            entangling_power_mc(CNOT, MAX_MC_SAMPLES, seed=1)
 
     @pytest.mark.parametrize("n", [True, 500.0, "500", None, np.float64(500)])
     def test_sample_count_must_be_an_integer(self, monkeypatch, n):
-        monkeypatch.setattr(entpow.entanglement, "product_state_batch", fail_if_called)
+        monkeypatch.setattr(entpow.entanglement, "_draw_states", fail_if_called)
         with pytest.raises(ValueError, match="must be an integer"):
             entangling_power_mc(CNOT, n, seed=1)
 
@@ -496,7 +500,7 @@ class TestMonteCarloChunks:
 
     @pytest.mark.parametrize("seed", [None, -1, True, 1.0, "1", np.float64(1), 2**64])
     def test_seed_rejected_before_drawing(self, monkeypatch, seed):
-        monkeypatch.setattr(entpow.entanglement, "product_state_batch", fail_if_called)
+        monkeypatch.setattr(entpow.entanglement, "_draw_states", fail_if_called)
         monkeypatch.setattr(np.random, "default_rng", fail_if_called)
         with pytest.raises(ValueError,
                            match="^seed must be an integer from 0 to 18446744073709551615, got "):
@@ -543,19 +547,94 @@ class KernelFault(Exception):
     pass
 
 
-class TestMonteCarloPipeline:
-    """The caller draws chunk i+1 while one worker thread evaluates chunk i."""
+def placing_states(monkeypatch, delayed=None):
+    """A list that gets, for each chunk of the estimator, the thread that made
+    its states: the caller's ``product_state_batch`` or the worker's
+    ``_finish_states``.  ``delayed="worker"`` holds the worker on each of the
+    first three chunks until the caller has asked whether that chunk is
+    done, so the caller finds it busy at those handoffs; ``delayed="caller"``
+    holds each draw after the first until the chunk before it is done, so
+    the caller finds the worker idle at every handoff.  Both waits hang on
+    the executor's futures, not on sleeps."""
+    made_on = []
+    checked, evaluated = threading.Semaphore(0), threading.Semaphore(0)
+    draws, chunks = itertools.count(), itertools.count()
+    ent = entpow.entanglement
+    draw, batch, finish, kernel = (
+        ent._draw_states, ent.product_state_batch, ent._finish_states, ent._entropy_kernel)
 
-    @pytest.mark.parametrize("delay", [0.0, 0.002])
+    class Handoff:
+        """A future that lets a held worker go once the caller has asked it."""
+
+        def __init__(self, future):
+            self.future = future
+
+        def done(self):
+            done = self.future.done()
+            checked.release()
+            return done
+
+        def result(self):
+            return self.future.result()
+
+    class Watched(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, *args):
+            future = super().submit(*args)
+            # a done-callback runs once the future is marked done
+            future.add_done_callback(lambda _: evaluated.release())
+            return Handoff(future)
+
+    def hold():
+        if delayed == "caller" and next(draws) > 0:
+            assert evaluated.acquire(timeout=10)
+
+    def drawing(*args):
+        hold()
+        return draw(*args)
+
+    def batching(*args):
+        hold()
+        made_on.append(threading.get_ident())
+        return batch(*args)
+
+    def finishing(raw):
+        made_on.append(threading.get_ident())
+        return finish(raw)
+
+    def evaluating(*args):
+        if delayed == "worker" and next(chunks) < 3:
+            assert checked.acquire(timeout=10)
+        kernel(*args)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Watched)
+    monkeypatch.setattr(ent, "_draw_states", drawing)
+    monkeypatch.setattr(ent, "product_state_batch", batching)
+    monkeypatch.setattr(ent, "_finish_states", finishing)
+    monkeypatch.setattr(ent, "_entropy_kernel", evaluating)
+    return made_on
+
+
+class TestMonteCarloPipeline:
+    """The caller draws each chunk; the worker makes its states while it keeps
+    up, and the caller makes them once it has fallen behind."""
+
+    @pytest.mark.parametrize("delayed", [None, "worker", "caller"])
     @pytest.mark.parametrize("k", [1, 6])
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
-    def test_entropies_are_the_sequential_bits(self, monkeypatch, d, k, delay):
-        # a delayed worker lets the caller finish drawing the next chunk first
-        before_each_chunk(monkeypatch, lambda: time.sleep(delay))
+    def test_entropies_are_the_sequential_bits(self, monkeypatch, d, k, delayed):
+        # a held worker is busy at the handoffs of chunks 1 and 2, so the
+        # caller makes the states of chunks 2 and 3; a held caller finds it
+        # idle at every handoff, so the worker makes them all
+        made_on = placing_states(monkeypatch, delayed)
         stack = _haar_stack(d * d, k, np.random.default_rng(10 * d + k))
         n = 3 * mc_chunk(d, k) + 17  # three full chunks and a short one
         got = _sample_entropies(stack, n, np.random.default_rng(4))
         assert got.tobytes() == sequential_entropies(stack, d, n, np.random.default_rng(4)).tobytes()
+        # the first two chunks always go to the worker as raw draws
+        on_caller = made_on.count(threading.get_ident())
+        assert len(made_on) == 4 and on_caller <= 2
+        if delayed:
+            assert on_caller == {"worker": 2, "caller": 0}[delayed]
 
     @pytest.mark.parametrize("fail_at", [1, 3, 5])
     def test_kernel_error_reaches_the_caller_and_the_worker_is_joined(self, monkeypatch, fail_at):
@@ -572,21 +651,38 @@ class TestMonteCarloPipeline:
             entangling_power_mc(haar_op(2, 5), 20_000, seed=1)
         assert threading.active_count() == baseline
 
-    def test_sampler_runs_only_on_the_calling_thread(self, monkeypatch):
+    @pytest.mark.parametrize("delayed", [None, "worker"])
+    def test_the_generator_is_drawn_only_on_the_calling_thread(self, monkeypatch, delayed):
         drawn_on, evaluated_on = [], []
-        draw = entpow.entanglement.product_state_batch
 
-        def spy(*args):
-            drawn_on.append(threading.get_ident())
-            return draw(*args)
+        class Spy:
+            """A generator that records the thread of every draw."""
 
-        monkeypatch.setattr(entpow.entanglement, "product_state_batch", spy)
-        before_each_chunk(monkeypatch, lambda: evaluated_on.append(threading.get_ident()))
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, shape):
+                drawn_on.append(threading.get_ident())
+                return self.rng.standard_normal(shape)
+
+        def hook():
+            evaluated_on.append(threading.get_ident())
+            if delayed:
+                time.sleep(0.002)
+
+        before_each_chunk(monkeypatch, hook)
+        made_on = placing_states(monkeypatch)
+        stack = haar_op(3, 2).mat[None]
         baseline = threading.active_count()
-        entangling_power_mc(haar_op(3, 2), 5000, seed=3)  # three chunks at d=3
+        got = _sample_entropies(stack, 5000, Spy(np.random.default_rng(3)))  # three chunks at d=3
+        ref = sequential_entropies(stack, 3, 5000, np.random.default_rng(3))
+        assert got.tobytes() == ref.tobytes()
         assert drawn_on == [threading.get_ident()] * 3
         assert len(evaluated_on) == 3 and len(set(evaluated_on)) == 1
         assert evaluated_on[0] != threading.get_ident()
+        # the states are made once per chunk, on one of the two threads
+        assert len(made_on) == 3
+        assert set(made_on) <= {threading.get_ident(), evaluated_on[0]}
         assert threading.active_count() == baseline
 
     def test_concurrent_estimates_share_nothing(self):

@@ -84,9 +84,10 @@ CORE = {"_purities", "_purity", "_entanglement", "_power"}
 # Every module's source, by module name.
 SOURCES = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
 
-# The product-state sampler and the kernel that runs it, private to the
-# module that draws the states and the one that estimates from them.
-MC_SAMPLER = {"product_state_batch", "_sample_entropies"}
+# The product-state sampler, its draw and finish, and the pipeline that runs
+# them, private to the module that draws the states and the one that
+# estimates from them.
+MC_SAMPLER = {"product_state_batch", "_draw_states", "_finish_states", "_sample_entropies"}
 MC_SAMPLER_HOMES = {"operators.py", "entanglement.py"}
 
 # The byte budgets that ``densemat._spans`` cuts into chunks.
@@ -401,6 +402,8 @@ def test_verify_estimates_only_through_the_stacked_estimator():
     ("from .entanglement import _mc_estimates\n", set()),
     ("from .operators import product_state_batch as draw  # noqa: F401\n",
      {"product_state_batch"}),
+    ("from .operators import _draw_states, _finish_states  # noqa: F401\n",
+     {"_draw_states", "_finish_states"}),
     ("from . import entanglement\nentanglement._sample_entropies(s, 100, rng)\n",
      {"_sample_entropies"}),
     ("def _sample_entropies(stack, n, rng): pass\n_sample_entropies(s, 100, rng)\n",

@@ -11,6 +11,8 @@ from entpow.densemat import frobenius_norm_sq, unitarity_defect
 from entpow.entanglement import MAX_MC_SAMPLES, state_linear_entropy
 from entpow.operators import (
     ControlledUSpec,
+    _draw_states,
+    _finish_states,
     controlled_u,
     exp_swap,
     haar_unitary,
@@ -367,6 +369,16 @@ class TestProductStates:
         rng = np.random.default_rng(29)
         parts = [product_state_batch(rng, m, d) for m in (1, 7, 999, 993)]
         assert np.concatenate(parts).tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 4097])
+    @pytest.mark.parametrize("d", [2, 3, 5, 16])
+    def test_batch_is_the_finished_draw(self, d, n):
+        # the estimator draws and finishes on either of its threads: the two
+        # steps give the public sampler's bits
+        draw = _draw_states(np.random.default_rng(31), n, d)
+        assert draw.shape == (n, 2, 2, d)
+        got = product_state_batch(np.random.default_rng(31), n, d)
+        assert got.shape == (n, d * d) and got.tobytes() == _finish_states(draw).tobytes()
 
     def test_batch_rows_are_product_states(self):
         d = 3

@@ -152,11 +152,11 @@ def test_the_seed_reaches_every_random_stack(monkeypatch, key):
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
 def test_mc_streams_share_no_draw_with_the_oracle_operators(monkeypatch, seed):
     operator_draws, state_draws = [], []
-    haar_stack, batch = entpow.verify._haar_stack, entpow.entanglement.product_state_batch
+    haar_stack, draw = entpow.verify._haar_stack, entpow.entanglement._draw_states
     monkeypatch.setattr(entpow.verify, "_haar_stack",
                         lambda m, n, rng: haar_stack(m, n, Recording(rng, operator_draws)))
-    monkeypatch.setattr(entpow.entanglement, "product_state_batch",
-                        lambda rng, n, d: batch(Recording(rng, state_draws), n, d))
+    monkeypatch.setattr(entpow.entanglement, "_draw_states",
+                        lambda rng, n, d: draw(Recording(rng, state_draws), n, d))
     _worst(_new_run(extra_d=None, mc_samples=100, seed=seed), ROW["monte_carlo_oracle"])
     operators, states = np.concatenate(operator_draws), np.concatenate(state_draws)
     assert (operators.size, states.size) == (5 * 2 * (4**2 + 9**2), 100 * 4 * (2 + 3))
