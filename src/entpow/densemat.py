@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator, Mapping
+from itertools import chain
 
 import numpy as np
 
@@ -52,6 +53,9 @@ _STATE_BYTES = 640_000_000
 
 # Longest text ``_echo`` shows whole: any integer of up to 40 digits, signed.
 _ECHO_CHARS = 41
+# Most items ``_echo`` lets a container and the containers in it hold, all
+# told, before it names the container instead of building its text.
+_ECHO_ITEMS = 10_000
 
 
 class UnitarityError(ValueError):
@@ -202,9 +206,11 @@ def _echo(x) -> str:
     A list, tuple, dict, set or frozenset of more than ``_ECHO_CHARS`` items
     has a longer repr than that, which costs time and memory with every item,
     so it is named by its type and length instead, without building the text.
-    Python refuses to convert an integer past 4300 digits to text, and any
-    integer that long is a mistake: alone or in a container it gives a
-    stand-in that names the type.  A long double is shown by ``str``.
+    A container of any type that holds, with the containers nested in it,
+    more than ``_ECHO_ITEMS`` items all told gives a stand-in that names its
+    type, found without building the text, and so does an integer past the
+    4300 digits Python converts to text, alone or in a container, or nesting
+    too deep for ``repr``.  A long double is shown by ``str``.
     """
     if isinstance(x, np.generic):
         x = x.item()
@@ -212,10 +218,28 @@ def _echo(x) -> str:
     kind = f"{'an' if name[0] in 'aeiou' else 'a'} {name}"
     if isinstance(x, (list, tuple, dict, set, frozenset)) and len(x) > _ECHO_CHARS:
         return f"{kind} of {len(x)} items"
+    if _nested_items(x) > _ECHO_ITEMS:
+        return f"{kind} too long to show"
     try:
         text = str(x) if isinstance(x, np.generic) else repr(x)
-    except ValueError:  # an integer past the digit limit
+    except (ValueError, RecursionError):  # an integer past the digit limit, or deep nesting
         return f"{kind} too long to show"
     if len(text) <= _ECHO_CHARS:
         return text
     return f"{text[:12]}... ({len(text)} characters)"
+
+
+def _nested_items(x) -> int:
+    """Items of ``x`` and of every container in it, counted until they pass
+    ``_ECHO_ITEMS``; a container met twice counts twice, as its repr shows it
+    twice.  Text, ranges and arrays are not walked: their repr is cut, short
+    or summarised."""
+    count, todo = 0, [x]
+    while todo and count <= _ECHO_ITEMS:
+        y = todo.pop()
+        if isinstance(y, Collection) and not isinstance(
+                y, (str, bytes, bytearray, range, np.ndarray)):
+            count += len(y)
+            if count <= _ECHO_ITEMS:
+                todo.extend(chain(y.keys(), y.values()) if isinstance(y, Mapping) else y)
+    return count

@@ -1,5 +1,7 @@
 """Tests for the dense matrix kernel."""
 
+import collections
+import functools
 import math
 import re
 import time
@@ -306,9 +308,34 @@ class TestEcho:
     def test_a_container_past_41_items_is_named_by_its_length(self, x, shown):
         assert _echo(x) == shown
 
-    def test_a_long_list_is_echoed_without_its_text(self):
-        # its repr would take 30 million characters and about half a second
-        x = [0] * 10**7
+    # 10,000 items all told are shown as text, 10,001 by a stand-in, as is
+    # nesting deeper than repr goes; a list that holds itself counts its
+    # items over and over
+    @pytest.mark.parametrize("x, shown", [
+        ([[0] * 9_999], "[[0, 0, 0, 0... (29999 characters)"),
+        ([[0] * 10_000], "a list too long to show"),
+        (functools.reduce(lambda x, _: [x], range(5000), []), "a list too long to show"),
+        (collections.deque(range(42)), "deque([0, 1,... (165 characters)"),
+        (range(10**9), "range(0, 1000000000)"),
+        (np.arange(10**6), "array([     ... (84 characters)"),
+    ], ids=["nested 10000", "nested 10001", "5000 deep", "deque", "range", "array"])
+    def test_a_container_past_10000_items_all_told_names_its_type(self, x, shown):
+        assert _echo(x) == shown
+
+    def test_a_list_that_holds_itself_names_its_type(self):
+        x = [1]
+        x.append(x)
+        assert _echo(x) == "a list too long to show"
+
+    # each repr would take about 30 million characters and half a second
+    @pytest.mark.parametrize("make, expected", [
+        (lambda: [0] * 10**7, "a list of 10000000 items"),
+        (lambda: [[0] * 10**7], "a list too long to show"),
+        (lambda: collections.deque([0] * 10**7), "a deque too long to show"),
+        (lambda: {"k": [0] * 10**7}, "a dict too long to show"),
+    ], ids=["list", "nested list", "deque", "dict of a list"])
+    def test_a_long_list_is_echoed_without_its_text(self, make, expected):
+        x = make()
         tracemalloc.start()
         try:
             start = time.perf_counter()
@@ -317,7 +344,7 @@ class TestEcho:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert shown == "a list of 10000000 items"
+        assert shown == expected and len(shown) <= 60
         assert peak <= 64 * 1024 and elapsed < 0.1
 
 
