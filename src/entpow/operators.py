@@ -27,6 +27,7 @@ kept anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,7 +89,7 @@ def swap_op(d: int) -> BipartiteOperator:
     """The swap operator S12, with entry 1 at [(i,j),(j,i)] and 0 elsewhere:
     the identity with its rows moved by ``swap_left``."""
     d = _check_local_dim(d)
-    return BipartiteOperator(d, _rearrange(np.eye(d * d, dtype=complex)[None], "swap_left")[0])
+    return BipartiteOperator(d, _identity_and_swap(d)[1])
 
 
 def max_entangled_projector(d: int) -> BipartiteOperator:
@@ -136,10 +137,22 @@ def haar_unitary(d_total: int, seed: int) -> np.ndarray:
 
 def _exp_swap_stack(d: int, ts: np.ndarray) -> np.ndarray:
     """exp(-i*t*S12) for every t of a 1-D array, as an (n, d^2, d^2) stack."""
-    eye = np.eye(d * d, dtype=np.complex128)
+    eye, swap = _identity_and_swap(d)
     c = np.cos(ts)[:, None, None]
     s = np.sin(ts)[:, None, None]
-    return c * eye - 1j * s * swap_op(d).mat
+    return c * eye - 1j * s * swap
+
+
+@functools.lru_cache(maxsize=1)
+def _identity_and_swap(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The identity and the swap S12 at local dimension d, as read-only
+    complex128 d^2 x d^2 arrays: the swap is the identity with its rows moved
+    by ``swap_left``.  A sweep's chunks share one pair; only the last d's
+    pair is kept, 2 MiB at d = 16."""
+    eye = np.eye(d * d, dtype=np.complex128)
+    swap = _rearrange(eye[None], "swap_left")[0]
+    eye.flags.writeable = swap.flags.writeable = False
+    return eye, swap
 
 
 def _controlled_u_stack(blocks: np.ndarray) -> np.ndarray:

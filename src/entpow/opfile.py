@@ -13,17 +13,23 @@ exactly; ``-0`` in a file is a JSON integer and reads as +0.0.
 Reading parses the top-level object with the ``json`` module but hands its
 ``matrix`` member to a flat reader, which builds no list per row or entry.
 The reader takes the array's text (a numeric matrix holds no ``"`` and no
-``}``, so it ends at the last ``]`` before either) and accepts it only when,
-with JSON whitespace and number characters deleted, it is exactly the
-bracket-and-comma skeleton of n rows of n pairs and no pair has an empty
-slot.  It then converts all 2 n^2 numbers with one ``json.loads`` of the
-text with every inner bracket replaced by a space, so JSON's number grammar
-holds and a number split by whitespace is an error, and one ``np.fromiter``
-to float64, viewed as an n x n complex128 matrix.  Integers convert as
-Python ints do.  A matrix the reader declines (any malformed one, and one
-with an integer beyond float range) is scanned by ``json`` into lists and
-walked row by row and entry by entry; the walk reports the first bad row or
-entry in row-major order.  Documents longer than 16 MiB (bytes, or
+``}``, so it ends at the last ``]`` before either) and walks it in blocks of
+64 Ki characters, each extended to the next comma, so no number is cut.
+Each block, with JSON whitespace deleted, must leave no pair's slot empty,
+and gives its part of the skeleton, the text with number characters deleted
+too; each block's numbers convert with one ``json.loads`` of its text with
+every bracket replaced by a space, so JSON's number grammar holds and a
+number split by whitespace is an error, and one ``np.fromiter`` to float64.
+Integers convert as Python ints do.  The matrix is accepted only when the
+joined skeleton is exactly the bracket-and-comma skeleton of n rows of n
+pairs; the blocks' arrays then join into an n x n complex128 matrix.  So
+beside the document's text a read holds one block's copies and list of
+numbers, the skeleton, 2 bytes a number, and while the arrays join the
+matrix twice, 16 bytes a number: a d = 16 read peaks about 2.5 MiB above its
+text, however much whitespace the text holds.  A matrix the reader declines
+(any malformed one, and one with an integer beyond float range) is scanned
+by ``json`` into lists and walked row by row and entry by entry; the walk
+reports the first bad row or entry in row-major order.  Documents longer than 16 MiB (bytes, or
 characters for text input) are rejected before they are parsed, and an
 integer too long for Python to convert from text is malformed.  ``d`` and
 finiteness are checked by the ``densemat`` rules, with the messages of
@@ -46,6 +52,9 @@ __all__ = ["read_operator_file", "serialize_operator"]
 
 # A d=16 Haar operator written with json.dumps(..., indent=4) is 6.8 MiB.
 _MAX_BYTES = 16 * 1024 * 1024
+# The flat reader converts a matrix in blocks of this many characters, each
+# extended to its next comma: of 16, 64 and 256 Ki, 64 Ki read fastest.
+_BLOCK_CHARS = 64 * 1024
 
 _WHITESPACE = b" \t\n\r"
 _NUMBER_CHARS = b"0123456789+-.eE"
@@ -174,38 +183,51 @@ def _read_matrix(s: str, idx: int) -> tuple[np.ndarray, int] | None:
         if found >= 0:
             end = found
     stop = s.rfind("]", idx, end) + 1
+    parts, arrays = [], []
+    start = idx
     try:
-        m = _pairs_per_row(s[idx:stop].encode("ascii").translate(None, _WHITESPACE))
-        if not m:
+        while start < stop:
+            # a block ends at a comma, which no number holds, or at the array's end
+            cut = s.find(",", start + _BLOCK_CHARS, stop) + 1 or stop
+            block = s[start:cut]
+            dense = block.encode("ascii").translate(None, _WHITESPACE)
+            if _empty_slot(dense):
+                return None
+            parts.append(dense.translate(None, _NUMBER_CHARS))
+            values = json.loads(f"[{block.translate(_BRACKETS_TO_SPACES).removesuffix(',')}]")
+            arrays.append(np.fromiter(values, dtype=np.float64, count=len(values)))
+            start = cut
+        skeleton = b"".join(parts)
+        m = math.isqrt(len(skeleton) // 4)  # the skeleton has 4m^2 + 2m + 1 characters
+        row = b"[" + b",".join([b"[,]"] * m) + b"]"
+        if not m or skeleton != b"[" + b",".join([row] * m) + b"]":
             return None
-        values = json.loads(f"[{s[idx + 1:stop - 1].translate(_BRACKETS_TO_SPACES)}]")
-        flat = np.fromiter(values, dtype=np.float64, count=2 * m * m)
+        matrix = np.concatenate(arrays).view(np.complex128).reshape(m, m)
     except (ValueError, OverflowError):
         # a non-ASCII character, a malformed or split number, or an integer
         # beyond float range: json's scanner and _walk report it
         return None
-    return flat.view(np.complex128).reshape(m, m), stop
+    return matrix, stop
 
 
-def _pairs_per_row(dense: bytes) -> int:
-    """m if ``dense``, an array's text without whitespace, is m rows of m
-    pairs once number characters are deleted, and no pair has an empty
-    slot; else 0."""
-    skeleton = dense.translate(None, _NUMBER_CHARS)
-    m = math.isqrt(len(skeleton) // 4)  # the skeleton has 4m^2 + 2m + 1 characters
-    row = b"[" + b",".join([b"[,]"] * m) + b"]"
-    if not m or skeleton != b"[" + b",".join([row] * m) + b"]":
-        return 0
-    # a number moved out of its pair, as in '[1, ]2', keeps the skeleton and
-    # the count of numbers but leaves a slot empty: '[,' or ',]'
+def _empty_slot(dense: bytes) -> bool:
+    """Whether ``dense``, a block's text without whitespace, leaves a pair's
+    slot empty: '[,' or ',]', whose ']' opens the block when the block
+    before ended at its ','.
+
+    A number moved out of its pair, as in '[1, ]2', keeps the skeleton and
+    the count of numbers, so only this check sees it.
+    """
+    if dense.startswith(b"]"):
+        return True
     chars = np.frombuffer(dense, dtype=np.uint8)
     found = chars[:-1] == ord("[")
     found &= chars[1:] == ord(",")
     if found.any():
-        return 0
+        return True
     np.equal(chars[:-1], ord(","), out=found)
     found &= chars[1:] == ord("]")
-    return 0 if found.any() else m
+    return bool(found.any())
 
 
 def _walk(matrix: list, d: int) -> np.ndarray:

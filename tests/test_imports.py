@@ -216,9 +216,6 @@ RULES = {
     "integer type": (
         "Only densemat names np.integer.",
         named("integer"), {"densemat.*", "densemat._check_int"}),
-    "integer type once": (
-        "The one integer rule, densemat._check_int, names np.integer once.",
-        named("integer"), ["densemat._check_int"]),
     "integer rule": (
         "Every integer input passes the one integer rule: the named rules for the local "
         "dimension, the seed and the Monte-Carlo sample count call it, as do the few inputs "
@@ -297,7 +294,6 @@ MUTATIONS = {
     "threads": ("sweep", None, "def run():\n    import concurrent.futures\n"),
     "json": ("cli", None, "import json\n"),
     "integer type": ("sweep", None, CHECK_STEPS),
-    "integer type once": ("sweep", None, CHECK_STEPS),
     "integer rule": ("operators", "_check_int(seed,", "int(seed,"),
     "integer message": ("sweep", None, CHECK_STEPS),
     "real type once": ("operators", REAL_CALL, OWN_REAL_RULE),

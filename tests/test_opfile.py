@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import entpow.opfile
 from entpow.densemat import _MAX_D, _echo
-from entpow.opfile import _MAX_BYTES, _walk, read_operator_file, serialize_operator
+from entpow.opfile import _BLOCK_CHARS, _MAX_BYTES, _walk, read_operator_file, serialize_operator
 from entpow.operators import ControlledUSpec, controlled_u, haar_unitary, swap_op
 from entpow.rearrange import BipartiteOperator
 
@@ -137,6 +137,27 @@ class TestBulkConversion:
         finally:
             tracemalloc.stop()
         assert peak <= 14_659_721
+
+    @pytest.mark.parametrize("indent", [None, 4], ids=["serialized", "indent4"])
+    def test_d16_read_peaks_near_the_text(self, indent):
+        # 3 MiB over the text, which a bytes input is decoded into: a reader
+        # that copies the whole matrix text or lists all of its 131,072
+        # numbers peaks 8.7 MiB over a serialized d=16 file, and 13.0 over
+        # the same matrix written with indent=4
+        op = BipartiteOperator(16, haar_unitary(256, seed=5))
+        pairs = [[[z.real, z.imag] for z in row] for row in op.mat]
+        text = serialize_operator(op) if indent is None else json.dumps(
+            {"d": 16, "matrix": pairs}, indent=indent)
+        content = text.encode()
+        read_operator_file(content)
+        tracemalloc.start()
+        try:
+            back, _ = read_operator_file(content)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.mat.tobytes() == op.mat.tobytes()
+        assert peak <= len(content) + (3 << 20)
 
     def test_first_bad_entry_wins_over_later_ragged_row(self):
         rows = with_cell(zeros_matrix(4), 0, 3, [1.0, "x"])
@@ -434,12 +455,14 @@ _CANONICAL = serialize_operator(BipartiteOperator(2, haar_unitary(4, seed=11)), 
 _COMPACT = json.dumps({"d": 2, "name": "Ωψ é", "matrix": _PAIRS_2}, ensure_ascii=False)
 
 # Valid documents around a d=2 matrix: pretty, compact with a non-ASCII
-# name, whitespace after every bracket with "matrix" before "d", "matrix"
-# before a name holding ']', CRLF line ends, an escaped key, duplicate
-# "matrix" keys (the last one counts), and nested objects that hold arrays.
+# name, without whitespace, whitespace after every bracket with "matrix"
+# before "d", "matrix" before a name holding ']', CRLF line ends, an escaped
+# key, duplicate "matrix" keys (the last one counts), and nested objects that
+# hold arrays.
 _VALID = [
     _CANONICAL,
     _COMPACT,
+    json.dumps({"d": 2, "matrix": _PAIRS_2}, separators=(",", ":")),
     json.dumps({"matrix": _PAIRS_2, "d": 2}, indent=1),
     json.dumps({"d": 2, "matrix": _PAIRS_2, "name": "a]b}"}),
     _CANONICAL.replace("\n", "\r\n"),
@@ -462,6 +485,15 @@ def _cell(text, k, new):
     return text[:i] + new + text[text.index("]", i) + 1:]
 
 
+def _second_moved_out(text, k):
+    """``text`` with the second number of its k-th pair moved past the pair's
+    end: '[re, im]' becomes '[re, ]im', and every comma stays where it was."""
+    i = [m.start() for m in re.finditer(r"\[[-0-9]", text)][k]
+    end = text.index("]", i)
+    re_part, im = text[i:end].split(", ")
+    return f"{text[:i]}{re_part}, ]{im}{text[end + 1:]}"
+
+
 # One case per kind of malformed or unusual content the flat reader must
 # decline, or accept with the reference's values.
 _SEEDED = [
@@ -475,6 +507,10 @@ _SEEDED = [
     _cell(_CANONICAL, 3, "[1 2, 0]"),
     _cell(_CANONICAL, 3, "[0, 1 .5]"),
     _cell(_CANONICAL, 7, "[1, ]2"),
+    # each pair in turn as '[re, ]im', every comma where it was: the small
+    # block sizes each end a block at some pair's own comma, and then ']'
+    # opens the next block
+    *(_second_moved_out(_CANONICAL, k) for k in range(16)),
     _cell(_CANONICAL, 7, "3[, 2]"),
     _cell(_CANONICAL, 7, "[1, 2], [3, 4]"),
     _cell(_CANONICAL, 7, "[1, 2]3"),
@@ -521,6 +557,14 @@ def _mutated_documents(draw):
     return text
 
 
+@pytest.fixture(params=[_BLOCK_CHARS, 1, 7, 64], ids=lambda n: f"block{n}")
+def block_chars(request, monkeypatch):
+    """The reader's block size, and sizes that cut a d=2 matrix's text into
+    many blocks: one number, a few numbers and a few pairs at a time."""
+    monkeypatch.setattr(entpow.opfile, "_BLOCK_CHARS", request.param)
+
+
+@pytest.mark.usefixtures("block_chars")
 class TestMatchesReference:
     @pytest.mark.parametrize("text", _SEEDED, ids=range(len(_SEEDED)))
     def test_seeded_document(self, text):
@@ -532,7 +576,9 @@ class TestMatchesReference:
         monkeypatch.setattr(entpow.opfile, "_walk", fail_if_called)
         assert read_operator_file(text)[0].mat.tobytes() == expected.tobytes()
 
-    @settings(max_examples=400, deadline=None)
+    # the block size, set once per test, holds for every example
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(_mutated_documents())
     def test_mutated_document(self, text):
         assert_reads_as_reference(text)
