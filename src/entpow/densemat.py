@@ -10,7 +10,8 @@ and ``_check_real``, the one integer and real rules, ``_check_local_dim`` --
 are written here once, and every rule's message shows the value by ``_echo``.
 So is the one unitarity policy: ``_gate`` compares the defect of every operator
 stack, controlled-U block and report with its tolerance.  So are the byte
-budgets and ``_spans``, which cuts every operator stack and Monte-Carlo chunk.
+budgets and ``_spans``, which cuts every Monte-Carlo chunk and, as
+``_stack_spans``, every operator stack of a sweep or of ``verify``.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ UNITARITY_TOL = 1e-9
 # the 256 x 256 operators this kernel is sized for (1 MiB each).
 _MAX_D = 16
 
-# Byte budgets, each defined here once.  Operator entries per stack, in sweeps
-# and verify's criteria: 256 operators at d = 2, 16 at d = 4, 1 from d = 8.
+# Byte budgets, each defined here once.  Operator entries per stack, read by
+# _stack_spans alone: 256 operators at d = 2, 16 at d = 4, 1 from d = 8.
 _STACK_BYTES = 64 * 1024
 # Every array one Monte-Carlo chunk allocates.  One chunk is evaluated on the
 # worker thread of an estimate while the calling thread draws the next, and
@@ -165,17 +166,17 @@ def _gate(stack: np.ndarray, tol: float) -> np.ndarray:
     return defects
 
 
-def _operator_bytes(d: int) -> int:
-    """Bytes of the entries of one operator at local dimension d: 16 d^4."""
-    return 16 * d**4
-
-
 def _spans(n: int, item_bytes: int, budget: int) -> Iterator[tuple[int, int]]:
     """(lo, hi) bounds of spans of ``max(1, budget // item_bytes)`` of n items of
     ``item_bytes`` bytes each, the last one possibly shorter: the one rule that
     turns a byte budget into chunks.  Lazy: nothing it keeps grows with n."""
     step = max(1, budget // item_bytes)
     return ((lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
+def _stack_spans(n: int, d: int) -> Iterator[tuple[int, int]]:
+    """The ``_spans`` of n operators at local dimension d, 16 d^4 bytes each."""
+    return _spans(n, 16 * d**4, _STACK_BYTES)
 
 
 def _check_int(x, lo: int, hi: int, name: str) -> int:

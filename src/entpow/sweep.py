@@ -2,11 +2,11 @@
 
 Rows are evaluated in chunks: each chunk of operators is built as one
 (n, d^2, d^2) stack and goes once through ``entanglement._measures``, which
-gates the stack and returns its three measures.  A chunk holds at most
-``densemat._STACK_BYTES`` of operator entries, whatever ``steps`` is; the
-rows themselves are all held, so memory grows with ``steps``.  The random
-families draw every instance from one generator seeded with ``seed``, in row
-order, sample-major, so the rows do not depend on where the chunks split.
+gates the stack and returns its three measures.  ``densemat._stack_spans``
+cuts the chunks, so they stay bounded whatever ``steps`` is; the rows are
+all held, so memory grows with ``steps``.  The random families draw every
+instance from one generator seeded with ``seed``, in row order, sample-major,
+so the rows do not depend on where the chunks split.
 
 Output is locale-independent by construction: '.' decimal separator, LF
 line endings, floats at 17 significant digits.  A fixed spec always
@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densemat import _STACK_BYTES, _check_int, _check_local_dim, _check_real, _echo
-from .densemat import _operator_bytes, _spans
+from .densemat import _check_int, _check_local_dim, _check_real, _echo, _stack_spans
 from .entanglement import _measures
 # Not called here: perfbench's tracing test checks that it wraps and restores
 # this binding.
@@ -56,8 +55,7 @@ class SweepSpec:
     For ``exp_swap`` the parameter is the angle t.  The random families
     draw one instance per grid point, in row order, from one PCG64
     generator seeded with ``seed``; the parameter column merely labels the
-    row.  ``param_start`` and ``param_end`` are stored as the Python floats
-    that the one real rule, ``densemat._check_real``, returns.
+    row.  Each number is stored as the Python int or float its rule returns.
     """
 
     family: str
@@ -83,7 +81,7 @@ class SweepSpec:
             raise ValueError(f"parameter range must be finite, got {_echo(start)} to {_echo(end)}")
         object.__setattr__(self, "param_start", start)
         object.__setattr__(self, "param_end", end)
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 def sweep_rows(spec: SweepSpec) -> list[tuple[float, float, float, float]]:
@@ -92,7 +90,7 @@ def sweep_rows(spec: SweepSpec) -> list[tuple[float, float, float, float]]:
     params = np.linspace(spec.param_start, spec.param_end, spec.steps)
     build, rng = _BUILDERS[spec.family], np.random.default_rng(spec.seed)
     rows = []
-    for lo, hi in _spans(spec.steps, _operator_bytes(d), _STACK_BYTES):
+    for lo, hi in _stack_spans(spec.steps, d):
         e, e_swapped, e_p = _measures(build(d, params[lo:hi], rng))
         rows += zip(params[lo:hi].tolist(), e.tolist(), e_swapped.tolist(), e_p.tolist())
     return rows

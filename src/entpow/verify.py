@@ -8,9 +8,9 @@ number is at most ``bound``.  ``_worst`` runs row k on ``default_rng([seed, k])`
 the suite's one seed rule, and every random draw of the criterion comes from
 it; new rows go at the end, so each row keeps its draws.  ``run_acceptance``
 (behind ``entpow verify``) and ``tests/test_acceptance.py`` both call it.
-The four criteria over many random operators draw them sample-major, in stacks
-of at most ``densemat._STACK_BYTES`` of entries, so their values do not depend
-on where stacks split; each puts its last one through the scalar public API.
+The four criteria over many random operators draw them sample-major, in the
+stacks ``densemat._stack_spans`` cuts, so their values do not depend on where
+stacks split; each puts its last one through the scalar public API.
 Controlled-U and local invariance get their measures from the gated call of
 sweeps, ``entanglement._measures``.  The Monte-Carlo oracle stacks its
 operators by local dimension (the sqrt-swap and ``_MC_HAAR`` Haar unitaries at
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densemat import _STACK_BYTES, _check_local_dim, _operator_bytes, _spans, _unitarity_defects
+from .densemat import _check_local_dim, _stack_spans, _unitarity_defects
 from .entanglement import DEFAULT_MC_SAMPLES, _check_mc_samples, _mc_estimates, _measures
 from .entanglement import entangling_power, operator_entanglement
 from .entanglement import swap_entanglement
@@ -172,7 +172,7 @@ def _sqrt_swap(run: _Run, rng: np.random.Generator) -> float:
 def _controlled_u(run: _Run, rng: np.random.Generator) -> float:
     devs = []
     for d in run.gate_dims:
-        for lo, hi in _spans(_CONTROLLED_U_GATES, _operator_bytes(d), _STACK_BYTES):
+        for lo, hi in _stack_spans(_CONTROLLED_U_GATES, d):
             gates = _random_controlled_u_stack(d, hi - lo, rng)
             e, e_swapped, e_p = _measures(gates)
             devs += [e_p - (d / (d + 1)) ** 2 * e, e_swapped - (1 - 1 / d**2),
@@ -191,7 +191,7 @@ def _cnot(run: _Run, rng: np.random.Generator) -> float:
 def _fan_identity(run: _Run, rng: np.random.Generator) -> float:
     mismatches = 0
     for d in run.family_dims:
-        for lo, hi in _spans(_FAN_UNITARIES, _operator_bytes(d), _STACK_BYTES):
+        for lo, hi in _stack_spans(_FAN_UNITARIES, d):
             u = _haar_stack(d * d, hi - lo, rng)
             lhs = _rearrange(_rearrange(u, "swap_left"), "realign")  # (S12 U)^R = S12 U^T1
             rhs = _rearrange(_rearrange(u, "partial_transpose_first"), "swap_left")
@@ -204,7 +204,7 @@ def _fan_identity(run: _Run, rng: np.random.Generator) -> float:
 def _structural(run: _Run, rng: np.random.Generator) -> float:
     mismatches = 0
     for d in run.family_dims:
-        for lo, hi in _spans(_STRUCTURAL_MATRICES, _operator_bytes(d), _STACK_BYTES):
+        for lo, hi in _stack_spans(_STRUCTURAL_MATRICES, d):
             m = rng.standard_normal((hi - lo, d * d, d * d, 2)).view(np.complex128)[..., 0]
             m[:, 0] = -0.0  # signed zeros, which any arithmetic (even + 0.0) would turn into 0.0
             sq, bad = _sorted_sq(m), np.zeros(hi - lo, dtype=bool)
@@ -235,7 +235,7 @@ def _local_invariance(run: _Run, rng: np.random.Generator) -> float:
     for d in run.gate_dims:
         # the factors (A, B, C, D) of all n tuples first, then the n operators U
         local = _haar_stack(d, 4 * _LOCAL_TUPLES, rng).reshape(_LOCAL_TUPLES, 4, d, d)
-        for lo, hi in _spans(_LOCAL_TUPLES, _operator_bytes(d), _STACK_BYTES):
+        for lo, hi in _stack_spans(_LOCAL_TUPLES, d):
             u = _haar_stack(d * d, hi - lo, rng)
             ab, cd = np.einsum("nkij,nkab->kniajb", local[lo:hi, ::2], local[lo:hi, 1::2])
             rotated = ab.reshape(u.shape) @ u @ cd.reshape(u.shape)  # (A (x) B) U (C (x) D)

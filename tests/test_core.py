@@ -29,7 +29,7 @@ from entpow.operators import (
     haar_unitary,
 )
 from entpow.rearrange import BipartiteOperator
-from entpow.sweep import _MAX_STEPS, FAMILIES, SweepSpec, sweep_rows
+from entpow.sweep import _MAX_STEPS, FAMILIES, SweepSpec, render_csv, sweep_rows
 
 DIMS = [1, 2, 3, 4, 9, 16]
 SEEDS = [0, 1, 7, 20070209, 2**64 - 1]
@@ -208,7 +208,7 @@ class TestChunkedSweep:
         # one row, seven rows, one chunk: 23, 4 and 1 stacks
         for budget, n_stacks in ((1, 23), (7 * 16 * d**4, 4), (10**9, 1)):
             stacks.clear()
-            monkeypatch.setattr(entpow.sweep, "_STACK_BYTES", budget)
+            monkeypatch.setattr(entpow.densemat, "_STACK_BYTES", budget)
             assert sweep_rows(spec) == reference
             # the patch reached the sweep: a budget that was not read fails here
             assert len(stacks) == n_stacks
@@ -266,6 +266,13 @@ class TestSweepSeed:
         message = f"seed must be an integer from 0 to 18446744073709551615, got {shown}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SweepSpec("haar", 2, 0.0, 1.0, 3, seed=seed)
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        spec = SweepSpec("haar", np.int64(2), np.float32(0), 1, np.int64(3), seed=np.uint64(7))
+        plain = SweepSpec("haar", 2, 0.0, 1.0, 3, seed=7)
+        assert [type(v) for v in vars(spec).values()] == [str, int, float, float, int, int]
+        assert repr(spec) == repr(plain)
+        assert render_csv(sweep_rows(spec)) == render_csv(sweep_rows(plain))
 
     def test_largest_seed_accepted(self):
         spec = SweepSpec("haar", 2, 0.0, 1.0, 3, seed=2**64 - 1)

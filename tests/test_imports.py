@@ -188,6 +188,10 @@ RULES = {
     "chunk loop": (
         "densemat._spans has the one stepped range: no other definition loops over chunks.",
         lambda node: called("range")(node) and len(node.args) == 3, {"densemat._spans"}),
+    "stack budget": (
+        "Only densemat._stack_spans reads the stack budget _STACK_BYTES: one definition "
+        "cuts every operator stack, of sweeps and of verify's criteria alike.",
+        reads("_STACK_BYTES"), {"densemat._stack_spans"}),
     "sweep privates": (
         "verify imports nothing private from sweep.",
         lambda node: (isinstance(node, ast.alias) and node.name.startswith("_")
@@ -283,6 +287,8 @@ MUTATIONS = {
         "def _chunk(d, k):\n    return max(1, _MC_CHUNK_BYTES // (64 * k * d * d))\n"),
     "chunk loop": ("sweep", None,
                    "def _chunks(n, s):\n    return [(lo, lo + s) for lo in range(0, n, s)]\n"),
+    "stack budget": ("sweep", "_stack_spans(spec.steps, d)",
+                     "_spans(spec.steps, 16 * d**4, _STACK_BYTES)"),
     "sweep privates": ("verify", "from .sweep import SweepSpec,",
                        "from .sweep import _BUILDERS, SweepSpec,"),
     "one purity": ("entanglement", None, "def _realigned(s):\n    return _purity(s, 'realign')\n"),
@@ -409,6 +415,11 @@ WALKER_CASES = [
     ("repr", "class C:\n    def g(self):\n        return repr(self.x)\n", ["m.C"]),
     ("repr", "MESSAGE = f'{NAME!r}'\n", ["m.<module>"]),
     ("repr", "def f(x):\n    raise ValueError(f'bad {_echo(x)}, {x!s}, {x:.3e}')\n", []),
+    ("stack budget", "def f(n, d):\n    return _spans(n, 16 * d**4, _STACK_BYTES)\n", ["m.f"]),
+    ("stack budget", "def f():\n    return entpow.densemat._STACK_BYTES, _MC_CHUNK_BYTES\n",
+     ["m.f"]),
+    ("stack budget", "_STACK_BYTES = 64 * 1024\ndef f(n, d):\n    return _stack_spans(n, d)\n",
+     []),
 ]
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entpow.densemat
 import entpow.entanglement
 import entpow.verify
 from entpow.entanglement import UnitarityError, entangling_power, operator_entanglement
@@ -38,21 +39,21 @@ def run():
 
 @pytest.mark.parametrize("key", BATCHED)
 def test_worst_does_not_depend_on_stack_size(monkeypatch, run, key):
-    # record every stack bound the criterion asks the chunk rule for
+    # record every stack bound the criterion gets from the one stack cutter
     stacks = []
-    spans = entpow.verify._spans
+    stack_spans = entpow.verify._stack_spans
 
-    def recording(*args):
-        got = list(spans(*args))
+    def recording(n, d):
+        got = list(stack_spans(n, d))
         stacks.extend(got)
         return got
 
-    monkeypatch.setattr(entpow.verify, "_spans", recording)
+    monkeypatch.setattr(entpow.verify, "_stack_spans", recording)
     reference = _worst(run, ROW[key])
     default = len(stacks)
     for budget in (1, 10**9):  # one operator per stack, one stack per dimension
         stacks.clear()
-        monkeypatch.setattr(entpow.verify, "_STACK_BYTES", budget)
+        monkeypatch.setattr(entpow.densemat, "_STACK_BYTES", budget)
         assert _worst(run, ROW[key]) == reference
         # the patch reached the criterion: a budget that was not read fails here
         assert len(stacks) != default
