@@ -17,7 +17,8 @@ import functools
 import math
 import sys
 
-from .entanglement import DEFAULT_MC_SAMPLES, UNITARITY_TOL, _check_mc_samples
+from .densemat import UNITARITY_TOL
+from .entanglement import DEFAULT_MC_SAMPLES, _check_mc_samples
 from .entanglement import entangling_power_mc, entanglement_report
 from .operators import DEFAULT_SEED, _check_seed
 from .opfile import _MAX_BYTES, read_operator_file

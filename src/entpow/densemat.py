@@ -24,6 +24,8 @@ from itertools import chain
 import numpy as np
 
 __all__ = [
+    "UNITARITY_TOL",
+    "UnitarityError",
     "as_complex_matrix",
     "frobenius_norm_sq",
     "unitarity_defect",
@@ -43,10 +45,9 @@ _MAX_D = 16
 # Byte budgets, each defined here once.  Operator entries per stack, read by
 # _stack_spans alone: 256 operators at d = 2, 16 at d = 4, 1 from d = 8.
 _STACK_BYTES = 64 * 1024
-# Every array one Monte-Carlo chunk allocates.  One chunk is evaluated on the
-# worker thread of an estimate while the calling thread draws the next, and
-# its states are made by the worker while it keeps up, else by the caller;
-# a chunk costs the pipeline a thread handoff, so chunks are few and large.
+# Every array one Monte-Carlo chunk allocates.  A chunk costs the estimate a
+# thread handoff (see ``entanglement._sample_entropies``), so chunks are few
+# and large.
 _MC_CHUNK_BYTES = 2 * 1024 * 1024
 # The states of one ``product_state_batch`` call, 16 d^2 bytes each: the
 # 10,000,000 states of the largest Monte-Carlo estimate at d = 2.
@@ -86,16 +87,15 @@ def as_complex_matrix(a) -> np.ndarray:
     ValueError for non-finite input names the first such entry.
 
     Strings and bytes are not numbers here, although numpy would parse them,
-    and neither is None, which numpy would make NaN.  A numeric ``ndarray``
-    skips that check, so it costs nothing on that path.
+    and neither is None, which numpy would make NaN.  An ndarray subclass,
+    such as ``np.matrix``, comes back as a plain ndarray.
     """
     try:
-        if not (isinstance(a, np.ndarray) and a.dtype.kind in "biufc"):
-            a = np.asarray(a)
-            if a.dtype.kind in "SU" or (
-                a.dtype.kind == "O" and any(isinstance(x, (str, bytes, type(None))) for x in a.flat)
-            ):
-                raise TypeError("strings, bytes and None are not accepted")
+        a = np.asarray(a)
+        if a.dtype.kind in "SU" or (
+            a.dtype.kind == "O" and any(isinstance(x, (str, bytes, type(None))) for x in a.flat)
+        ):
+            raise TypeError("strings, bytes and None are not accepted")
         m = a.astype(np.complex128, order="C", copy=False)  # a 0-d input stays 0-d
     except TypeError as err:  # an entry that is not a number, such as a dict or a string
         raise ValueError(f"matrix entries must be numbers: {err}") from None

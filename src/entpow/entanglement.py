@@ -35,7 +35,8 @@ with a vectorised reduction.  ``_measures`` is the one gated call from a
 stack to (E(U), E(S12 U), e_p), for sweeps, ``verify`` and the three scalar
 measures, each a stack of one.  It passes them through the one unitarity
 gate, ``densemat._gate``, at ``UNITARITY_TOL``; the gate, its tolerance and
-its ``UnitarityError`` live in ``densemat`` and are re-exported here.
+its ``UnitarityError`` are ``densemat``'s, and the two public names are
+importable from here too.
 ``entanglement_report`` calls the same gate at its own tolerance and
 records a failure instead of raising, so it also takes the purities of an
 operator that fails.  Exact, permutation-invariant
@@ -52,18 +53,12 @@ chunk allocates -- one draw, one GEMM for all k operators and one purity
 reduction per chunk, on arrays made for that chunk -- so its memory is 8
 bytes per sample per operator plus a few chunks, and the sample count is
 capped at ``MAX_MC_SAMPLES``.  Each estimate runs one worker thread beside
-the caller, and only the generator's draw is pinned to the caller: it draws
-chunk i+1 while the worker evaluates chunk i.  The arithmetic that turns a
-draw into product states runs on whichever thread has time for it: while
-the worker keeps up, it is handed each raw draw and makes the states before
-its GEMM; once it falls behind, the caller makes them meanwhile with the
-public sampler, ``product_state_batch``.  Either way one chunk is in flight
-beside the one being drawn, and the estimate is bitwise that of evaluating
-the chunks one after the other.  A chunk costs a thread handoff, so chunks
-are sized by memory rather than kept small.  The finished states of a chunk
-are the transposed view of a (d^2, s) buffer, so the GEMM reads a
-C-contiguous operand.  ``entangling_power_mc`` is that kernel on a stack of
-one, and ``verify`` runs it on each dimension's stack of oracle operators.
+the caller, and is bitwise that of evaluating the chunks one after the
+other; ``_sample_entropies`` says which thread does what.  The finished
+states of a chunk are the transposed view of a (d^2, s) buffer, so the GEMM
+reads a C-contiguous operand.  ``entangling_power_mc`` is that kernel on a
+stack of one, and ``verify`` runs it on each dimension's stack of oracle
+operators.
 """
 
 from __future__ import annotations
@@ -79,8 +74,6 @@ from .operators import _check_seed, _draw_states, _finish_states, product_state_
 from .rearrange import BipartiteOperator, _rearrange
 
 __all__ = [
-    "UNITARITY_TOL",
-    "UnitarityError",
     "NormalizationError",
     "EntanglementReport",
     "McEstimate",
@@ -240,10 +233,8 @@ def entangling_power_mc(
     so memory is 8 bytes per sample for the entropies, whose spread is taken
     in place, plus the chunk being evaluated and the one being drawn: under
     2 MiB at d = 2.  One worker thread, started and joined within the call,
-    evaluates each chunk while the calling thread draws the next.  Only the
-    draw stays on the calling thread; the states are made from it by
-    whichever thread has time.  The estimate is bitwise that of a single
-    thread.
+    evaluates each chunk while the calling thread draws the next; the
+    estimate is bitwise that of a single thread.
 
     Raises
     ------
@@ -383,8 +374,9 @@ def _sample_entropies(stack: np.ndarray, n: int, rng: np.random.Generator) -> np
     ``_finish_states``, on either thread, and the kernel shares nothing with
     the caller but its chunk and its slice, so the draws and each chunk's
     arithmetic, and with them the bits, are those of drawing and evaluating
-    the chunks one after the other.  An exception in the kernel is
-    raised here, after the worker has stopped.
+    the chunks one after the other.  Each chunk costs one handoff between
+    the threads, which is why ``_MC_CHUNK_BYTES`` makes chunks few and large.
+    An exception in the kernel is raised here, after the worker has stopped.
     """
     # imported here, not with the package: ``import entpow`` stays without it
     from concurrent.futures import ThreadPoolExecutor

@@ -1,28 +1,30 @@
 """Constructors for the operator families under study, plus seeded samplers.
 
-Covers the swap operator, the maximally entangled projector, the
-one-parameter family exp(-i*t*S12) generated by the swap, general
-controlled-U gates and Haar-random unitaries.  Every constructor, and the
-product-state sampler, checks that d is from 2 to 16 before building or
-drawing anything, by the one integer rule ``densemat._check_int``, which
-checks every integer input.  Once every block of a controlled-U spec has its
-shape checked, its blocks pass the one unitarity gate, ``densemat._gate``, at
-``UNITARITY_TOL`` in one call, as one stack, and the first failing block is
-named; stacked random controlled-U gates pass the same gate once, as whole
-operators, in ``entanglement._measures``, not block by block.
+Covers the swap operator, the one-parameter family exp(-i*t*S12) generated
+by the swap, general controlled-U gates and Haar-random unitaries.  Every
+constructor, and the product-state sampler, checks that d is from 2 to 16
+before building or drawing anything, by the one integer rule
+``densemat._check_int``, which checks every integer input.  Once every block
+of a controlled-U spec has its shape checked, its blocks pass the one
+unitarity gate, ``densemat._gate``, at ``UNITARITY_TOL`` in one call, as one
+stack, and the first failing block is named; stacked random controlled-U
+gates pass the same gate once, as whole operators, in
+``entanglement._measures``, not block by block.
 
 Random sampling is deterministic.  ``haar_unitary`` takes an integer seed
 from 0 to 2**64 - 1, the one seed range of the package and its command
 line, checked by ``_check_seed`` before anything is drawn, and seeds a fresh
 ``numpy.random.default_rng`` (PCG64) generator with it, so identical seeds
-give bitwise identical output.  The stacked samplers -- Haar unitaries and
-the Monte-Carlo estimator's product states, ``product_state_batch`` -- draw
-from a generator their caller owns, sample-major, so n samples drawn over
-several calls on one generator are bitwise the samples of one call.  The
-product states are a draw, ``_draw_states``, and a finish of pure
-arithmetic, ``_finish_states``, which the estimator calls apart, so that
-only the draw needs the generator's thread.  No shared generator state is
-kept anywhere.
+give bitwise identical output on the same numpy, the same BLAS build and
+the same BLAS thread count, which can change the rounding of the Haar QR.
+The stacked samplers -- Haar unitaries and the Monte-Carlo estimator's
+product states, ``product_state_batch`` -- draw from a generator their
+caller owns, sample-major, so n samples drawn over several calls on one
+generator are bitwise the samples of one call.  The product states are a
+draw, ``_draw_states``, and a finish of pure arithmetic,
+``_finish_states``, which the estimator may run on another thread (see
+``entanglement._sample_entropies``).  No shared generator state is kept
+anywhere.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .rearrange import BipartiteOperator, _rearrange
 __all__ = [
     "ControlledUSpec",
     "swap_op",
-    "max_entangled_projector",
     "exp_swap",
     "controlled_u",
     "haar_unitary",
@@ -90,16 +91,6 @@ def swap_op(d: int) -> BipartiteOperator:
     the identity with its rows moved by ``swap_left``."""
     d = _check_local_dim(d)
     return BipartiteOperator(d, _identity_and_swap(d)[1])
-
-
-def max_entangled_projector(d: int) -> BipartiteOperator:
-    """Rank-1 projector onto the maximally entangled state sum_i |i>|i> / sqrt(d).
-
-    Entry [(i,j),(k,l)] is 1/d when i == j and k == l, else 0: the
-    realignment of the identity, divided by d.
-    """
-    d = _check_local_dim(d)
-    return BipartiteOperator(d, _rearrange(np.eye(d * d, dtype=complex)[None], "realign")[0] / d)
 
 
 def exp_swap(d: int, t: float) -> BipartiteOperator:
@@ -205,12 +196,10 @@ def product_state_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     the outer product into a (d, d, n) buffer.  The result is that buffer's
     transposed view, so its ``.T`` is the C-contiguous (d^2, n) operand of a
     GEMM.  Besides the result, at most two arrays of the draw's size, 32 d
-    bytes per sample, are alive at once.  The Monte-Carlo pipeline keeps
-    only the draw on its calling thread, which owns the generator: its
-    worker makes the states of a raw draw while it keeps up, and once it
-    falls behind the caller calls this function instead.  The outer product
-    is one call, not d, because there each numpy call can wait for the
-    other thread to hand back the GIL.
+    bytes per sample, are alive at once.  The Monte-Carlo estimator calls
+    this while its worker thread is busy (see
+    ``entanglement._sample_entropies``), so the outer product is one call,
+    not d: each numpy call can wait for the worker to hand back the GIL.
 
     Raises ValueError, before anything is drawn, unless ``d`` is an integer
     from 2 to 16 and ``n`` an integer from 0 to the states of 16 d^2 bytes

@@ -9,8 +9,9 @@ instance from one generator seeded with ``seed``, in row order, sample-major,
 so the rows do not depend on where the chunks split.
 
 Output is locale-independent by construction: '.' decimal separator, LF
-line endings, floats at 17 significant digits.  A fixed spec always
-renders to byte-identical CSV.
+line endings, floats at 17 significant digits.  A fixed spec renders to
+byte-identical CSV on the same numpy, the same BLAS build and the same BLAS
+thread count, which can change the rounding of the Haar QR.
 """
 
 from __future__ import annotations

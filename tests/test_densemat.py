@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entpow.densemat
 import entpow.entanglement
 import entpow.sweep
 from entpow.densemat import (
@@ -24,14 +25,18 @@ from entpow.densemat import (
     frobenius_norm_sq,
     unitarity_defect,
 )
-from entpow.entanglement import entangling_power_mc, entanglement_report, state_linear_entropy
+from entpow.entanglement import (
+    entangling_power_mc,
+    entanglement_report,
+    operator_entanglement,
+    state_linear_entropy,
+)
 from entpow.opfile import serialize_operator
 from entpow.operators import (
     ControlledUSpec,
     _haar_stack,
     exp_swap,
     haar_unitary,
-    max_entangled_projector,
     product_state_batch,
     swap_op,
 )
@@ -54,7 +59,9 @@ class TestFrobeniusNorm:
         assert frobenius_norm_sq(u) == pytest.approx(d * d, abs=1e-12)
 
     def test_rank_one_projector(self):
-        assert frobenius_norm_sq(max_entangled_projector(3).mat) == pytest.approx(1, abs=1e-12)
+        # the projector onto sum_i |i>|i> / sqrt(3): entry [(i,j),(k,l)] = delta_ij delta_kl / 3
+        v = np.eye(3).ravel()
+        assert frobenius_norm_sq(np.outer(v, v) / 3) == pytest.approx(1, abs=1e-12)
 
     def test_squared_norm_equals_trace_form(self):
         rng = np.random.default_rng(14)
@@ -79,8 +86,8 @@ class TestUnitarityDefect:
         assert unitarity_defect(swap_op(4).mat) == 0.0
 
     def test_scaled_projector_is_not(self):
-        d = 2
-        assert unitarity_defect(d * max_entangled_projector(d).mat) > 0.9
+        v = np.eye(2).ravel()
+        assert unitarity_defect(np.outer(v, v)) > 0.9
 
     def test_non_square_raises(self):
         with pytest.raises(ValueError, match="square"):
@@ -156,11 +163,25 @@ class TestValidation:
             check()
 
     def test_numeric_arrays_are_not_scanned(self, monkeypatch):
-        # the eval path: a numeric ndarray goes straight to the conversion
-        eye = np.eye(3, dtype=np.int8)
-        monkeypatch.setattr(np, "asarray", None)
-        m = as_complex_matrix(eye)
+        # the eval path: a numeric ndarray is not scanned for strings, bytes
+        # and None, and a complex128 one comes back as itself
+        monkeypatch.setattr(entpow.densemat, "any", None, raising=False)
+        eye = np.eye(3, dtype=np.complex128)
+        assert as_complex_matrix(eye) is eye
+        m = as_complex_matrix(np.eye(3, dtype=np.int8))
         assert m.dtype == np.complex128 and m[2, 2] == 1
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_an_ndarray_subclass_gives_the_measures_of_the_plain_array(self, d):
+        plain = haar_unitary(d * d, seed=12)
+        with pytest.warns(PendingDeprecationWarning):
+            matrix = np.matrix(plain)
+        assert type(as_complex_matrix(matrix)) is np.ndarray
+        u = BipartiteOperator(d, matrix)
+        assert type(u.mat) is np.ndarray and u.mat.tobytes() == plain.tobytes()
+        assert operator_entanglement(u) == operator_entanglement(BipartiteOperator(d, plain))
+        assert entanglement_report(u) == entanglement_report(BipartiteOperator(d, plain))
+        assert unitarity_defect(matrix) == unitarity_defect(plain)
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError, match="2-D"):

@@ -52,7 +52,6 @@ from entpow.operators import (
     controlled_u,
     exp_swap,
     haar_unitary,
-    max_entangled_projector,
     product_state_batch,
     swap_op,
 )
@@ -282,7 +281,8 @@ class TestEntanglingPower:
 
     def test_non_unitary_raises(self):
         with pytest.raises(UnitarityError):
-            entangling_power(BipartiteOperator(2, 2 * max_entangled_projector(2).mat))
+            v = np.eye(2).ravel()
+            entangling_power(BipartiteOperator(2, np.outer(v, v)))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_range_on_haar_sample(self, d):

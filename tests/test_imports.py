@@ -10,11 +10,13 @@ walker finds in small sources.
 The other rules are tests of their own.  No linter ships with the project,
 so every name a module imports is used there: it is read anywhere or listed
 in ``__all__``, and an import line marked ``# noqa: F401`` is a deliberate
-exception.  The package assigns one module-level tolerance,
-``densemat.UNITARITY_TOL``; every byte budget is assigned once, in
-``densemat``, beside the operator file's size cap; and the Monte-Carlo sample
-counts once, in ``entanglement``.  ``import entpow`` does not load
-``concurrent.futures``.  ``densemat._echo`` has one form and so one
+exception.  Each module's ``__all__`` lists only names that module binds,
+and the package's is ``__version__`` followed by those of the library
+modules it republishes, each name once.  The package assigns one
+module-level tolerance, ``densemat.UNITARITY_TOL``; every byte budget is
+assigned once, in ``densemat``, beside the operator file's size cap; and the
+Monte-Carlo sample counts once, in ``entanglement``.  ``import entpow`` does
+not load ``concurrent.futures``.  ``densemat._echo`` has one form and so one
 parameter.  Settings with one value in use are constants, not parameters:
 among the public functions only ``entanglement_report`` and
 ``entangling_power_mc`` take a unitarity tolerance (the other measures gate
@@ -24,6 +26,7 @@ exactly ``(run, rng)``.
 
 import ast
 import functools
+import importlib
 import inspect
 import os
 import subprocess
@@ -501,6 +504,54 @@ def test_no_unused_imports(path):
 ])
 def test_the_guard_itself(source, found):
     assert unused_imports(source) == found
+
+
+# The modules whose public names the package republishes, in its order.
+REPUBLISHED = ("densemat", "rearrange", "entanglement", "operators", "opfile", "sweep")
+
+
+def test_the_package_republishes_each_module_s_names_once():
+    modules = [importlib.import_module(f"entpow.{name}") for name in REPUBLISHED]
+    assert entpow.__all__ == ["__version__", *(n for m in modules for n in m.__all__)]
+    assert len(set(entpow.__all__)) == len(entpow.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(entpow, name) is getattr(module, name), name
+
+
+def unbound_public_names(source: str) -> list[str]:
+    """Names in the literal ``__all__`` of ``source`` that no top-level
+    ``def``, ``class`` or assignment there binds."""
+    body = ast.parse(source).body
+    bound, published = set(), []
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            bound |= {n.id for n in ast.walk(target)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            if isinstance(target, ast.Name) and target.id == "__all__":
+                published = ast.literal_eval(node.value)
+    return [name for name in published if name not in bound]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_name_is_bound_in_its_own_module(path):
+    assert unbound_public_names(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(): pass\nclass C: pass\nX = 1\n__all__ = ['f', 'C', 'X']\n", []),
+    ("Y: int = 2\nA, B = 1, 2\n__all__ = ['Y', 'A', 'B']\n", []),
+    ("from .densemat import UNITARITY_TOL\n__all__ = ['UNITARITY_TOL']\n", ["UNITARITY_TOL"]),
+    ("import numpy as np\n__all__ = ['np', 'g']\ndef f():\n    g = 1\n", ["np", "g"]),
+    ("def f(): pass\n", []),
+    ("x.y = 1\n__all__ = ['x']\n", ["x"]),
+])
+def test_the_binding_guard_itself(source, found):
+    assert unbound_public_names(source) == found
 
 
 def constants(path: Path, suffix: str = "_TOL") -> set[str]:

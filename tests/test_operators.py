@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import entpow.densemat
-from entpow.densemat import frobenius_norm_sq, unitarity_defect
+from entpow.densemat import unitarity_defect
 from entpow.entanglement import MAX_MC_SAMPLES, state_linear_entropy
 from entpow.operators import (
     ControlledUSpec,
@@ -16,11 +16,10 @@ from entpow.operators import (
     controlled_u,
     exp_swap,
     haar_unitary,
-    max_entangled_projector,
     product_state_batch,
     swap_op,
 )
-from entpow.rearrange import BipartiteOperator, partial_transpose_first, realign
+from entpow.rearrange import BipartiteOperator, partial_transpose_first
 
 
 # Seeds that cannot reproduce a draw: none, negative, not an integer, or
@@ -67,35 +66,8 @@ class TestIdentityAndSwap:
                 assert np.count_nonzero(out) == 1
 
     def test_rejects_small_dimension(self):
-        for ctor in (swap_op, max_entangled_projector):
-            with pytest.raises(ValueError):
-                ctor(1)
-
-
-class TestMaxEntangledProjector:
-    def test_d2_by_hand(self):
-        expected = 0.5 * np.array(
-            [
-                [1, 0, 0, 1],
-                [0, 0, 0, 0],
-                [0, 0, 0, 0],
-                [1, 0, 0, 1],
-            ],
-            dtype=complex,
-        )
-        assert np.array_equal(max_entangled_projector(2).mat, expected)
-
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_idempotent_rank_one(self, d):
-        p = max_entangled_projector(d).mat
-        np.testing.assert_allclose(p @ p, p, atol=1e-15)
-        assert np.trace(p).real == pytest.approx(1.0, abs=1e-14)
-        assert frobenius_norm_sq(p) == pytest.approx(1.0, abs=1e-14)
-
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_is_realigned_identity(self, d):
-        expected = realign(BipartiteOperator(d, np.eye(d * d))).mat
-        assert np.array_equal(d * max_entangled_projector(d).mat, expected)
+        with pytest.raises(ValueError):
+            swap_op(1)
 
 
 class TestExpSwap:
@@ -394,7 +366,6 @@ class TestLocalDimensionCap:
     BUILDERS = {
         "BipartiteOperator": lambda d: BipartiteOperator(d, np.eye(4)),
         "swap_op": swap_op,
-        "max_entangled_projector": max_entangled_projector,
         "exp_swap": lambda d: exp_swap(d, 0.5),
         "ControlledUSpec": lambda d: ControlledUSpec(d, (np.eye(2),) * 2),
     }

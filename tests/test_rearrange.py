@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from entpow.densemat import frobenius_norm_sq
-from entpow.operators import haar_unitary, max_entangled_projector, swap_op
+from entpow.operators import haar_unitary, swap_op
 from entpow.rearrange import (
     BipartiteOperator,
     partial_transpose_first,
@@ -27,6 +27,13 @@ def random_op(d, seed):
     n = d * d
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return BipartiteOperator(d, z)
+
+
+def scaled_max_entangled_projector(d):
+    """d times the projector onto sum_i |i>|i> / sqrt(d), from its index
+    definition: entry [(i,j),(k,l)] is 1 when i == j and k == l, else 0."""
+    v = np.eye(d).ravel()
+    return np.outer(v, v)
 
 
 def haar_op(d, seed):
@@ -74,7 +81,7 @@ class TestRealign:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_identity_realigns_to_projector(self, d):
-        expected = d * max_entangled_projector(d).mat
+        expected = scaled_max_entangled_projector(d)
         assert np.array_equal(realign(BipartiteOperator(d, np.eye(d * d))).mat, expected)
 
     def test_entry_rule(self):
@@ -109,7 +116,7 @@ class TestPartialTransposes:
     @pytest.mark.parametrize("d", [2, 3])
     def test_swap_maps_to_projector(self, d):
         s = swap_op(d)
-        expected = d * max_entangled_projector(d).mat
+        expected = scaled_max_entangled_projector(d)
         assert np.array_equal(partial_transpose_first(s).mat, expected)
         assert np.array_equal(partial_transpose_second(s).mat, expected)
 
