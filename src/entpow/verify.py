@@ -11,12 +11,16 @@ it; new rows go at the end, so each row keeps its draws.  ``run_acceptance``
 The four criteria over many random operators draw them sample-major, in the
 stacks ``densemat._stack_spans`` cuts, so their values do not depend on where
 stacks split; each puts its last one through the scalar public API.
-Controlled-U and local invariance get their measures from the gated call of
-sweeps, ``entanglement._measures``.  The Monte-Carlo oracle stacks its
-operators by local dimension (the sqrt-swap and ``_MC_HAAR`` Haar unitaries at
-d = 2, as many at d = 3) and estimates each stack at once with ``_mc_estimates``,
-seeded with the next 64-bit word of its generator so the states share no draw
-with the operators, against closed forms from ``_measures`` on the same stack.
+The swap-multiplication and involution criteria test index moves, which hold
+for every matrix, so they draw complex Gaussian matrices whose first row is
+-0.0 (``_signed_zero_stack``, no QR); controlled-U, local invariance and the
+Monte-Carlo oracle draw Haar unitaries.  Controlled-U and local invariance
+get their measures from the gated call of sweeps, ``entanglement._measures``.
+The Monte-Carlo oracle stacks its operators by local dimension (the sqrt-swap
+and ``_MC_HAAR`` Haar unitaries at d = 2, as many at d = 3) and estimates each
+stack at once with ``_mc_estimates``, seeded with the next 64-bit word of its
+generator so the states share no draw with the operators, against closed forms
+from ``_measures`` on the same stack.
 The determinism criterion repeats that estimator, and a sweep, at the seed itself.
 """
 
@@ -42,7 +46,7 @@ __all__ = ["CRITERIA", "CheckResult", "run_acceptance"]
 # Operators per dimension (local invariance: tuples (A, B, C, D, U)) and the
 # Monte-Carlo oracle's Haar unitaries per stack; each criterion and its title read them.
 _CONTROLLED_U_GATES = 20
-_FAN_UNITARIES = 100
+_FAN_MATRICES = 100
 _STRUCTURAL_MATRICES = 100
 _LOCAL_TUPLES = 50
 _MC_HAAR = 5
@@ -136,6 +140,13 @@ def _sorted_sq(stack: np.ndarray) -> np.ndarray:
     return np.sort((stack.real**2 + stack.imag**2).reshape(len(stack), -1))
 
 
+def _signed_zero_stack(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n complex Gaussian d^2 x d^2 matrices, sample-major, each with a first row of -0.0."""
+    m = rng.standard_normal((n, d * d, d * d, 2)).view(np.complex128)[..., 0]
+    m[:, 0] = -0.0  # signed zeros, which any arithmetic (even + 0.0) would turn into 0.0
+    return m
+
+
 def _swap_values(run: _Run, rng: np.random.Generator) -> float:
     devs = []
     for d in run.swap_dims:
@@ -191,8 +202,8 @@ def _cnot(run: _Run, rng: np.random.Generator) -> float:
 def _fan_identity(run: _Run, rng: np.random.Generator) -> float:
     mismatches = 0
     for d in run.family_dims:
-        for lo, hi in _stack_spans(_FAN_UNITARIES, d):
-            u = _haar_stack(d * d, hi - lo, rng)
+        for lo, hi in _stack_spans(_FAN_MATRICES, d):
+            u = _signed_zero_stack(d, hi - lo, rng)
             lhs = _rearrange(_rearrange(u, "swap_left"), "realign")  # (S12 U)^R = S12 U^T1
             rhs = _rearrange(_rearrange(u, "partial_transpose_first"), "swap_left")
             mismatches += sum(x.tobytes() != y.tobytes() for x, y in zip(lhs, rhs))
@@ -205,8 +216,7 @@ def _structural(run: _Run, rng: np.random.Generator) -> float:
     mismatches = 0
     for d in run.family_dims:
         for lo, hi in _stack_spans(_STRUCTURAL_MATRICES, d):
-            m = rng.standard_normal((hi - lo, d * d, d * d, 2)).view(np.complex128)[..., 0]
-            m[:, 0] = -0.0  # signed zeros, which any arithmetic (even + 0.0) would turn into 0.0
+            m = _signed_zero_stack(d, hi - lo, rng)
             sq, bad = _sorted_sq(m), np.zeros(hi - lo, dtype=bool)
             for move in _AXES:
                 moved = _rearrange(m, move)
@@ -268,7 +278,7 @@ CRITERIA = (
      1e-12, _controlled_u),
     ("cnot_values", "cnot: E = 1/2 and e_p = 2/9", 1e-12, _cnot),
     ("fan_identity_bitwise",
-     f"swap-multiplication identity, bitwise ({_FAN_UNITARIES} unitaries, d in {{family_dims}})",
+     f"swap-multiplication identity, bitwise ({_FAN_MATRICES} matrices, d in {{family_dims}})",
      0, _fan_identity),
     ("structural_involutions",
      "rearrangement involutions and norm preservation "

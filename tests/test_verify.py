@@ -26,7 +26,7 @@ BATCHED = ["controlled_u_theorem", "fan_identity_bitwise", "structural_involutio
            "local_unitary_invariance"]
 
 # the module constant behind the count each of these titles names
-COUNTS = {"controlled_u_theorem": "_CONTROLLED_U_GATES", "fan_identity_bitwise": "_FAN_UNITARIES",
+COUNTS = {"controlled_u_theorem": "_CONTROLLED_U_GATES", "fan_identity_bitwise": "_FAN_MATRICES",
           "structural_involutions": "_STRUCTURAL_MATRICES",
           "local_unitary_invariance": "_LOCAL_TUPLES", "monte_carlo_oracle": "_MC_HAAR"}
 
@@ -80,7 +80,8 @@ def test_batched_measures_equal_the_scalar_api(monkeypatch, run, key):
             assert abs(e_p - entangling_power(u)) <= 1e-15
 
 
-def test_structural_involutions_see_signed_zeros(monkeypatch, run):
+@pytest.mark.parametrize("key", ["fan_identity_bitwise", "structural_involutions"])
+def test_structural_involutions_see_signed_zeros(monkeypatch, run, key):
     rearrange = entpow.verify._rearrange
 
     def adds_zero(stack, move):
@@ -89,9 +90,18 @@ def test_structural_involutions_see_signed_zeros(monkeypatch, run):
             moved[0] += 0.0  # -0.0 becomes 0.0; no value changes
         return moved
 
-    assert _worst(run, ROW["structural_involutions"]) == 0
+    assert _worst(run, ROW[key]) == 0
     monkeypatch.setattr(entpow.verify, "_rearrange", adds_zero)
-    assert _worst(run, ROW["structural_involutions"]) >= 1
+    assert _worst(run, ROW[key]) >= 1
+
+
+def test_fan_identity_draws_no_haar_unitary(monkeypatch, run):
+    # an index move holds for every matrix, so the criterion needs no QR
+    def refuses(m, n, rng):
+        raise AssertionError("a Haar unitary was drawn")
+
+    monkeypatch.setattr(entpow.verify, "_haar_stack", refuses)
+    assert _worst(run, ROW["fan_identity_bitwise"]) == 0
 
 
 @pytest.mark.parametrize("key, draw", [
