@@ -29,7 +29,6 @@ anywhere.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -90,7 +89,8 @@ def swap_op(d: int) -> BipartiteOperator:
     """The swap operator S12, with entry 1 at [(i,j),(j,i)] and 0 elsewhere:
     the identity with its rows moved by ``swap_left``."""
     d = _check_local_dim(d)
-    return BipartiteOperator(d, _identity_and_swap(d)[1])
+    eye = np.eye(d * d, dtype=np.complex128)
+    return BipartiteOperator(d, _rearrange(eye[None], "swap_left")[0])
 
 
 def exp_swap(d: int, t: float) -> BipartiteOperator:
@@ -127,23 +127,18 @@ def haar_unitary(d_total: int, seed: int) -> np.ndarray:
 
 
 def _exp_swap_stack(d: int, ts: np.ndarray) -> np.ndarray:
-    """exp(-i*t*S12) for every t of a 1-D array, as an (n, d^2, d^2) stack."""
-    eye, swap = _identity_and_swap(d)
-    c = np.cos(ts)[:, None, None]
-    s = np.sin(ts)[:, None, None]
-    return c * eye - 1j * s * swap
-
-
-@functools.lru_cache(maxsize=1)
-def _identity_and_swap(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The identity and the swap S12 at local dimension d, as read-only
-    complex128 d^2 x d^2 arrays: the swap is the identity with its rows moved
-    by ``swap_left``.  A sweep's chunks share one pair; only the last d's
-    pair is kept, 2 MiB at d = 16."""
-    eye = np.eye(d * d, dtype=np.complex128)
-    swap = _rearrange(eye[None], "swap_left")[0]
-    eye.flags.writeable = swap.flags.writeable = False
-    return eye, swap
+    """exp(-i*t*S12) = cos(t) I - i sin(t) S12 for every t of a 1-D array, as
+    an (n, d^2, d^2) stack: -i sin(t) is written on the diagonal of a zeroed
+    stack, ``swap_left`` moves its rows into the pattern of S12, and cos(t) is
+    added on the diagonal of the moved copy."""
+    n = d * d
+    stack = np.zeros((len(ts), n * n), dtype=np.complex128)
+    # complex(0, -1), not -1j = complex(-0.0, -1.0): times sin(0) = 0 it gives
+    # +0, not -0.0, so exp_swap(d, 0) is the identity bitwise
+    stack[:, :: n + 1] = complex(0, -1) * np.sin(ts)[:, None]
+    stack = _rearrange(stack.reshape(-1, n, n), "swap_left")
+    stack.reshape(-1, n * n)[:, :: n + 1] += np.cos(ts)[:, None]
+    return stack
 
 
 def _controlled_u_stack(blocks: np.ndarray) -> np.ndarray:

@@ -266,6 +266,10 @@ RULES = {
         lambda node: (isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
                       or called("repr")(node)),
         {"densemat._echo"}),
+    "one cache": (
+        "cli._parser is the package's one cache: no other definition names functools.cache "
+        "or functools.lru_cache, so the library keeps no arrays between calls.",
+        named("cache", "lru_cache"), ["cli._parser"]),
 }
 
 # A hand-written rule of the kind the one integer rule replaced.
@@ -314,6 +318,8 @@ MUTATIONS = {
     "stack and d": ("rearrange", "def _rearrange(stack: np.ndarray, move: str)",
                     "def _rearrange(stack: np.ndarray, d: int, move: str)"),
     "repr": ("opfile", None, "def _bad(x):\n    raise ValueError(f'bad {x!r}')\n"),
+    "one cache": ("operators", "def _check_seed(",
+                  "@functools.lru_cache(maxsize=1)\ndef _check_seed("),
 }
 
 # What ``references`` finds in small sources: (match, source, keys), where
@@ -423,6 +429,12 @@ WALKER_CASES = [
      ["m.f"]),
     ("stack budget", "_STACK_BYTES = 64 * 1024\ndef f(n, d):\n    return _stack_spans(n, d)\n",
      []),
+    ("one cache", "import functools\n@functools.cache\ndef _parser():\n    pass\n", ["m._parser"]),
+    ("one cache", "@functools.lru_cache(maxsize=1)\ndef f(d):\n    pass\n", ["m.f"]),
+    ("one cache", "from functools import lru_cache\nclass C:\n    @lru_cache\n    def g(self): pass\n",
+     ["m.<module>", "m.C"]),
+    ("one cache", "parse = functools.cache(build)\n", ["m.<module>"]),
+    ("one cache", "@functools.wraps(f)\ndef g(cached):\n    return cached\n", []),
 ]
 
 

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import entpow.densemat
-from entpow.densemat import unitarity_defect
-from entpow.entanglement import MAX_MC_SAMPLES, state_linear_entropy
+from entpow.densemat import _stack_spans, unitarity_defect
+from entpow.entanglement import MAX_MC_SAMPLES, _measures, state_linear_entropy
 from entpow.operators import (
     ControlledUSpec,
     _draw_states,
+    _exp_swap_stack,
     _finish_states,
     controlled_u,
     exp_swap,
@@ -19,7 +20,7 @@ from entpow.operators import (
     product_state_batch,
     swap_op,
 )
-from entpow.rearrange import BipartiteOperator, partial_transpose_first
+from entpow.rearrange import BipartiteOperator, partial_transpose_first, swap_left
 
 
 # Seeds that cannot reproduce a draw: none, negative, not an integer, or
@@ -34,6 +35,19 @@ def fail_if_called(*args, **kwargs):
 def haar_spec(d, seed):
     """Controlled-U spec with d independent Haar blocks."""
     return ControlledUSpec(d, tuple(haar_unitary(d, seed + n) for n in range(d)))
+
+
+# Angles of the swap family: a grid over [-7, 7], plus 0, pi/2 and pi, where
+# the family is I, -i S12 and -I up to the rounding of cos and sin.
+FAMILY_TS = np.concatenate([np.linspace(-7, 7, 301), [0.0, math.pi / 2, math.pi]])
+
+
+def exp_swap_reference(d, ts):
+    """cos(t) I - i sin(t) S12 for every t of ``ts``, by dense arithmetic on
+    the identity and ``swap_op``'s matrix."""
+    eye, s = np.eye(d * d, dtype=np.complex128), swap_op(d).mat
+    t = ts[:, None, None]
+    return np.cos(t) * eye - 1j * np.sin(t) * s
 
 
 class TestIdentityAndSwap:
@@ -69,10 +83,24 @@ class TestIdentityAndSwap:
         with pytest.raises(ValueError):
             swap_op(1)
 
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_swap_is_the_identity_with_rows_moved_by_swap_left(self, d):
+        moved = swap_left(BipartiteOperator(d, np.eye(d * d))).mat
+        assert swap_op(d).mat.tobytes() == moved.tobytes()
+
 
 class TestExpSwap:
     def test_t_zero_is_identity(self):
         assert exp_swap(3, 0.0).mat.tobytes() == np.eye(9, dtype=complex).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 16])
+    def test_stack_equals_the_dense_reference(self, d):
+        for lo, hi in _stack_spans(len(FAMILY_TS), d):
+            stack = _exp_swap_stack(d, FAMILY_TS[lo:hi])
+            reference = exp_swap_reference(d, FAMILY_TS[lo:hi])
+            assert np.array_equal(stack, reference)
+            for got, want in zip(_measures(stack), _measures(reference), strict=True):
+                assert got.tobytes() == want.tobytes()
 
     def test_t_half_pi_is_minus_i_swap(self):
         got = exp_swap(2, math.pi / 2).mat
