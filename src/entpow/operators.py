@@ -17,12 +17,16 @@ line, checked by ``_check_seed`` before anything is drawn, and seeds a fresh
 ``numpy.random.default_rng`` (PCG64) generator with it, so identical seeds
 give bitwise identical output on the same numpy, the same BLAS build and
 the same BLAS thread count, which can change the rounding of the Haar QR.
-The stacked samplers -- Haar unitaries and the Monte-Carlo estimator's
-product states, ``product_state_batch`` -- draw from a generator their
-caller owns, sample-major, so n samples drawn over several calls on one
-generator are bitwise the samples of one call.  The product states are a
-draw, ``_draw_states``, and a finish of pure arithmetic,
-``_finish_states``, which the estimator may run on another thread (see
+Haar unitaries of side 3 or less are orthonormalised by a stacked
+Gram-Schmidt, ``_gram_schmidt``, of pure numpy arithmetic, and larger ones
+by LAPACK's QR with a phase fix; both give Q with R's diagonal positive
+real, the convention under which the draw is exactly Haar.  The stacked
+samplers -- Haar unitaries and the Monte-Carlo estimator's product states,
+``product_state_batch`` -- draw from a generator their caller owns,
+sample-major, so n samples drawn over several calls on one generator are
+bitwise the samples of one call.  The product states are a draw,
+``_draw_states``, and a finish of pure arithmetic, ``_finish_states``,
+which the estimator may run on another thread (see
 ``entanglement._sample_entropies``).  No shared generator state is kept
 anywhere.
 """
@@ -49,6 +53,12 @@ __all__ = [
 
 # The seed of ``SweepSpec``, ``verify.run_acceptance`` and every ``--seed`` flag.
 DEFAULT_SEED = 1
+
+# The largest side that ``_haar_stack`` orthonormalises by Gram-Schmidt.
+# Larger sides keep LAPACK's QR and so their bits, which the ``haar`` sweeps
+# and the pinned Monte-Carlo estimates rest on; from side 9 on, QR is also
+# the faster.
+_GRAM_SCHMIDT_SIDE = 3
 
 
 def _check_seed(seed) -> int:
@@ -114,9 +124,11 @@ def controlled_u(spec: ControlledUSpec) -> BipartiteOperator:
 def haar_unitary(d_total: int, seed: int) -> np.ndarray:
     """Haar-distributed d_total x d_total unitary, deterministic in ``seed``.
 
-    QR orthonormalization of a complex Gaussian (Ginibre) matrix, with the
-    diagonal of the triangular factor normalized to positive reals -- the
-    phase convention under which the distribution is exactly Haar.
+    The Q factor of a complex Gaussian (Ginibre) matrix whose triangular
+    factor R has a positive real diagonal -- the phase convention under
+    which the distribution is exactly Haar.  Up to d_total = 3, Q comes from
+    Gram-Schmidt, whose R is positive by construction; from 4 on, from
+    numpy's QR with R's diagonal phases moved into Q.
 
     Raises ValueError, before anything is drawn, unless ``d_total`` is an
     integer from 1 to 256 (d = 16 on each side) and ``seed`` an integer from
@@ -162,16 +174,43 @@ def _haar_stack(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """n Haar unitaries of size m x m from ``rng``, as an (n, m, m) stack.
 
     The draws are sample-major: each matrix takes its real parts, then its
-    imaginary parts, before the next matrix starts.  The stacked QR factors
-    each matrix on its own, so n matrices drawn over several calls on one
+    imaginary parts, before the next matrix starts.  Each Ginibre matrix is
+    orthonormalised with R's diagonal positive real: up to side
+    ``_GRAM_SCHMIDT_SIDE`` by ``_gram_schmidt``, which needs no phase fix,
+    and above it by numpy's stacked QR and the phase fix.  Both factor each
+    matrix on its own, so n matrices drawn over several calls on one
     generator are bitwise the matrices of one call.
     """
     z = rng.standard_normal((n, 2, m, m))
     z = z[:, 0] + 1j * z[:, 1]
     z /= math.sqrt(2.0)
+    if m <= _GRAM_SCHMIDT_SIDE:
+        return _gram_schmidt(z)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=1, axis2=2)
     return q * (diag / np.abs(diag))[:, None, :]
+
+
+def _gram_schmidt(z: np.ndarray) -> np.ndarray:
+    """The Q factor, with R's diagonal positive real, of each matrix of an
+    (n, m, m) stack, by classical Gram-Schmidt applied twice.
+
+    Column j is projected off the finished columns in two passes and then
+    divided by its norm, which is R's diagonal entry, so no phase fix
+    follows.  Every step is elementwise or an ``einsum`` over the stack
+    axis, so a matrix's bits do not depend on the stack it is in.
+    """
+    q = np.empty_like(z)
+    for j in range(z.shape[-1]):
+        v = z[:, :, j].copy()
+        done = q[:, :, :j]
+        conj = done.conj()
+        for _ in range(2 if j else 0):
+            v -= np.einsum("nik,nk->ni", done, np.einsum("nik,ni->nk", conj, v))
+        w = v.view(np.float64)
+        w /= np.sqrt(np.einsum("nx,nx->n", w, w))[:, None]
+        q[:, :, j] = v
+    return q
 
 
 def product_state_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:

@@ -23,6 +23,7 @@ from entpow.entanglement import (
 from entpow.operators import (
     ControlledUSpec,
     _controlled_u_stack,
+    _gram_schmidt,
     _haar_stack,
     controlled_u,
     exp_swap,
@@ -53,14 +54,24 @@ def count_stacks(monkeypatch):
     return stacks
 
 
-def haar_reference(m, rng):
-    """One Haar unitary from ``rng``: real parts, then imaginary parts of a
-    Ginibre matrix, numpy's QR and the phase fix, one matrix at a time."""
+def ginibre(m, rng):
+    """One Ginibre matrix from ``rng``: real parts, then imaginary parts."""
     g = rng.standard_normal((2, m, m))
-    z = (g[0] + 1j * g[1]) / math.sqrt(2.0)
+    return (g[0] + 1j * g[1]) / math.sqrt(2.0)
+
+
+def phase_fixed_qr(z):
+    """numpy's QR of one matrix, with R's diagonal phases moved into Q."""
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
     return q * (diag / np.abs(diag))[None, :]
+
+
+def haar_reference(m, rng):
+    """One Haar unitary from ``rng`` by the documented route, one matrix at a
+    time: Gram-Schmidt up to side 3, numpy's QR and the phase fix above."""
+    z = ginibre(m, rng)
+    return _gram_schmidt(z[None])[0] if m <= 3 else phase_fixed_qr(z)
 
 
 def scalar_operator(spec, t, rng):
@@ -97,6 +108,33 @@ class TestHaarStack:
     def test_haar_unitary_pins_the_draw_order(self, m, seed):
         want = haar_reference(m, np.random.default_rng(seed))
         assert haar_unitary(m, seed).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_gram_schmidt_is_the_phase_fixed_qr(self, m):
+        # checked against LAPACK, not against the helper: the factor numpy's
+        # QR gives, unitary, and with Q^H Z upper triangular, diagonal positive
+        for seed in SEEDS:
+            rng = np.random.default_rng(seed)
+            z = np.stack([ginibre(m, rng) for _ in range(12)])
+            q = _haar_stack(m, 12, np.random.default_rng(seed))
+            for k in range(12):
+                assert np.max(np.abs(q[k] - phase_fixed_qr(z[k]))) <= 1e-14
+            assert np.all(entpow.densemat._unitarity_defects(q) <= 1e-14)
+            r = np.conj(q.transpose(0, 2, 1)) @ z
+            assert np.max(np.abs(np.tril(r, -1))) <= 1e-14
+            diag = np.diagonal(r, axis1=1, axis2=2)
+            assert np.max(np.abs(diag.imag)) <= 1e-14 and np.all(diag.real > 0)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_gram_schmidt_error_is_rounding_times_the_condition(self, m):
+        # the two factorisations differ by rounding amplified by cond(Z),
+        # which a large stack makes large for a few matrices
+        rng = np.random.default_rng([2007, m])
+        z = np.stack([ginibre(m, rng) for _ in range(2000)])
+        q = _gram_schmidt(z)
+        diff = np.max(np.abs(q - np.stack(list(map(phase_fixed_qr, z)))), (1, 2))
+        assert np.all(diff <= 8 * np.finfo(float).eps * np.linalg.cond(z))
+        assert np.all(entpow.densemat._unitarity_defects(q) <= 1e-15)
 
     def test_controlled_stack_equals_controlled_u(self):
         d = 3

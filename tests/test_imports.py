@@ -270,6 +270,10 @@ RULES = {
         "cli._parser is the package's one cache: no other definition names functools.cache "
         "or functools.lru_cache, so the library keeps no arrays between calls.",
         named("cache", "lru_cache"), ["cli._parser"]),
+    "one orthonormaliser": (
+        "operators._haar_stack is the package's one orthonormaliser: no other definition "
+        "names a QR or operators._gram_schmidt, its Gram-Schmidt for small sides.",
+        named("qr", "_gram_schmidt"), {"operators._haar_stack"}),
 }
 
 # A hand-written rule of the kind the one integer rule replaced.
@@ -320,6 +324,8 @@ MUTATIONS = {
     "repr": ("opfile", None, "def _bad(x):\n    raise ValueError(f'bad {x!r}')\n"),
     "one cache": ("operators", "def _check_seed(",
                   "@functools.lru_cache(maxsize=1)\ndef _check_seed("),
+    "one orthonormaliser": ("verify", None,
+                            "def _orthonormal(z):\n    return np.linalg.qr(z)[0]\n"),
 }
 
 # What ``references`` finds in small sources: (match, source, keys), where
@@ -435,6 +441,13 @@ WALKER_CASES = [
      ["m.<module>", "m.C"]),
     ("one cache", "parse = functools.cache(build)\n", ["m.<module>"]),
     ("one cache", "@functools.wraps(f)\ndef g(cached):\n    return cached\n", []),
+    ("one orthonormaliser", "def f(z):\n    return np.linalg.qr(z)[0]\n", ["m.f"]),
+    ("one orthonormaliser", "from numpy.linalg import qr  # noqa: F401\n", ["m.<module>"]),
+    ("one orthonormaliser", "class C:\n    def g(self, z):\n        return scipy.linalg.qr(z)\n",
+     ["m.C"]),
+    ("one orthonormaliser", "def f(z):\n    return _gram_schmidt(z)\n", ["m.f"]),
+    ("one orthonormaliser", "def _gram_schmidt(z):\n    q, r = z, 1\n    return q\n", []),
+    ("one orthonormaliser", "def f(z):\n    return np.linalg.svd(z), 'qr'\n", []),
 ]
 
 
