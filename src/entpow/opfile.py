@@ -20,20 +20,22 @@ and gives its part of the skeleton, the text with number characters deleted
 too; each block's numbers convert with one ``json.loads`` of its text with
 every bracket replaced by a space, so JSON's number grammar holds and a
 number split by whitespace is an error, and one ``np.fromiter`` to float64.
-Integers convert as Python ints do.  The matrix is accepted only when the
-joined skeleton is exactly the bracket-and-comma skeleton of n rows of n
-pairs; the blocks' arrays then join into an n x n complex128 matrix.  So
-beside the document's text a read holds one block's copies and list of
-numbers, the skeleton, 2 bytes a number, and while the arrays join the
-matrix twice, 16 bytes a number: a d = 16 read peaks about 2.5 MiB above its
-text, however much whitespace the text holds.  A matrix the reader declines
-(any malformed one, and one with an integer beyond float range) is scanned
-by ``json`` into lists and walked row by row and entry by entry; the walk
-reports the first bad row or entry in row-major order.  Documents longer than 16 MiB (bytes, or
-characters for text input) are rejected before they are parsed, and an
-integer too long for Python to convert from text is malformed.  ``d`` and
-finiteness are checked by the ``densemat`` rules, with the messages of
-every other entry point; every rejection is a ``ValueError``.
+Integers convert as Python ints do, and the ``NaN`` and ``Infinity`` tokens
+``json`` reads (RFC 8259 excludes them) as the floats they name.  The matrix
+is accepted only when the joined skeleton is exactly the bracket-and-comma
+skeleton of n rows of n pairs; the blocks' arrays then join into an n x n
+complex128 matrix.  So beside the document's text a read holds one block's
+copies and list of numbers, the skeleton, 2 bytes a number, and while the
+arrays join the matrix twice, 16 bytes a number: a d = 16 read peaks about
+2.5 MiB above its text, however much whitespace the text holds.  The flat
+reader thus reads every well-formed matrix, finite or not.  Only a matrix it
+declines (a malformed one, or one with an integer beyond float range) is
+scanned by ``json`` into lists, which are walked row by row and entry by
+entry only to name its first bad row or entry in row-major order.  Documents
+longer than 16 MiB (bytes, or characters for text input) are rejected before
+they are parsed, and an integer too long for Python to convert from text is
+malformed.  ``d`` and finiteness are checked by the ``densemat`` rules, with
+the messages of every other entry point; every rejection is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ _MAX_BYTES = 16 * 1024 * 1024
 _BLOCK_CHARS = 64 * 1024
 
 _WHITESPACE = b" \t\n\r"
-_NUMBER_CHARS = b"0123456789+-.eE"
+_NUMBER_CHARS = b"0123456789+-.eEINafinty"  # with the letters of NaN, Infinity
 _BRACKETS_TO_SPACES = str.maketrans("[]", "  ")
 
 
@@ -104,9 +106,10 @@ def read_operator_file(content: bytes | str) -> tuple[BipartiteOperator, str | N
     rows = len(matrix) if isinstance(matrix, (list, np.ndarray)) else type(matrix).__name__
     if rows != n:
         raise ValueError(f"matrix must have {n} rows ({n} = d^2 for d={d}), got {rows}")
+    if isinstance(matrix, list):
+        _walk(matrix, d)
     # BipartiteOperator names the first non-finite entry
-    out = matrix if isinstance(matrix, np.ndarray) else _walk(matrix, d)
-    return BipartiteOperator(d, out), name
+    return BipartiteOperator(d, matrix), name
 
 
 def serialize_operator(op: BipartiteOperator, name: str | None = None) -> str:
@@ -230,28 +233,24 @@ def _empty_slot(dense: bytes) -> bool:
     return bool(found.any())
 
 
-def _walk(matrix: list, d: int) -> np.ndarray:
-    """Convert entry by entry, raising on the first bad row or entry in row-major order."""
+def _walk(matrix: list, d: int) -> None:
+    """Raise on the first bad row or entry, in row-major order, of a matrix
+    the flat reader declined; json's lists are built only for such a matrix."""
     n = d * d
-    out = np.empty((n, n), dtype=np.complex128)
     for r, row in enumerate(matrix):
         if not isinstance(row, list) or len(row) != n:
             raise ValueError(f"matrix row {r} must have {n} entries (d^2 for d={d})")
         for c, cell in enumerate(row):
-            out[r, c] = _parse_entry(cell, r, c)
-    return out
-
-
-def _parse_entry(cell, r: int, c: int) -> complex:
-    if (
-        not isinstance(cell, list)
-        or len(cell) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell)
-    ):
-        raise ValueError(
-            f"entry at row {r}, column {c} must be a [re, im] pair of numbers, got {_echo(cell)}"
-        )
-    try:
-        return complex(cell[0], cell[1])
-    except OverflowError:
-        raise ValueError(f"entry at row {r}, column {c} is out of float range") from None
+            if (
+                not isinstance(cell, list)
+                or len(cell) != 2
+                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell)
+            ):
+                raise ValueError(
+                    f"entry at row {r}, column {c} must be a [re, im] pair of numbers, "
+                    f"got {_echo(cell)}"
+                )
+            try:
+                complex(cell[0], cell[1])
+            except OverflowError:
+                raise ValueError(f"entry at row {r}, column {c} is out of float range") from None

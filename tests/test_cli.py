@@ -540,11 +540,15 @@ class TestVerify:
 
 
 class TestEntryPoint:
-    def test_console_script(self, tmp_path):
+    @pytest.fixture
+    def env(self):
         # run the module in a fresh interpreter, importing the same package
         src = str(Path(entpow.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return env
+
+    def test_console_script(self, tmp_path, env):
         path = tmp_path / "cnot.json"
         path.write_text(serialize_operator(CNOT, name="cnot"))
         proc = subprocess.run(
@@ -553,6 +557,24 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "e_p      = 0.222222222222" in proc.stdout
+
+    # Haar draws of side <= 3 use no LAPACK call; haar at d >= 12 is left out,
+    # since numpy's QR of its Ginibre matrices depends on the thread count
+    @pytest.mark.parametrize("family, d, steps", [
+        ("controlled_u_random", 2, 200), ("controlled_u_random", 3, 200),
+        ("exp_swap", 2, 50), ("exp_swap", 16, 20),
+    ])
+    def test_sweep_bytes_do_not_depend_on_process_or_blas_threads(self, env, family, d, steps):
+        argv = ["sweep", "--family", family, "--d", str(d), "--steps", str(steps), "--seed", "7"]
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-m", "entpow.cli", *argv], capture_output=True, timeout=120,
+                check=True, env={**env, "OPENBLAS_NUM_THREADS": threads},
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert len(outputs[0].splitlines()) == 1 + steps
+        assert outputs[0] == outputs[1]
 
 
 class TestNoCommand:

@@ -118,7 +118,6 @@ class TestBulkConversion:
     def test_valid_file_never_walks_entries(self, monkeypatch):
         # a declined matrix would be scanned into lists and walked
         monkeypatch.setattr(entpow.opfile, "_walk", fail_if_called)
-        monkeypatch.setattr(entpow.opfile, "_parse_entry", fail_if_called)
         op = BipartiteOperator(16, haar_unitary(256, seed=5))
         pairs = [[[z.real, z.imag] for z in row] for row in op.mat]
         for text in (serialize_operator(op), json.dumps({"d": 16, "matrix": pairs}, indent=1)):
@@ -381,7 +380,7 @@ class TestErrors:
         rows[3] = list(rows[3])
         rows[3][0] = [1.0, 1e999]  # serializes as Infinity in JSON
         text = doc(2, rows).replace("1e+999", "Infinity")
-        with pytest.raises(ValueError, match="row 3, column 0"):
+        with pytest.raises(ValueError, match="^non-finite entry at row 3, column 0$"):
             read_operator_file(text)
 
     def test_nan_entry_rejected(self):
@@ -389,13 +388,14 @@ class TestErrors:
         rows[0] = list(rows[0])
         rows[0][0] = [1.0, 1.0]
         text = doc(2, rows).replace("[1.0, 1.0]", "[NaN, 0.0]")
-        with pytest.raises(ValueError, match="non-finite|row 0"):
+        with pytest.raises(ValueError, match="^non-finite entry at row 0, column 0$"):
             read_operator_file(text)
 
 
 def reference_read(text):
-    """A reader without the flat path: ``json.loads``, the same checks, then
-    an entry-by-entry walk of every matrix."""
+    """A reader without the flat path: ``json.loads``, the same checks, the
+    reader's walk to name a bad row or entry, then numpy's conversion of
+    json's lists."""
     try:
         document = json.loads(text)
     except json.JSONDecodeError as e:
@@ -423,7 +423,8 @@ def reference_read(text):
             f"matrix must have {n} rows ({n} = d^2 for d={d}), "
             f"got {len(matrix) if isinstance(matrix, list) else type(matrix).__name__}"
         )
-    out = _walk(matrix, d)
+    _walk(matrix, d)
+    out = np.array(matrix, dtype=np.float64).view(np.complex128).reshape(n, n)
     bad = np.argwhere(~np.isfinite(out))
     if bad.size:
         r, c = bad[0]
@@ -536,6 +537,7 @@ _SEEDED = [
 _TOKENS = [
     "-0", str(2**1100), "1e400", "+1", ".5", "01", "1.", "[1 2]", "true", '"2"', "null",
     " ", "\r\n", "\t", ",", "[", "]", "[]", "{", "}", '"', ":", "é", "-", "e", "0", "NaN",
+    "Infinity", "-Infinity",
     "[0, 0]", ", [0, 0]", "\\u0078",
 ]
 
@@ -575,6 +577,17 @@ class TestMatchesReference:
         expected = reference_read(text)[0]
         monkeypatch.setattr(entpow.opfile, "_walk", fail_if_called)
         assert read_operator_file(text)[0].mat.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("k", [0, 6, 15], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_non_finite_token_takes_the_flat_reader(self, monkeypatch, token, k, part):
+        text = _cell(_CANONICAL, k, f"[{token}, 0.5]" if part == "re" else f"[0.5, {token}]")
+        message = f"non-finite entry at row {k // 4}, column {k % 4}"
+        assert outcome(reference_read, text) == ("error", message)
+        monkeypatch.setattr(entpow.opfile, "_walk", fail_if_called)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_operator_file(text)
 
     # the block size, set once per test, holds for every example
     @settings(max_examples=400, deadline=None,
