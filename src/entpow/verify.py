@@ -1,13 +1,14 @@
 """Built-in verification suite: the ten acceptance criteria, in one table.
 
 ``CRITERIA`` holds every criterion once, as ``(key, title, bound, worst)``.
-``worst(run, rng)`` recomputes the criterion at the dimensions of one run and
-returns a single number -- a max deviation, a mismatch count, or the MC
-deviation in units of its allowance -- and the criterion holds iff that
-number is at most ``bound``.  ``_worst`` runs row k on ``default_rng([seed, k])``,
-the suite's one seed rule, and every random draw of the criterion comes from
-it; new rows go at the end, so each row keeps its draws.  ``run_acceptance``
-(behind ``entpow verify``) and ``tests/test_acceptance.py`` both call it.
+``_new_run`` makes a run once, with its dimensions, seed and exp_swap grids;
+``worst(run, rng)`` only reads it, recomputes the criterion and returns a
+single number -- a max deviation, a mismatch count, or the MC deviation in
+units of its allowance -- and the criterion holds iff it is at most ``bound``.
+``_worst`` runs row k on ``default_rng([seed, k])``, the suite's one seed
+rule, and every random draw of the criterion comes from it; new rows go at
+the end, so each row keeps its draws.  ``run_acceptance`` (behind
+``entpow verify``) and ``tests/test_acceptance.py`` both call it.
 The four criteria over many random operators draw them sample-major, in the
 stacks ``densemat._stack_spans`` cuts, so their values do not depend on where
 stacks split; each puts its last one through the scalar public API.
@@ -27,7 +28,7 @@ The determinism criterion repeats that estimator, and a sweep, at the seed itsel
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,22 +61,18 @@ class CheckResult:
     computed: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Run:
-    """Dimensions and seed of one acceptance run; titles are formatted from them."""
+    """One run, made once by ``_new_run`` and only read by criteria: dimensions and seed
+    (titles read them too), and per d of family_dims exp_swap's (t, E, E(S12 U), e_p)
+    on a 50-point grid over [0, pi]."""
 
     swap_dims: list
     family_dims: list
     gate_dims: list
     mc_samples: int
     seed: int
-    grids: dict = field(default_factory=dict, repr=False)
-
-    def grid(self, d: int) -> np.ndarray:
-        """Columns (t, E, E(S12 U), e_p) of exp_swap on a 50-point grid over [0, pi]."""
-        if d not in self.grids:
-            self.grids[d] = np.array(sweep_rows(SweepSpec("exp_swap", d, 0.0, math.pi, 50))).T
-        return self.grids[d]
+    grids: dict
 
 
 def _new_run(extra_d: int | None, mc_samples: int, seed: int) -> _Run:
@@ -84,7 +81,9 @@ def _new_run(extra_d: int | None, mc_samples: int, seed: int) -> _Run:
         for ds in dims:
             if extra_d not in ds:
                 ds.append(extra_d)
-    return _Run(*dims, mc_samples, seed)
+    grids = {d: np.array(sweep_rows(SweepSpec("exp_swap", d, 0.0, math.pi, 50))).T
+             for d in dims[1]}
+    return _Run(*dims, mc_samples, seed, grids)
 
 
 def run_acceptance(
@@ -158,7 +157,7 @@ def _swap_values(run: _Run, rng: np.random.Generator) -> float:
 def _swap_family(run: _Run, rng: np.random.Generator) -> float:
     devs = []
     for d in run.family_dims:
-        t, e, e_swapped, ep = run.grid(d)
+        t, e, e_swapped, ep = run.grids[d]
         cap, peak = 1 - 1 / d**2, (d * d - 1) / (2.0 * (d + 1) ** 2)
         devs += [e - cap * (1 - np.cos(t) ** 4), e_swapped - cap * (1 - np.sin(t) ** 4),
                  ep - peak * np.sin(2 * t) ** 2]
@@ -170,7 +169,7 @@ def _sqrt_swap(run: _Run, rng: np.random.Generator) -> float:
     # falls short of the grid maximum of e_p and of E respectively
     devs = []
     for d in run.family_dims:
-        t, e, _, ep = run.grid(d)
+        t, e, _, ep = run.grids[d]
         cap, peak = 1 - 1 / d**2, (d * d - 1) / (2.0 * (d + 1) ** 2)
         v = exp_swap(d, math.pi / 4)
         devs += [operator_entanglement(v) - 0.75 * cap, entangling_power(v) - peak,

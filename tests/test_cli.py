@@ -558,11 +558,12 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "e_p      = 0.222222222222" in proc.stdout
 
-    # Haar draws of side <= 3 use no LAPACK call; haar at d >= 12 is left out,
-    # since numpy's QR of its Ginibre matrices depends on the thread count
+    # Haar draws of side <= 3 use no LAPACK call; haar at d >= 10 is left out,
+    # since numpy's QR of its Ginibre matrices (side >= 100) depends on the thread count
     @pytest.mark.parametrize("family, d, steps", [
         ("controlled_u_random", 2, 200), ("controlled_u_random", 3, 200),
         ("exp_swap", 2, 50), ("exp_swap", 16, 20),
+        ("haar", 4, 200), ("haar", 8, 40), ("controlled_u_random", 16, 10),
     ])
     def test_sweep_bytes_do_not_depend_on_process_or_blas_threads(self, env, family, d, steps):
         argv = ["sweep", "--family", family, "--d", str(d), "--steps", str(steps), "--seed", "7"]

@@ -1,9 +1,12 @@
 """Tests for the stacked evaluation behind the per-operator criteria of
 ``entpow.verify``: stack splits, agreement with the scalar API, bitwise
 comparisons and the unitarity gate inside a stack; for its seed tree,
-which gives criterion k the generator ``[seed, k]``; and for the counts its
+which gives criterion k the generator ``[seed, k]``; for the run, which
+``_new_run`` makes whole and criteria only read; and for the counts its
 titles name, which must be the counts the criteria evaluate."""
 
+import copy
+import dataclasses
 import math
 import re
 
@@ -179,6 +182,32 @@ def test_mc_streams_share_no_draw_with_the_oracle_operators(monkeypatch, seed):
 def test_every_criterion_but_mc_passes_at_any_seed(seed):
     results = run_acceptance(seed=seed)
     assert len(results) == 9 and all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("key", ROW)
+def test_criteria_only_read_the_run(key):
+    run = _new_run(extra_d=5, mc_samples=2000, seed=1)
+    before = copy.deepcopy(vars(run))
+    _worst(run, ROW[key])
+    after = vars(run)
+    assert after.keys() == before.keys()
+    assert all(after[name] == before[name] for name in before if name != "grids")
+    assert after["grids"].keys() == before["grids"].keys()
+    for d, grid in before["grids"].items():
+        assert after["grids"][d].shape == grid.shape
+        assert after["grids"][d].tobytes() == grid.tobytes()
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(entpow.verify._Run)])
+def test_a_run_is_frozen(run, field):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(run, field, getattr(run, field))
+
+
+def test_rows_give_the_same_values_in_any_order(run):
+    in_order = [_worst(run, k) for k in range(len(CRITERIA))]
+    reversed_order = [_worst(run, k) for k in reversed(range(len(CRITERIA)))][::-1]
+    assert np.array(reversed_order).tobytes() == np.array(in_order).tobytes()
 
 
 def operators_evaluated(monkeypatch, run, key) -> dict:
