@@ -10,8 +10,9 @@ Numbers are written with 17 significant digits, and negative zero as
 ``-0.0``, so a serialize/parse round trip reproduces every float64 entry
 exactly; ``-0`` in a file is a JSON integer and reads as +0.0.
 
-Reading parses the top-level object with the ``json`` module but hands its
-``matrix`` member to a flat reader, which builds no list per row or entry.
+Reading parses the top-level object with the ``json`` module but hands each
+member whose value is an array to a flat reader, which builds no list per
+row or entry; the array's shape alone, not the member's key, decides.
 The reader takes the array's text (a numeric matrix holds no ``"`` and no
 ``}``, so it ends at the last ``]`` before either) and walks it in blocks of
 64 Ki characters, each extended to the next comma, so no number is cut.
@@ -21,21 +22,24 @@ too; each block's numbers convert with one ``json.loads`` of its text with
 every bracket replaced by a space, so JSON's number grammar holds and a
 number split by whitespace is an error, and one ``np.fromiter`` to float64.
 Integers convert as Python ints do, and the ``NaN`` and ``Infinity`` tokens
-``json`` reads (RFC 8259 excludes them) as the floats they name.  The matrix
+``json`` reads (RFC 8259 excludes them) as the floats they name.  The array
 is accepted only when the joined skeleton is exactly the bracket-and-comma
-skeleton of n rows of n pairs; the blocks' arrays then join into an n x n
-complex128 matrix.  So beside the document's text a read holds one block's
-copies and list of numbers, the skeleton, 2 bytes a number, and while the
-arrays join the matrix twice, 16 bytes a number: a d = 16 read peaks about
-2.5 MiB above its text, however much whitespace the text holds.  The flat
-reader thus reads every well-formed matrix, finite or not.  Only a matrix it
-declines (a malformed one, or one with an integer beyond float range) is
-scanned by ``json`` into lists, which are walked row by row and entry by
-entry only to name its first bad row or entry in row-major order.  Documents
-longer than 16 MiB (bytes, or characters for text input) are rejected before
-they are parsed, and an integer too long for Python to convert from text is
-malformed.  ``d`` and finiteness are checked by the ``densemat`` rules, with
-the messages of every other entry point; every rejection is a ``ValueError``.
+skeleton of n rows of n pairs, with n at least 4, the side of the smallest
+operator (d = 2); the blocks' arrays then join into an n x n complex128
+matrix.  So beside the document's text a read holds one block's copies and
+list of numbers, the skeleton, 2 bytes a number, and while the arrays join
+the matrix twice, 16 bytes a number: a d = 16 read peaks about 2.5 MiB above
+its text, however much whitespace the text holds.  The flat reader thus
+reads every well-formed matrix of side 4 or more, finite or not.  Every
+array it declines (a malformed one, a smaller one, one with an integer beyond
+float range, or any other array) is scanned by ``json`` into lists, so a
+``d`` or ``name`` holding a matrix of side 1 to 3 is echoed as its lists;
+a declined ``matrix`` is walked row by row and entry by entry only to name
+its first bad row or entry in row-major order.  Documents longer than 16 MiB
+(bytes, or characters for text input) are rejected before they are parsed,
+and an integer too long for Python to convert from text is malformed.  ``d``
+and finiteness are checked by the ``densemat`` rules, with the messages of
+every other entry point; every rejection is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -140,22 +144,10 @@ def _check_name(name):
     return name
 
 
-class _MemberKeys(dict):
-    """The key memo ``JSONObject`` is given: it passes each member's key
-    through ``setdefault`` just before it scans that member's value, so
-    ``last`` names the member being scanned."""
-
-    last = None
-
-    def setdefault(self, key, default=None):
-        self.last = key
-        return key
-
-
 class _OperatorDecoder(json.JSONDecoder):
-    """``json.JSONDecoder`` that hands the ``matrix`` member of a top-level
-    object to the flat reader; every other value, and every matrix the
-    reader declines, goes to ``json``'s own scanner."""
+    """``json.JSONDecoder`` that hands each member of a top-level object whose
+    value is an array to the flat reader; every other value, and every array
+    the reader declines, goes to ``json``'s own scanner."""
 
     def __init__(self):
         super().__init__()
@@ -165,21 +157,20 @@ class _OperatorDecoder(json.JSONDecoder):
     def _scan_document(self, s: str, idx: int):
         if not s.startswith("{", idx):
             return self._scan_value(s, idx)
-        keys = _MemberKeys()
+        return JSONObject((s, idx + 1), self.strict, self._scan_member, None, None)
 
-        def scan_member(s: str, idx: int):
-            if keys.last == "matrix" and s.startswith("[", idx):
-                found = _read_matrix(s, idx)
-                if found is not None:
-                    return found
-            return self._scan_value(s, idx)
-
-        return JSONObject((s, idx + 1), self.strict, scan_member, None, None, keys)
+    def _scan_member(self, s: str, idx: int):
+        if s.startswith("[", idx):
+            found = _read_matrix(s, idx)
+            if found is not None:
+                return found
+        return self._scan_value(s, idx)
 
 
 def _read_matrix(s: str, idx: int) -> tuple[np.ndarray, int] | None:
-    """The square matrix of number pairs whose array starts at ``s[idx]`` and
-    the index just past it, or None if the text is anything else."""
+    """The square matrix of number pairs, of side 4 or more, whose array
+    starts at ``s[idx]`` and the index just past it, or None if the text is
+    anything else."""
     end = len(s)
     for stop_char in '"}':
         found = s.find(stop_char, idx, end)
@@ -203,7 +194,8 @@ def _read_matrix(s: str, idx: int) -> tuple[np.ndarray, int] | None:
         skeleton = b"".join(parts)
         m = math.isqrt(len(skeleton) // 4)  # the skeleton has 4m^2 + 2m + 1 characters
         row = b"[" + b",".join([b"[,]"] * m) + b"]"
-        if not m or skeleton != b"[" + b",".join([row] * m) + b"]":
+        # 4 x 4 is the smallest operator's (d = 2); a smaller array stays json's lists
+        if m < 4 or skeleton != b"[" + b",".join([row] * m) + b"]":
             return None
         matrix = np.concatenate(arrays).view(np.complex128).reshape(m, m)
     except (ValueError, OverflowError):

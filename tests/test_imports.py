@@ -274,6 +274,11 @@ RULES = {
         "operators._haar_stack is the package's one orthonormaliser: no other definition "
         "names a QR or operators._gram_schmidt, its Gram-Schmidt for small sides.",
         named("qr", "_gram_schmidt"), {"operators._haar_stack"}),
+    "matrix member": (
+        "Only opfile.read_operator_file names the member matrix: the decoder hands an array "
+        "to the flat reader by its shape alone, whatever its member.",
+        lambda node: isinstance(node, ast.Constant) and node.value == "matrix",
+        {"opfile.read_operator_file"}),
 }
 
 # A hand-written rule of the kind the one integer rule replaced.
@@ -326,6 +331,7 @@ MUTATIONS = {
                   "@functools.lru_cache(maxsize=1)\ndef _check_seed("),
     "one orthonormaliser": ("verify", None,
                             "def _orthonormal(z):\n    return np.linalg.qr(z)[0]\n"),
+    "matrix member": ("opfile", None, "def _is_matrix(key):\n    return key == 'matrix'\n"),
 }
 
 # What ``references`` finds in small sources: (match, source, keys), where
@@ -448,6 +454,10 @@ WALKER_CASES = [
     ("one orthonormaliser", "def f(z):\n    return _gram_schmidt(z)\n", ["m.f"]),
     ("one orthonormaliser", "def _gram_schmidt(z):\n    q, r = z, 1\n    return q\n", []),
     ("one orthonormaliser", "def f(z):\n    return np.linalg.svd(z), 'qr'\n", []),
+    ("matrix member", "def f(doc):\n    return doc['matrix'], doc.get(\"matrix\")\n",
+     ["m.f", "m.f"]),
+    ("matrix member", "KEYS = 'd and matrix'\ndef f(s):\n    return s.matrix, b'matrix', matrix\n",
+     []),
 ]
 
 

@@ -31,6 +31,11 @@ def with_cell(rows, r, c, cell):
     return rows
 
 
+def pair_matrix(n):
+    """An n x n matrix of number pairs as lists, entry (r, c) being [c, r]."""
+    return [[[c, r] for c in range(n)] for r in range(n)]
+
+
 def fail_if_called(*args, **kwargs):
     raise AssertionError("reached a step the reader must not take here")
 
@@ -330,6 +335,19 @@ class TestErrors:
             with pytest.raises(ValueError, match=message):
                 serialize_operator(swap_op(2), name=name)
 
+    @pytest.mark.parametrize("key, rule", [
+        ("d", "local dimension must be an integer from 2 to 16"),
+        ("name", "'name' must be text"),
+    ], ids=["d", "name"])
+    def test_a_pair_matrix_of_side_4_is_echoed_as_the_flat_reader_s_array(self, key, rule):
+        # every top-level array of side 4 or more takes the flat reader,
+        # whatever its member: a 'd' or 'name' holding one reaches its rule
+        # as an ndarray, not as json's lists
+        text = _compact_with(**{key: pair_matrix(4)})
+        message = f"{rule}, got array([[0.+0... (164 characters)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_operator_file(text)
+
     def test_bad_cell_shapes(self):
         for bad in ([1.0], [1.0, 2.0, 3.0], "x", 5, [True, 0.0], None):
             rows = zeros_matrix(4)
@@ -453,13 +471,21 @@ def assert_reads_as_reference(text):
 _PAIRS_2 = [[[z.real, z.imag] for z in row] for row in haar_unitary(4, seed=12)]
 _PAIRS_2[1][2] = [1, -3]
 _CANONICAL = serialize_operator(BipartiteOperator(2, haar_unitary(4, seed=11)), name="canon")
-_COMPACT = json.dumps({"d": 2, "name": "Ωψ é", "matrix": _PAIRS_2}, ensure_ascii=False)
+
+
+def _compact_with(**members):
+    """Compact JSON text of a d=2 document with a non-ASCII name, its members
+    replaced or extended by ``members``."""
+    return json.dumps({"d": 2, "name": "Ωψ é", "matrix": _PAIRS_2, **members}, ensure_ascii=False)
+
+
+_COMPACT = _compact_with()
 
 # Valid documents around a d=2 matrix: pretty, compact with a non-ASCII
 # name, without whitespace, whitespace after every bracket with "matrix"
 # before "d", "matrix" before a name holding ']', CRLF line ends, an escaped
-# key, duplicate "matrix" keys (the last one counts), and nested objects that
-# hold arrays.
+# key, duplicate "matrix" keys (the last one counts), nested objects that
+# hold arrays, and an unknown member that holds a 4 x 4 matrix of pairs.
 _VALID = [
     _CANONICAL,
     _COMPACT,
@@ -471,8 +497,10 @@ _VALID = [
     _CANONICAL.replace('"matrix": [', '"matrix": [[[1, 2]]], "matrix": ['),
     _COMPACT.replace('"matrix": ', '"matrix": [[[true, 1]]], "x": {"matrix": [[[1, 2]]]}, "matrix": '),
     _COMPACT.replace('"name": ', '"extra": {"rows": [[[1, 2]], [3]], "m": {"matrix": [1]}}, "name": '),
+    _compact_with(x=pair_matrix(4)),
 ]
-# A square matrix of pairs as 'name' or 'd': the message quotes it as lists.
+# A square matrix of pairs as 'name' or 'd': below side 4 the flat reader
+# declines it, so the message quotes it as lists.
 _BASES = _VALID + [
     _COMPACT.replace('"name": "Ωψ é"', '"name": [[[1, 2]]]'),
     _COMPACT.replace('"d": 2', '"d": [[[2, 0]]]'),
@@ -532,6 +560,11 @@ _SEEDED = [
     "\ufeff" + _CANONICAL,
     _CANONICAL + " 1",
     _CANONICAL.replace('"matrix"', '"matrix" '),
+    # square matrices of pairs below side 4, which the flat reader declines,
+    # as d, name and matrix, and an unknown member that it reads and the
+    # reader drops
+    *(_compact_with(**{key: pair_matrix(n)}) for key in ("d", "name", "matrix") for n in (2, 3)),
+    _compact_with(x=pair_matrix(16)),
 ] + _BASES
 
 _TOKENS = [
