@@ -96,10 +96,12 @@ def as_complex_matrix(a) -> np.ndarray:
             a.dtype.kind == "O" and any(isinstance(x, (str, bytes, type(None))) for x in a.flat)
         ):
             raise TypeError("strings, bytes and None are not accepted")
-        m = a.astype(np.complex128, order="C", copy=False)  # a 0-d input stays 0-d
+        with np.errstate(over="raise"):
+            m = a.astype(np.complex128, order="C", copy=False)  # a 0-d input stays 0-d
     except TypeError as err:  # an entry that is not a number, such as a dict or a string
         raise ValueError(f"matrix entries must be numbers: {err}") from None
-    except OverflowError:  # a Python integer beyond float range
+    # a Python integer, or a long double's cast, beyond float range
+    except (OverflowError, FloatingPointError):
         raise ValueError("matrix entry is out of float range") from None
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got {m.ndim}-D data")
@@ -117,10 +119,12 @@ def frobenius_norm_sq(a) -> float:
     Accumulated with ``math.fsum``, which returns the correctly rounded
     sum of the entry magnitudes.  The result therefore depends only on the
     multiset of entries, not on their layout, so rearrangements that merely
-    move entries preserve this value exactly.
+    move entries preserve this value exactly.  Squares that overflow give
+    inf, without a numpy warning.
     """
     a = as_complex_matrix(a)
-    sq = a.real * a.real + a.imag * a.imag
+    with np.errstate(over="ignore"):
+        sq = a.real * a.real + a.imag * a.imag
     return math.fsum(sq.ravel().tolist())
 
 

@@ -28,20 +28,20 @@ with E(S12) = 1 - 1/d^2.  This equals
 Every measure comes from two purities, Tr[(U^R U^R^dag)^2] and
 Tr[(U^T1 U^T1^dag)^2], computed by one batched core over an (n, d^2, d^2)
 stack of operators, whose functions take the stack alone and read d from its
-shape: the stack is rearranged with reshape/transpose, the
-Gram products M M^dag are formed in one batched product, and each
-Tr[(M M^dag)^2] is the sum of |g|^2 over the Hermitian Gram matrix, taken
-with a vectorised reduction.  ``_measures`` is the one gated call from a
-stack to (E(U), E(S12 U), e_p), for sweeps, ``verify`` and the three scalar
-measures, each a stack of one.  It passes them through the one unitarity
-gate, ``densemat._gate``, at ``UNITARITY_TOL``; the gate, its tolerance and
-its ``UnitarityError`` are ``densemat``'s, and the two public names are
-importable from here too.
+shape: the stack is rearranged with reshape/transpose, and ``_purity`` forms
+the Gram products M M^dag of the moved stack in one batched product and
+takes each Tr[(M M^dag)^2] as the sum of |g|^2 over the Hermitian Gram
+matrix, with a vectorised reduction.  So E(U) and E(S12 U) are the linear
+entropies of the states U^R/d and U^T1/d, taken by that one ``_purity``,
+which ``state_linear_entropy`` reads too.  ``_measures`` is the one gated
+call from a stack to (E(U), E(S12 U), e_p), for sweeps, ``verify`` and the
+three scalar measures, each a stack of one.  It passes them through the one
+unitarity gate, ``densemat._gate``, at ``UNITARITY_TOL``; the gate, its
+tolerance and its ``UnitarityError`` are ``densemat``'s, and the two public
+names are importable from here too.
 ``entanglement_report`` calls the same gate at its own tolerance and
 records a failure instead of raising, so it also takes the purities of an
-operator that fails.  Exact, permutation-invariant
-``fsum`` sums stay in ``densemat.frobenius_norm_sq``, where that invariance
-is the contract; here the purities only need to be accurate to rounding.
+operator that fails.
 
 A definition-level Monte-Carlo estimate of the entangling power is provided
 as an independent cross-check of the closed formula: it averages the linear
@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densemat import UNITARITY_TOL, _MC_CHUNK_BYTES, UnitarityError, _check_int
-from .densemat import _check_local_dim, _gate, _spans, as_complex_matrix, frobenius_norm_sq
+from .densemat import _check_local_dim, _gate, _spans, as_complex_matrix
 from .operators import _check_seed, _draw_states, _finish_states, product_state_batch
 from .rearrange import BipartiteOperator, _rearrange
 
@@ -135,6 +135,11 @@ class McEstimate:
 def state_linear_entropy(a) -> float:
     """Linear entropy 1 - Tr[(A A^dag)^2] of a normalized coefficient matrix.
 
+    The purity is the operator measures' own, ``_purity`` of a stack of
+    one, so ``operator_entanglement(u)`` is this entropy of the state
+    U^R/d, and ``swapped_operator_entanglement(u)`` that of U^T1/d, bitwise
+    where dividing by d is exact (d a power of 2).
+
     Parameters
     ----------
     a : (d, d) array_like
@@ -150,16 +155,16 @@ def state_linear_entropy(a) -> float:
     Raises
     ------
     NormalizationError
-        If the squared amplitude sum deviates from 1 by more than 1e-9.
+        If the squared amplitude sum deviates from 1 by more than 1e-9; a
+        sum that overflows gives the norm inf, without a numpy warning.
     """
     m = as_complex_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"coefficient matrix must be square, got {m.shape[0]}x{m.shape[1]}")
-    norm_sq = frobenius_norm_sq(m)
+    norm_sq = np.vdot(m, m).real
     if abs(norm_sq - 1.0) > 1e-9:
         raise NormalizationError(math.sqrt(norm_sq))
-    rho = m @ m.conj().T
-    return 1.0 - frobenius_norm_sq(rho)
+    return 1.0 - float(_purity(m[None])[0])
 
 
 def operator_entanglement(u: BipartiteOperator) -> float:
@@ -270,7 +275,7 @@ def entanglement_report(u: BipartiteOperator, tol: float = UNITARITY_TOL) -> Ent
         defect, ok = err.defect, False
     with np.errstate(over="ignore", invalid="ignore"):
         tr_r, tr_t = _purities(stack)
-        tr_rs = _purity(_rearrange(stack, "swap_right"), "realign")
+        tr_rs = _purity(_rearrange(_rearrange(stack, "swap_right"), "realign"))
     return EntanglementReport(
         d=d,
         e_op=float(_entanglement(tr_r, d)[0]),
@@ -297,21 +302,24 @@ def _check_mc_samples(n_samples) -> int:
     return _check_int(n_samples, MIN_MC_SAMPLES, MAX_MC_SAMPLES, "number of samples")
 
 
-def _purity(stack: np.ndarray, move: str) -> np.ndarray:
-    """Tr[(M M^dag)^2] for M the ``move`` of each operator in the stack.
+def _purity(stack: np.ndarray) -> np.ndarray:
+    """Tr[(M M^dag)^2] for each M of an (n, r, r) stack: the purity of the
+    state with coefficient matrix M, when M is normalised.  The operator
+    measures pass their moved stack, U^R or U^T1, and get d^4 times the
+    purity of U^R/d or U^T1/d.
 
     M M^dag is Hermitian, so the trace of its square is the sum of |g|^2
     over its entries: a dot product of the float view with itself.
     """
-    m = _rearrange(stack, move)
-    g = m @ m.conj().transpose(0, 2, 1)
+    g = stack @ stack.conj().transpose(0, 2, 1)
     x = g.view(np.float64).reshape(len(g), -1)
     return np.einsum("ni,ni->n", x, x)
 
 
 def _purities(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Tr[(U^R U^R^dag)^2], Tr[(U^T1 U^T1^dag)^2]) for each U of the stack."""
-    return _purity(stack, "realign"), _purity(stack, "partial_transpose_first")
+    return (_purity(_rearrange(stack, "realign")),
+            _purity(_rearrange(stack, "partial_transpose_first")))
 
 
 def _entanglement(tr: np.ndarray, d: int) -> np.ndarray:

@@ -77,6 +77,10 @@ class TestFrobeniusNorm:
         rng.shuffle(shuffled)
         assert frobenius_norm_sq(a) == frobenius_norm_sq(shuffled.reshape(6, 6))
 
+    @pytest.mark.parametrize("entry", [1e200, -1e200j, complex(1e160, 1e160)])
+    def test_overflowing_squares_give_inf_without_warning(self, entry):
+        assert frobenius_norm_sq([[entry, 0], [0, 1]]) == math.inf
+
 
 class TestUnitarityDefect:
     def test_identity(self):
@@ -161,6 +165,27 @@ class TestValidation:
         # numpy's OverflowError becomes the package's ValueError
         with pytest.raises(ValueError, match=r"^matrix entry is out of float range$"):
             check()
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
+                        reason="long double has the range of float64 on this build")
+    @pytest.mark.parametrize("entry", [
+        np.longdouble("1e400"), -np.longdouble("1e400"), np.clongdouble(np.longdouble("1e400")),
+        np.clongdouble(1j) * np.longdouble("1e4000"),
+    ], ids=["longdouble", "negative longdouble", "clongdouble", "imaginary clongdouble"])
+    @pytest.mark.parametrize("check", [
+        lambda x: as_complex_matrix([[x]]),
+        lambda x: as_complex_matrix(np.array([[1, x]], dtype=object)),
+        lambda x: BipartiteOperator(2, [[x, 0, 0, 0]] + np.eye(4)[1:].tolist()),
+        lambda x: ControlledUSpec(2, (np.eye(2), [[x, 0], [0, 1]])),
+        lambda x: unitarity_defect([[x, 0], [0, 1]]),
+        lambda x: state_linear_entropy([[x, 0], [0, 0]]),
+    ], ids=["as_complex_matrix", "object array", "BipartiteOperator", "ControlledUSpec",
+            "unitarity_defect", "state_linear_entropy"])
+    def test_rejects_long_doubles_beyond_float_range(self, check, entry):
+        # the cast's overflow, not a numpy warning and a non-finite entry
+        assert np.isfinite(entry)
+        with pytest.raises(ValueError, match=r"^matrix entry is out of float range$"):
+            check(entry)
 
     def test_numeric_arrays_are_not_scanned(self, monkeypatch):
         # the eval path: a numeric ndarray is not scanned for strings, bytes

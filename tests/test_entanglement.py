@@ -55,7 +55,7 @@ from entpow.operators import (
     product_state_batch,
     swap_op,
 )
-from entpow.rearrange import BipartiteOperator, realign, swap_left
+from entpow.rearrange import BipartiteOperator, partial_transpose_first, realign, swap_left
 
 CNOT = controlled_u(ControlledUSpec(2, (np.eye(2), np.array([[0, 1], [1, 0]]))))
 
@@ -83,11 +83,15 @@ class TestStateLinearEntropy:
         a = np.diag([math.sqrt(0.8), math.sqrt(0.2)]).astype(complex)
         assert state_linear_entropy(a) == pytest.approx(0.32, abs=1e-14)
 
-    def test_unnormalized_raises_with_norm(self):
+    @pytest.mark.parametrize("a, norm, shown", [
+        (np.eye(2, dtype=complex), math.sqrt(2.0), "1.41421"),
+        ([[1e200, 0], [0, 0]], math.inf, "inf"),  # the norm overflows, without a warning
+    ], ids=["eye", "overflow"])
+    def test_unnormalized_raises_with_norm(self, a, norm, shown):
         with pytest.raises(NormalizationError) as err:
-            state_linear_entropy(np.eye(2, dtype=complex))
-        assert err.value.norm == pytest.approx(math.sqrt(2.0), abs=1e-12)
-        assert "1.41421" in str(err.value)
+            state_linear_entropy(a)
+        assert err.value.norm == pytest.approx(norm, abs=1e-12)
+        assert f"found norm {shown}" in str(err.value)
 
     def test_non_square_raises(self):
         with pytest.raises(ValueError, match="square"):
@@ -137,12 +141,22 @@ class TestOperatorEntanglement:
         dressed = BipartiteOperator(d, local_product(a, b) @ u.mat @ local_product(c, e))
         assert operator_entanglement(dressed) == pytest.approx(base, abs=1e-12)
 
-    def test_matches_state_entropy_of_normalized_realignment(self):
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 16])
+    @pytest.mark.parametrize("measure, move", [
+        (operator_entanglement, realign),
+        (swapped_operator_entanglement, partial_transpose_first),
+    ], ids=["realign", "partial_transpose_first"])
+    def test_matches_state_entropy_of_normalized_realignment(self, measure, move, d):
         # U/d seen as a pure state of two d^2-level systems has coefficient
-        # matrix U^R / d; the two definitions must agree.
-        u = haar_op(3, 517)
-        via_state = state_linear_entropy(realign(u).mat / u.d)
-        assert operator_entanglement(u) == pytest.approx(via_state, abs=1e-12)
+        # matrix U^R / d, and S12 U that of U^T1 / d; both measures take the
+        # one purity of the state, so they agree bit for bit wherever
+        # dividing by d is exact
+        u = haar_op(d, 517 + d)
+        via_state = state_linear_entropy(move(u).mat / d)
+        if d & (d - 1) == 0:
+            assert measure(u) == via_state
+        else:
+            assert abs(measure(u) - via_state) <= 2.3e-16
 
     def test_non_unitary_raises_with_defect(self):
         bad = BipartiteOperator(2, 2.0 * np.eye(4, dtype=complex))
@@ -321,6 +335,17 @@ class TestMonteCarlo:
         message = "number of samples must be an integer from 100 to 10000000, got 99"
         with pytest.raises(ValueError, match=f"^{message}$"):
             entangling_power_mc(CNOT, 99, seed=1)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_kernel_takes_the_state_linear_entropy(self, d):
+        # the kernel's sample-last purity is the definition, sample by sample
+        stack = np.stack([np.eye(d * d), *(haar_unitary(d * d, 90 + k) for k in range(3))])
+        states = product_state_batch(np.random.default_rng(d), 500, d)
+        out = np.empty((len(stack), len(states)))
+        entpow.entanglement._entropy_kernel(stack, [states], out)
+        for u, row in zip(stack, out):
+            want = [state_linear_entropy((u @ psi).reshape(d, d)) for psi in states]
+            assert np.max(np.abs(row - want)) <= 1e-14
 
     def test_non_unitary_rejected(self):
         bad = BipartiteOperator(2, 2.0 * np.eye(4, dtype=complex))

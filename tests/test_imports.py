@@ -201,9 +201,16 @@ RULES = {
                       and getattr(node.parent, "module", None) == "sweep"),
         others("verify")),
     "one purity": (
-        "Inside entanglement one purity is read only by _purities and entanglement_report, "
-        "so every scalar measure goes through _measures.",
-        loads("_purity"), {"entanglement._purities", "entanglement.entanglement_report"}),
+        "Inside entanglement one purity is read only by _purities, entanglement_report and "
+        "state_linear_entropy, which is a state measure, so every scalar operator measure "
+        "still goes through _measures.",
+        loads("_purity"), {"entanglement._purities", "entanglement.entanglement_report",
+                           "entanglement.state_linear_entropy"}),
+    "fsum": (
+        "fsum is read only in densemat.frobenius_norm_sq, and no module, densemat included, "
+        "reads frobenius_norm_sq: every purity is _purity's vectorised sum, so the exact sum "
+        "is README-documented API with no caller in the package.",
+        named("fsum", "frobenius_norm_sq"), {"densemat.frobenius_norm_sq"}),
     "sampler": (
         "Only operators and entanglement reach the Monte-Carlo sampler: the product-state "
         "sampler, its draw and finish, and the pipeline that runs them.",
@@ -307,7 +314,9 @@ MUTATIONS = {
                      "_spans(spec.steps, 16 * d**4, _STACK_BYTES)"),
     "sweep privates": ("verify", "from .sweep import SweepSpec,",
                        "from .sweep import _BUILDERS, SweepSpec,"),
-    "one purity": ("entanglement", None, "def _realigned(s):\n    return _purity(s, 'realign')\n"),
+    "one purity": ("entanglement", None,
+                   "def _realigned(s):\n    return _purity(_rearrange(s, 'realign'))\n"),
+    "fsum": ("entanglement", None, "from .densemat import frobenius_norm_sq  # noqa: F401\n"),
     "sampler": ("verify", None,
                 "from .operators import product_state_batch as draw  # noqa: F401\n"),
     "stacked estimate": (
@@ -341,8 +350,7 @@ WALKER_CASES = [
     ("purity core", "from .entanglement import _measures, entangling_power\n", []),
     ("purity core", "from .entanglement import _gate, _purities\n", ["m.<module>"]),
     ("purity core", "from .entanglement import _power as p  # noqa: F401\n", ["m.<module>"]),
-    ("purity core", "from . import entanglement\nentanglement._purity(s, 'realign')\n",
-     ["m.<module>"]),
+    ("purity core", "from . import entanglement\nentanglement._purity(s)\n", ["m.<module>"]),
     ("gate", "from .densemat import _gate\ndef f(s):\n    return _gate(s, 0.0)\n", ["m.f"]),
     ("gate", {"a": "def f(s):\n    _gate(s, 1e-9)\n", "b": "def _gate(s, tol): pass\n"},
      ["a.f"]),
@@ -454,6 +462,11 @@ WALKER_CASES = [
     ("one orthonormaliser", "def f(z):\n    return _gram_schmidt(z)\n", ["m.f"]),
     ("one orthonormaliser", "def _gram_schmidt(z):\n    q, r = z, 1\n    return q\n", []),
     ("one orthonormaliser", "def f(z):\n    return np.linalg.svd(z), 'qr'\n", []),
+    ("fsum", "import math\ndef f(x):\n    return math.fsum(x)\n", ["m.f"]),
+    ("fsum", "from math import fsum  # noqa: F401\n", ["m.<module>"]),
+    ("fsum", "from .densemat import frobenius_norm_sq as norm  # noqa: F401\n", ["m.<module>"]),
+    ("fsum", "def f(a):\n    return entpow.densemat.frobenius_norm_sq(a), 'fsum'\n", ["m.f"]),
+    ("fsum", "def f(x):\n    return sum(x), np.vdot(x, x), _fsum\n", []),
     ("matrix member", "def f(doc):\n    return doc['matrix'], doc.get(\"matrix\")\n",
      ["m.f", "m.f"]),
     ("matrix member", "KEYS = 'd and matrix'\ndef f(s):\n    return s.matrix, b'matrix', matrix\n",
