@@ -54,11 +54,12 @@ reduction per chunk, on arrays made for that chunk -- so its memory is 8
 bytes per sample per operator plus a few chunks, and the sample count is
 capped at ``MAX_MC_SAMPLES``.  Each estimate runs one worker thread beside
 the caller, and is bitwise that of evaluating the chunks one after the
-other; ``_sample_entropies`` says which thread does what.  The finished
-states of a chunk are the transposed view of a (d^2, s) buffer, so the GEMM
-reads a C-contiguous operand.  ``entangling_power_mc`` is that kernel on a
-stack of one, and ``verify`` runs it on each dimension's stack of oracle
-operators.
+other.  The worker makes a chunk's states from the caller's raw draw iff
+k d^2 <= 9 and the chunk is not the last; otherwise the caller makes them
+(``_sample_entropies``).  The finished states of a chunk are the transposed
+view of a (d^2, s) buffer, so the GEMM reads a C-contiguous operand.
+``entangling_power_mc`` is that kernel on a stack of one, and ``verify``
+runs it on each dimension's stack of oracle operators.
 """
 
 from __future__ import annotations
@@ -372,19 +373,16 @@ def _sample_entropies(stack: np.ndarray, n: int, rng: np.random.Generator) -> np
     ``_MC_CHUNK_BYTES``; the sampler's draw order makes the states those of
     one call.  The calling thread draws chunk i+1 while one worker thread,
     which lives for this call, runs ``_entropy_kernel`` on chunk i and writes
-    that chunk's slice of the result.  Where chunk i+1's states are made is
-    decided before it is drawn, by whether the worker had finished chunk
-    i-1 when chunk i was handed over.  If it had, or fewer than two chunks
-    have been handed over, the caller draws with ``_draw_states`` and the
-    worker gets the raw draw and makes the states; if it had not, the caller
-    makes them with ``product_state_batch`` while the worker is busy.  Only
-    the caller touches ``rng``, the states are the same arithmetic,
+    that chunk's slice of the result.  If k d^2 <= 9 and the chunk is not
+    the last, the caller draws it with ``_draw_states`` and the worker makes
+    its states; otherwise the caller makes them with ``product_state_batch``.
+    Only the caller touches ``rng``, the states are the same arithmetic,
     ``_finish_states``, on either thread, and the kernel shares nothing with
-    the caller but its chunk and its slice, so the draws and each chunk's
-    arithmetic, and with them the bits, are those of drawing and evaluating
-    the chunks one after the other.  Each chunk costs one handoff between
-    the threads, which is why ``_MC_CHUNK_BYTES`` makes chunks few and large.
-    An exception in the kernel is raised here, after the worker has stopped.
+    the caller but its chunk and its slice, so the bits are those of
+    drawing and evaluating the chunks one after the other.  Each chunk costs
+    one handoff between the threads, which is why ``_MC_CHUNK_BYTES`` makes
+    chunks few and large.  An exception in the kernel is raised here, after
+    the worker has stopped.
     """
     # imported here, not with the package: ``import entpow`` stays without it
     from concurrent.futures import ThreadPoolExecutor
@@ -397,14 +395,14 @@ def _sample_entropies(stack: np.ndarray, n: int, rng: np.random.Generator) -> np
     spans = _spans(n, 64 * k * d * d + 16 * d * d + 96 * d, _MC_CHUNK_BYTES)
     entropies = np.empty((k, n))
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="entpow-mc") as worker:
-        done, idle = None, True
+        done = None
         for lo, hi in spans:
-            # a one-item list: the kernel takes the draw or the states out of
-            # it, so that they are freed after its GEMM whatever the threads' timing
-            make = _draw_states if idle else product_state_batch
+            # up to k d^2 = 9 the kernel leaves the worker time to make the states;
+            # the caller makes the last chunk's, having no next chunk to draw
+            make = _draw_states if k * d * d <= 9 and hi < n else product_state_batch
+            # a one-item list the kernel empties, so its contents are freed after the GEMM
             chunk = [make(rng, hi - lo, d)]
             if done is not None:
-                idle = done.done()  # whether the worker kept up with the last chunk
                 done.result()
             done = worker.submit(_entropy_kernel, stack, chunk, entropies[:, lo:hi])
         done.result()

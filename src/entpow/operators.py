@@ -26,9 +26,9 @@ samplers -- Haar unitaries and the Monte-Carlo estimator's product states,
 sample-major, so n samples drawn over several calls on one generator are
 bitwise the samples of one call.  The product states are a draw,
 ``_draw_states``, and a finish of pure arithmetic, ``_finish_states``,
-which the estimator may run on another thread (see
-``entanglement._sample_entropies``).  No shared generator state is kept
-anywhere.
+which the estimator's worker thread runs for every chunk but the last
+when k d^2 <= 9 (``entanglement._sample_entropies``).  No shared
+generator state is kept anywhere.
 """
 
 from __future__ import annotations

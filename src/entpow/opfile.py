@@ -73,17 +73,19 @@ def read_operator_file(content: bytes | str) -> tuple[BipartiteOperator, str | N
     Raises
     ------
     ValueError
-        On content over 16 MiB, malformed JSON (message carries
-        line/column), d outside 2..16, a name that is not text,
-        inconsistent dimensions (message states the d^2 expected), or
-        non-finite or non-numeric entries.
+        On content over 16 MiB, bytes that are not UTF-8 (message carries
+        the byte offset), malformed JSON (message carries line/column), d
+        outside 2..16, a name that is not text, inconsistent dimensions
+        (message states the d^2 expected), or non-finite or non-numeric entries.
     """
     if len(content) > _MAX_BYTES:
         raise ValueError(f"operator file exceeds the {_MAX_BYTES >> 20} MiB limit")
-    if isinstance(content, bytes):
-        content = content.decode("utf-8")
     try:
+        if isinstance(content, bytes):
+            content = content.decode("utf-8")
         doc = json.loads(content, cls=_OperatorDecoder)
+    except UnicodeDecodeError as e:
+        raise ValueError(f"malformed operator file: not UTF-8 at byte {e.start}") from None
     except json.JSONDecodeError as e:
         # str(e) already carries "line L column C"
         raise ValueError(f"malformed operator file: {e}") from None

@@ -232,12 +232,14 @@ class TestEval:
         # message names the limit, not a Python call that raises it
         *[(text, f"malformed operator file: an integer has more than "
                  f"{sys.get_int_max_str_digits()} digits") for text in LONG_INTEGER_FILES],
+        (b"\xff" + serialize_operator(swap_op(2)).encode(),
+         "malformed operator file: not UTF-8 at byte 0"),
     ], ids=["huge-int", "deep-nesting", "d-17", "5000-digit-d", "5000-digit-name",
-            "5000-digit-entry"])
+            "5000-digit-entry", "not-utf8"])
     def test_out_of_range_file_exits_1(self, capsys, monkeypatch, tmp_path, content, message):
         monkeypatch.setattr(entpow.cli, "entanglement_report", fail_if_called)
         path = tmp_path / "bad.json"
-        path.write_text(content)
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
         code, out, err = run(capsys, "eval", str(path))
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err == f"entpow: error: {message}\n"

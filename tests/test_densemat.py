@@ -43,6 +43,7 @@ from entpow.operators import (
 from entpow.rearrange import BipartiteOperator
 from entpow.sweep import SweepSpec, render_csv, sweep_rows
 from entpow.verify import run_acceptance
+from test_entanglement import count_chunks
 
 
 def random_complex(rng, rows, cols):
@@ -619,9 +620,7 @@ class TestSpans:
                                 lambda stack: sizes.append(len(stack)) or measures(stack))
             sweep_rows(SweepSpec("haar", d, 0.0, 1.0, size + 1))
         else:
-            draw = entpow.entanglement._draw_states
-            monkeypatch.setattr(entpow.entanglement, "_draw_states",
-                                lambda rng, n, d: sizes.append(n) or draw(rng, n, d))
+            sizes = count_chunks(monkeypatch)
             stack = _haar_stack(d * d, k, np.random.default_rng(d))
             entpow.entanglement._sample_entropies(stack, size + 1, np.random.default_rng(1))
         assert sizes == [size, 1]

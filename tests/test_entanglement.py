@@ -15,7 +15,6 @@ Frozen expected values used here, all hand-derivable:
   - controlled-U: E(S12 C) = 1 - 1/d^2 and e_p = (d/(d+1))^2 E(C)
 """
 
-import concurrent.futures
 import itertools
 import math
 import re
@@ -417,11 +416,12 @@ def mc_chunk(d, k):
     return max(1, entpow.densemat._MC_CHUNK_BYTES // sample_bytes(d, k))
 
 
-def count_chunks(monkeypatch):
-    """A list that gets each chunk's sample count as the estimator draws it,
-    raw for the worker or as the caller's finished states."""
+def count_chunks(monkeypatch, paths=("_draw_states", "product_state_batch")):
+    """A list that gets each chunk's sample count as the estimator draws it
+    through ``paths``: by default both, raw for the worker or as the caller's
+    finished states."""
     chunks = []
-    for name in ("_draw_states", "product_state_batch"):
+    for name in paths:
         def counting(rng, n, d, draw=getattr(entpow.entanglement, name)):
             chunks.append(n)
             return draw(rng, n, d)
@@ -575,63 +575,39 @@ class KernelFault(Exception):
 def placing_states(monkeypatch, delayed=None):
     """A list that gets, for each chunk of the estimator, the thread that made
     its states: the caller's ``product_state_batch`` or the worker's
-    ``_finish_states``.  ``delayed="worker"`` holds the worker on each of the
-    first three chunks until the caller has asked whether that chunk is
-    done, so the caller finds it busy at those handoffs; ``delayed="caller"``
-    holds each draw after the first until the chunk before it is done, so
-    the caller finds the worker idle at every handoff.  Both waits hang on
-    the executor's futures, not on sleeps."""
-    made_on = []
-    checked, evaluated = threading.Semaphore(0), threading.Semaphore(0)
-    draws, chunks = itertools.count(), itertools.count()
+    ``_finish_states``.  ``delayed="worker"`` sleeps 2 ms before each kernel,
+    so the worker tends to be busy at a handoff; ``delayed="caller"`` sleeps
+    before each draw, so it tends to be idle."""
+    made_on, slots = [], {}
     ent = entpow.entanglement
     draw, batch, finish, kernel = (
         ent._draw_states, ent.product_state_batch, ent._finish_states, ent._entropy_kernel)
 
-    class Handoff:
-        """A future that lets a held worker go once the caller has asked it."""
-
-        def __init__(self, future):
-            self.future = future
-
-        def done(self):
-            done = self.future.done()
-            checked.release()
-            return done
-
-        def result(self):
-            return self.future.result()
-
-    class Watched(concurrent.futures.ThreadPoolExecutor):
-        def submit(self, *args):
-            future = super().submit(*args)
-            # a done-callback runs once the future is marked done
-            future.add_done_callback(lambda _: evaluated.release())
-            return Handoff(future)
-
-    def hold():
-        if delayed == "caller" and next(draws) > 0:
-            assert evaluated.acquire(timeout=10)
+    def pause(thread):
+        if delayed == thread:
+            time.sleep(0.002)
 
     def drawing(*args):
-        hold()
-        return draw(*args)
+        pause("caller")
+        raw = draw(*args)
+        # the chunk's slot, filled when its states are made
+        slots[id(raw)] = len(made_on)
+        made_on.append(None)
+        return raw
 
     def batching(*args):
-        hold()
+        pause("caller")
         made_on.append(threading.get_ident())
         return batch(*args)
 
     def finishing(raw):
-        made_on.append(threading.get_ident())
+        made_on[slots.pop(id(raw))] = threading.get_ident()
         return finish(raw)
 
     def evaluating(*args):
-        if delayed == "worker" and next(chunks) < 3:
-            assert checked.acquire(timeout=10)
+        pause("worker")
         kernel(*args)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Watched)
     monkeypatch.setattr(ent, "_draw_states", drawing)
     monkeypatch.setattr(ent, "product_state_batch", batching)
     monkeypatch.setattr(ent, "_finish_states", finishing)
@@ -640,26 +616,39 @@ def placing_states(monkeypatch, delayed=None):
 
 
 class TestMonteCarloPipeline:
-    """The caller draws each chunk; the worker makes its states while it keeps
-    up, and the caller makes them once it has fallen behind."""
+    """The caller draws each chunk; the stack's shape alone decides which
+    thread makes its states."""
 
     @pytest.mark.parametrize("delayed", [None, "worker", "caller"])
     @pytest.mark.parametrize("k", [1, 6])
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
     def test_entropies_are_the_sequential_bits(self, monkeypatch, d, k, delayed):
-        # a held worker is busy at the handoffs of chunks 1 and 2, so the
-        # caller makes the states of chunks 2 and 3; a held caller finds it
-        # idle at every handoff, so the worker makes them all
         made_on = placing_states(monkeypatch, delayed)
         stack = _haar_stack(d * d, k, np.random.default_rng(10 * d + k))
         n = 3 * mc_chunk(d, k) + 17  # three full chunks and a short one
         got = _sample_entropies(stack, n, np.random.default_rng(4))
         assert got.tobytes() == sequential_entropies(stack, d, n, np.random.default_rng(4)).tobytes()
-        # the first two chunks always go to the worker as raw draws
-        on_caller = made_on.count(threading.get_ident())
-        assert len(made_on) == 4 and on_caller <= 2
-        if delayed:
-            assert on_caller == {"worker": 2, "caller": 0}[delayed]
+        # the worker makes the states of every chunk but the last iff k d^2 <= 9,
+        # however far either thread is behind
+        on_worker = [thread != threading.get_ident() for thread in made_on]
+        assert on_worker == [k * d * d <= 9] * 3 + [False]
+
+    # perfbench's small mc-verify estimates, and that of verify's determinism
+    # criterion: one operator at d = 2 or 3, so k d^2 <= 9
+    @pytest.mark.parametrize("d, n", [(2, 4000), (3, 4000), (3, 10_000)])
+    def test_every_estimate_calls_the_public_sampler(self, monkeypatch, d, n):
+        calls = count_chunks(monkeypatch, ["product_state_batch"])
+        entangling_power_mc(haar_op(d, 9), n, seed=1)
+        # once, for the last chunk, of this many samples
+        assert calls == [(n - 1) % mc_chunk(d, 1) + 1]
+
+    @pytest.mark.parametrize("d, k", [(2, 3), (4, 1), (5, 1), (2, 6), (3, 5)])
+    def test_past_nine_the_caller_makes_every_chunk_s_states(self, monkeypatch, d, k):
+        chunks = count_chunks(monkeypatch)
+        calls = count_chunks(monkeypatch, ["product_state_batch"])
+        stack = _haar_stack(d * d, k, np.random.default_rng(d + k))
+        _sample_entropies(stack, 2 * mc_chunk(d, k) + 5, np.random.default_rng(2))
+        assert calls == chunks == [mc_chunk(d, k)] * 2 + [5]
 
     @pytest.mark.parametrize("fail_at", [1, 3, 5])
     def test_kernel_error_reaches_the_caller_and_the_worker_is_joined(self, monkeypatch, fail_at):
@@ -705,9 +694,8 @@ class TestMonteCarloPipeline:
         assert drawn_on == [threading.get_ident()] * 3
         assert len(evaluated_on) == 3 and len(set(evaluated_on)) == 1
         assert evaluated_on[0] != threading.get_ident()
-        # the states are made once per chunk, on one of the two threads
-        assert len(made_on) == 3
-        assert set(made_on) <= {threading.get_ident(), evaluated_on[0]}
+        # k d^2 = 9: the worker makes the states of every chunk but the last
+        assert made_on == [evaluated_on[0]] * 2 + [threading.get_ident()]
         assert threading.active_count() == baseline
 
     def test_concurrent_estimates_share_nothing(self):

@@ -223,6 +223,10 @@ RULES = {
         "Only entanglement imports threading or concurrent.futures: the Monte-Carlo "
         "estimator's worker thread is the package's only thread.",
         imports("threading", "concurrent"), {"entanglement.*"}),
+    "thread timing": (
+        "No package code reads a future's done: which thread does what is never decided by "
+        "how far the other thread has got.",
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "done", set()),
     "json": (
         "Only opfile imports json: the operator file format, and how it is parsed, is that "
         "module's alone.",
@@ -323,6 +327,8 @@ MUTATIONS = {
         "verify", None,
         "def _estimate(u, run):\n    return entangling_power_mc(u, 500, run.seed)\n"),
     "threads": ("sweep", None, "def run():\n    import concurrent.futures\n"),
+    "thread timing": ("entanglement", "            if done is not None:\n",
+                      "            if done is not None:\n                idle = done.done()\n"),
     "json": ("cli", None, "import json\n"),
     "integer type": ("sweep", None, CHECK_STEPS),
     "integer rule": ("operators", "_check_int(seed,", "int(seed,"),
@@ -391,6 +397,11 @@ WALKER_CASES = [
     ("threads", "def run():\n    import concurrent.futures\n", ["m.run"]),
     ("threads", "from .threading import start\n", []),
     ("threads", "import numpy as np\nfrom .operators import _check_seed\n", []),
+    ("thread timing", "def f(future):\n    return future.done()\n", ["m.f"]),
+    ("thread timing", "class C:\n    def g(self):\n        return self.job.done\n", ["m.C"]),
+    ("thread timing", "poll = futures[0].done\n", ["m.<module>"]),
+    ("thread timing", "def f(done):\n    done.result()\n    return done, done_at\n", []),
+    ("thread timing", "def done(): pass\ndone()\nf.add_done_callback(g)\n", []),
     ("json", "import json\n", ["m.<module>"]),
     ("json", "from json.decoder import JSONObject  # noqa: F401\n", ["m.<module>"]),
     ("json", "def dump(x):\n    import json as j\n    return j.dumps(x)\n", ["m.dump"]),

@@ -290,15 +290,28 @@ class TestParsing:
         assert np.array_equal(op.mat, np.eye(4, dtype=complex))
 
     def test_bytes_input(self):
-        content = serialize_operator(swap_op(2)).encode()
-        op, _ = read_operator_file(content)
-        assert np.array_equal(op.mat, swap_op(2).mat)
+        # UTF-8 bytes, with a name of multibyte characters
+        content = serialize_operator(swap_op(2), "x").encode().replace(b'"x"', '"Ωψ é"'.encode())
+        op, name = read_operator_file(content)
+        assert np.array_equal(op.mat, swap_op(2).mat) and name == "Ωψ é"
 
 
 class TestErrors:
     def test_malformed_json_reports_position(self):
         with pytest.raises(ValueError, match="line"):
             read_operator_file('{"d": 2, "matrix": [[[')
+
+    # a leading 0xff, a Latin-1 name in a matrix file and a sequence that the
+    # end of the file cuts short: each names its first byte that is not UTF-8
+    @pytest.mark.parametrize("content, offset", [
+        (b"\xff" + serialize_operator(swap_op(2)).encode(), 0),
+        (serialize_operator(swap_op(2), "cafe").encode().replace(b"cafe", b"caf\xe9"), 26),
+        ('{"d": 2, "name": "\u00e9'.encode() + b"\xc3", 20),
+    ], ids=["leading-0xff", "latin-1-name", "cut-sequence"])
+    def test_bytes_that_are_not_utf8(self, content, offset):
+        message = f"malformed operator file: not UTF-8 at byte {offset}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_operator_file(content)
 
     def test_non_object_document(self):
         with pytest.raises(ValueError, match="JSON object"):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import entpow.densemat
 import entpow.entanglement
+import entpow.operators
 import entpow.verify
 from entpow.entanglement import UnitarityError, entangling_power, operator_entanglement
 from entpow.rearrange import BipartiteOperator
@@ -169,8 +170,10 @@ def test_mc_streams_share_no_draw_with_the_oracle_operators(monkeypatch, seed):
     haar_stack, draw = entpow.verify._haar_stack, entpow.entanglement._draw_states
     monkeypatch.setattr(entpow.verify, "_haar_stack",
                         lambda m, n, rng: haar_stack(m, n, Recording(rng, operator_draws)))
-    monkeypatch.setattr(entpow.entanglement, "_draw_states",
-                        lambda rng, n, d: draw(Recording(rng, state_draws), n, d))
+    # the worker's raw draws and the draws of the caller's product_state_batch
+    for module in (entpow.entanglement, entpow.operators):
+        monkeypatch.setattr(module, "_draw_states",
+                            lambda rng, n, d: draw(Recording(rng, state_draws), n, d))
     _worst(_new_run(extra_d=None, mc_samples=100, seed=seed), ROW["monte_carlo_oracle"])
     operators, states = np.concatenate(operator_draws), np.concatenate(state_draws)
     assert (operators.size, states.size) == (5 * 2 * (4**2 + 9**2), 100 * 4 * (2 + 3))
